@@ -3,7 +3,9 @@
 
 Prints a plot-ready table of the order-alpha privacy level for Laplace,
 randomized response, a tuned compound mechanism, and a Gaussian
-reference, all normalized to unit sensitivity.
+reference, all normalized to unit sensitivity.  The compound column is
+an upper bound: the Renyi level of a mechanism that also releases the
+drawn scale (see `dpcalib.privacy.rdp_of`).
 
     python scripts/rdp_curves.py --epsilon 1.0
 """

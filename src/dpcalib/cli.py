@@ -186,8 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "bernoulli, usefulness/l1/l2 are solved exactly")
     p_opt.add_argument("--extended", action="store_true",
                        help="add noncentral_chisq and rayleigh slots")
-    p_opt.add_argument("--restarts", type=int, default=12)
-    p_opt.add_argument("--max-evals", type=int, default=300)
+    p_opt.add_argument("--restarts", type=int, default=12,
+                       help="Nelder-Mead restarts; only acts on mallows/kl/renyi or on "
+                            "--families without bernoulli")
+    p_opt.add_argument("--max-evals", type=int, default=300,
+                       help="evaluation budget per restart; only acts on mallows/kl/renyi "
+                            "or on --families without bernoulli")
     p_opt.add_argument("--constraint-tol", type=float, default=1e-3)
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--out", default=None)

@@ -353,10 +353,20 @@ class TruncGaussian(MgfDist):
 
     def sample(self, rng, size=None):
         alpha, beta = self._alpha_beta()
-        p_lo = special.ndtr(alpha)
-        p_hi = 1.0 if math.isinf(beta) else special.ndtr(beta)
-        u = rng.uniform(p_lo, p_hi, size)
-        x = self.mu + self.sigma * special.ndtri(u)
+        if alpha < 0.0 < beta:
+            u = rng.uniform(special.ndtr(alpha), special.ndtr(beta), size)
+            z = special.ndtri(u)
+        else:
+            # Invert the tail holding [alpha, beta] in log space, as
+            # _log_gauss_mass does: ndtr rounds to 1 beyond about 8.3, where
+            # the inversion above would return inf.  The sign s mirrors the
+            # lower tail (beta <= 0) onto the upper one.
+            s = 1.0 if alpha >= 0.0 else -1.0
+            near, far = (alpha, beta) if s > 0 else (beta, alpha)
+            log_near = special.log_ndtr(-s * near)
+            frac = -np.expm1(special.log_ndtr(-s * far) - log_near)
+            z = -s * special.ndtri_exp(log_near + np.log1p(-frac * rng.random(size)))
+        x = self.mu + self.sigma * z
         hi = self.hi if not math.isinf(self.hi) else np.inf
         return np.clip(x, self.lo, hi) if size is not None else float(
             min(max(x, self.lo), hi)

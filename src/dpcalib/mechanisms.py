@@ -106,15 +106,21 @@ def staircase_sample(
     """
     g = gamma_s if gamma_s is not None else staircase_default_width(epsilon)
     b = math.exp(-epsilon)
-    scalar = size is None
-    n = 1 if scalar else size
-    k = rng.geometric(1.0 - b, n) - 1
-    lower = rng.random(n) < g / (g + b * (1.0 - g))
-    u = rng.random(n)
+    p_lower = g / (g + b * (1.0 - g))
+    if size is None:
+        # the batch draws below, one value at a time in the same order
+        k = rng.geometric(1.0 - b) - 1
+        lower = rng.random() < p_lower
+        u = rng.random()
+        offset = g * u if lower else g + (1.0 - g) * u
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        return sign * (k + offset) * sensitivity
+    k = rng.geometric(1.0 - b, size) - 1
+    lower = rng.random(size) < p_lower
+    u = rng.random(size)
     offset = np.where(lower, g * u, g + (1.0 - g) * u)
-    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    out = sign * (k + offset) * sensitivity
-    return float(out[0]) if scalar else out
+    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    return sign * (k + offset) * sensitivity
 
 
 def sample_noise(mech: NoiseMechanism, rng: np.random.Generator, size=None):
@@ -126,19 +132,26 @@ def sample_noise(mech: NoiseMechanism, rng: np.random.Generator, size=None):
     if isinstance(mech, Staircase):
         return staircase_sample(mech.epsilon, mech.sensitivity, mech.gamma_s, rng, size)
     if isinstance(mech, CompoundLaplace):
-        scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
-        scales = np.asarray(mech.combo.sample(rng, n), float)
-        # a reciprocal scale underflowing to zero would mean infinite noise
+        # a reciprocal scale underflowing to zero would mean infinite noise,
+        # and an infinite one zero noise: neither is ever released
+        if size is None:
+            scale = mech.combo.sample(rng)
+            for _ in range(100):
+                if not scale < _UNDERFLOW:
+                    break
+                scale = mech.combo.sample(rng)
+            if not _UNDERFLOW <= scale < math.inf:
+                raise InputDomainError(f"reciprocal scale {scale} is not finite and positive")
+            return float(rng.laplace(0.0, 1.0 / scale))
+        scales = np.asarray(mech.combo.sample(rng, size), float)
         for _ in range(100):
             bad = scales < _UNDERFLOW
             if not bad.any():
                 break
             scales[bad] = np.asarray(mech.combo.sample(rng, int(bad.sum())), float)
-        noise = rng.laplace(0.0, 1.0 / scales)
-        if scalar:
-            return float(noise[0])
-        return noise.reshape(size)
+        if not ((scales >= _UNDERFLOW) & (scales < math.inf)).all():
+            raise InputDomainError("a reciprocal scale is not finite and positive")
+        return rng.laplace(0.0, 1.0 / scales)
     raise InputDomainError(f"{type(mech).__name__} does not produce additive noise")
 
 

@@ -190,6 +190,12 @@ def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:
     sensitivity; other sensitivities rescale the MGF argument (Laplace,
     compound) or the noise ratio (Gaussian).  Randomized response is
     inherently a binary query and ignores ``sensitivity``.
+
+    For a compound law the value is an upper bound, not the level itself:
+    it is (1/(alpha-1)) ln E_X[e^{(alpha-1) D_alpha(Laplace(1/X))}], the
+    Renyi level of a mechanism that also releases the scale X.  Dropping
+    X is post-processing, so the compound mechanism's level is at most
+    this.  For a point-mass (degenerate) law the two are equal.
     """
     from . import mechanisms as mech_mod
 

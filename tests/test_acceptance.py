@@ -388,7 +388,8 @@ def test_criterion_07_renyi_table():
     tail = rdp_of(lap, 1e6).epsilon_rdp
     if abs(tail - 1.0) > 1e-3:
         failures.append(f"laplace RDP at alpha=1e6 is {tail}, not within 1e-3 of 1")
-    _finish(7, "Renyi-DP table values and the degenerate reduction", failures,
+    _finish(7, "Renyi-DP table values (compound: scale-released upper bound) and the "
+            "degenerate reduction", failures,
             [f"laplace RDP at alpha=1e6: {tail:.6f}"])
 
 

@@ -41,6 +41,12 @@ def test_query_true_values():
     assert QuerySpec("count").true_value(data) == 100.0
     q = QuerySpec("moving_average", window=30, scale=1.0, declared_sensitivity=1.0 / 30)
     assert q.true_value(data) == pytest.approx(1.0)
+    rng = np.random.default_rng(0)
+    for window, scale in [(1, 1.0), (7, 1.7), (30, 0.3), (200, 2.0)]:
+        q = QuerySpec("moving_average", window=window, scale=scale, declared_sensitivity=2.0)
+        for _ in range(50):
+            data = rng.poisson(5.0, 150).astype(float) * rng.random()
+            assert q.true_value(data) == float(scale * np.mean(data[-window:]))
     with pytest.raises(EmptyDatasetError):
         QuerySpec("count").true_value(np.array([]))
 

@@ -165,6 +165,31 @@ def test_trunc_gaussian_sampler_support():
 
 @pytest.mark.parametrize(
     "dist",
+    [
+        TruncGaussian(0.0, 0.1, 1.0),         # alpha = 10: ndtr(alpha) is 1.0
+        TruncGaussian(1e-4, 1e-4, 1e4),       # alpha ~ 1e8
+        TruncGaussian(100.0, 1.0, 0.0, 50.0),  # beta = -50: ndtr(beta) is 0.0
+        TruncGaussian(2.0, 0.5, 2.0, 2.5),    # alpha = 0, in the upper-tail branch
+    ],
+)
+@pytest.mark.parametrize("scalar", [False, True])
+def test_trunc_gaussian_tail_sampler(dist, scalar):
+    # every draw is finite and in [lo, hi], and E[e^{-tX}] matches the MGF
+    rng = np.random.default_rng(11)
+    if scalar:
+        draws = np.array([dist.sample(rng) for _ in range(20_000)])
+    else:
+        draws = dist.sample(rng, 200_000)
+    assert np.all(np.isfinite(draws))
+    assert draws.min() >= dist.lo and draws.max() <= dist.hi
+    for t in (1.0, 0.4):
+        vals = np.exp(-t * draws)
+        se = vals.std() / math.sqrt(vals.size)
+        assert abs(vals.mean() - dist.mgf(-t)) <= 4 * se
+
+
+@pytest.mark.parametrize(
+    "dist",
     [Gamma(2.0, 0.7), Uniform(0.5, 3.0), Rayleigh(1.2), Bernoulli(0.3, 0.5, 2.0)],
 )
 @pytest.mark.parametrize("t", [-2.0, -1.0, -0.1])

@@ -1,10 +1,22 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dpcalib.distributions import Degenerate, Gamma, singleton
+from dpcalib.distributions import (
+    FAMILIES,
+    Bernoulli,
+    Degenerate,
+    Gamma,
+    LinearCombo,
+    NoncentralChiSquare,
+    Rayleigh,
+    TruncGaussian,
+    Uniform,
+    singleton,
+)
 from dpcalib.mechanisms import (
     CompoundLaplace,
     Gaussian,
@@ -176,3 +188,53 @@ def test_gaussian_sigma_values():
 def test_sample_noise_rejects_randomized_response():
     with pytest.raises(InputDomainError):
         sample_noise(RandomizedResponse(0.6), np.random.default_rng(0))
+
+
+# one law per family; the TruncGaussian sits in the deep upper tail
+_ONE_PER_FAMILY = (
+    Degenerate(2.0),
+    Bernoulli(0.3, 0.5, 2.0),
+    Gamma(0.5, 1.5),
+    Uniform(0.2, 4.0),
+    TruncGaussian(0.0, 0.1, 1.0),
+    NoncentralChiSquare(3.0, 2.0),
+    Rayleigh(1.3),
+)
+
+
+@pytest.mark.parametrize(
+    "mech",
+    [Laplace(0.7), Gaussian(1.3), Staircase(1.0, 1.0), Staircase(0.7, 2.0, gamma_s=0.3)]
+    + [CompoundLaplace(singleton(d, 0.8)) for d in _ONE_PER_FAMILY]
+    + [CompoundLaplace(LinearCombo(
+        ((0.5, Gamma(2.0, 1.0)), (0.5, TruncGaussian(1.0, 0.8, 0.05, 25.0)))))],
+    ids=lambda m: type(m).__name__,
+)
+def test_scalar_and_batch_draws_are_bit_identical(mech):
+    assert {type(d) for d in _ONE_PER_FAMILY} == set(FAMILIES.values())
+    rng, rng2 = np.random.default_rng(42), np.random.default_rng(42)
+    scalar = [sample_noise(mech, rng) for _ in range(2000)]
+    batch = [sample_noise(mech, rng2, 1)[0] for _ in range(2000)]
+    assert all(type(x) is float for x in scalar)
+    assert np.array_equal(scalar, batch)
+
+
+@dataclass(frozen=True)
+class _StuckDraws(Degenerate):
+    """A law whose sampler returns ``draw`` whatever its analysed value."""
+
+    draw: float = math.inf
+
+    def sample(self, rng, size=None):
+        return self.draw if size is None else np.full(size, self.draw)
+
+
+@pytest.mark.parametrize("draw", [math.inf, math.nan, 0.0])
+def test_unusable_reciprocal_scale_raises(draw):
+    mech = CompoundLaplace(singleton(_StuckDraws(1.0, draw)))
+    with pytest.raises(InputDomainError):
+        sample_noise(mech, np.random.default_rng(0))
+    with pytest.raises(InputDomainError):
+        sample_noise(mech, np.random.default_rng(0), 10)
+    with pytest.raises(InputDomainError):
+        perturb(mech, 3.0, np.random.default_rng(0))
