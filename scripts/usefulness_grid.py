@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from dpcalib.bench import ExperimentGrid, run_grid, write_csv
-from dpcalib.optimize import SearchSpaceSpec
 
 
 def main() -> int:
@@ -18,9 +17,6 @@ def main() -> int:
     parser.add_argument("--out", default="usefulness_grid.csv")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--trials", type=int, default=5000)
-    parser.add_argument("--restarts", type=int, default=12)
-    parser.add_argument("--extended", action="store_true",
-                        help="add noncentral chi-square and Rayleigh slots")
     args = parser.parse_args()
 
     grid = ExperimentGrid(
@@ -32,9 +28,7 @@ def main() -> int:
         trials=args.trials,
         master_seed=args.seed,
     )
-    search = (SearchSpaceSpec.extended(restarts=args.restarts) if args.extended
-              else SearchSpaceSpec(restarts=args.restarts))
-    rows = run_grid(grid, search)
+    rows = run_grid(grid)
     write_csv(rows, args.out)
     wins = sum(
         1 for r in rows

@@ -36,7 +36,6 @@ from .mechanisms import (
 from .optimize import (
     CalibratedMechanism,
     SearchSpaceSpec,
-    evaluate_candidate,
     laplace_seed,
     optimize,
 )

@@ -26,11 +26,8 @@ from .mechanisms import (
     Staircase,
     perturb,
     sample_noise,
-    staircase_l1,
-    staircase_l2,
-    staircase_usefulness,
 )
-from .optimize import DEFAULT_FAMILIES, SearchSpaceSpec, optimize
+from .optimize import SearchSpaceSpec, baseline_laplace, baseline_staircase, optimize
 from .privacy import PrivacySpec
 from .utility import UtilityGoal
 
@@ -215,11 +212,11 @@ def run_grid(
             if mech_name == "laplace":
                 mech = Laplace(dq / eps)
                 row.epsilon_achieved = eps
-                row.utility_analytic = _laplace_analytic(grid.metric, eps, dq, mp)
+                row.utility_analytic = baseline_laplace(PrivacySpec(eps, dq), goal)
             elif mech_name == "staircase":
                 mech = Staircase(eps, dq)
                 row.epsilon_achieved = eps
-                row.utility_analytic = _staircase_analytic(grid.metric, eps, dq, mp)
+                row.utility_analytic = baseline_staircase(PrivacySpec(eps, dq), goal)
             else:
                 calibrated = optimize(search, PrivacySpec(eps, dq), goal, seed=cell_seed)
                 mech = CompoundLaplace(calibrated.combo)
@@ -236,23 +233,6 @@ def run_grid(
             row.wall_ms = int(round((time.perf_counter() - t0) * 1000))
         rows.append(row)
     return rows
-
-
-def _laplace_analytic(metric: str, eps: float, dq: float, mp: float) -> float:
-    b = dq / eps
-    if metric == "usefulness":
-        return 1.0 - math.exp(-mp / b)
-    if metric == "l1":
-        return b
-    return math.sqrt(2.0) * b
-
-
-def _staircase_analytic(metric: str, eps: float, dq: float, mp: float) -> float:
-    if metric == "usefulness":
-        return staircase_usefulness(eps, dq, mp)
-    if metric == "l1":
-        return staircase_l1(eps, dq)
-    return staircase_l2(eps, dq)
 
 
 def _fmt(value) -> str:
@@ -374,11 +354,8 @@ def load_config(path) -> tuple[ExperimentGrid, SearchSpaceSpec, QuerySpec | None
         )
         s = parser["search"] if "search" in parser else {}
         search = SearchSpaceSpec(
-            families=tuple(s.get("families", " ".join(DEFAULT_FAMILIES)).split()),
-            a_max=float(s.get("a_max", 100.0)),
             restarts=int(s.get("restarts", 12)),
             max_evals=int(s.get("max_evals", 300)),
-            constraint_tol=float(s.get("constraint_tol", 1e-3)),
             mc_trials=int(s.get("mc_trials", 4000)),
         )
         query = None

@@ -28,12 +28,7 @@ from .mechanisms import (
     Staircase,
     sample_noise,
 )
-from .optimize import (
-    EXTENDED_FAMILIES,
-    InfeasibleSpecError,
-    SearchSpaceSpec,
-    optimize,
-)
+from .optimize import InfeasibleSpecError, SearchSpaceSpec, optimize
 from .privacy import GridSpec, PrivacySpec, epsilon_of_combo, verify_epsilon_empirically
 from .utility import Histogram, UtilityGoal
 
@@ -75,15 +70,7 @@ def _build_goal(args) -> UtilityGoal:
 
 
 def _cmd_optimize(args) -> int:
-    families = tuple(args.families.split(",")) if args.families else (
-        EXTENDED_FAMILIES if args.extended else SearchSpaceSpec().families
-    )
-    spec = SearchSpaceSpec(
-        families=families,
-        restarts=args.restarts,
-        max_evals=args.max_evals,
-        constraint_tol=args.constraint_tol,
-    )
+    spec = SearchSpaceSpec(restarts=args.restarts, max_evals=args.max_evals)
     privacy = PrivacySpec(args.epsilon, args.sensitivity)
     goal = _build_goal(args)
     try:
@@ -180,19 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--p", type=float, default=None)
     p_opt.add_argument("--alpha", type=float, default=None)
     p_opt.add_argument("--prior", default=None, help="prior file for mallows/kl/renyi")
-    p_opt.add_argument("--families", default=None,
-                       help="comma-separated family slots: bernoulli, degenerate, gamma, "
-                            "uniform, trunc_gaussian, noncentral_chisq, rayleigh; with "
-                            "bernoulli, usefulness/l1/l2 are solved exactly")
-    p_opt.add_argument("--extended", action="store_true",
-                       help="add noncentral_chisq and rayleigh slots")
     p_opt.add_argument("--restarts", type=int, default=12,
-                       help="Nelder-Mead restarts; only acts on mallows/kl/renyi or on "
-                            "--families without bernoulli")
+                       help="starts of the two-atom search; mallows/kl/renyi only "
+                            "(usefulness/l1/l2 are solved exactly)")
     p_opt.add_argument("--max-evals", type=int, default=300,
-                       help="evaluation budget per restart; only acts on mallows/kl/renyi "
-                            "or on --families without bernoulli")
-    p_opt.add_argument("--constraint-tol", type=float, default=1e-3)
+                       help="evaluations per start of the two-atom search; "
+                            "mallows/kl/renyi only")
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--out", default=None)
     p_opt.set_defaults(func=_cmd_optimize)

@@ -101,6 +101,11 @@ class MgfDist(ABC):
     def sample(self, rng: np.random.Generator, size=None):
         """Draw from the distribution using the supplied generator."""
 
+    def log_mgf(self, t: float) -> float:
+        """ln M(t) for a scalar t; families with a closed form override it
+        so that large t does not overflow."""
+        return math.log(self.mgf(t))
+
     def mgf_domain_sup(self) -> float:
         """Exclusive upper bound of t for which the MGF exists."""
         return math.inf
@@ -150,6 +155,9 @@ class Degenerate(MgfDist):
         scalar = np.isscalar(t)
         return _ret(self.value * np.exp(np.asarray(t, float) * self.value), scalar)
 
+    def log_mgf(self, t: float) -> float:
+        return t * self.value
+
     def mean(self) -> float:
         return self.value
 
@@ -187,6 +195,11 @@ class Bernoulli(MgfDist):
         t = np.asarray(t, float)
         out = self.p * self.x0 * np.exp(t * self.x0) + (1 - self.p) * self.x1 * np.exp(t * self.x1)
         return _ret(out, scalar)
+
+    def log_mgf(self, t: float) -> float:
+        atoms = [math.log(w) + t * x
+                 for w, x in ((self.p, self.x0), (1 - self.p, self.x1)) if w > 0]
+        return float(np.logaddexp.reduce(atoms))
 
     def mean(self) -> float:
         return self.p * self.x0 + (1 - self.p) * self.x1
@@ -534,6 +547,9 @@ class LinearCombo:
                     part = part * v
             out = out + part
         return _ret(out, scalar)
+
+    def log_mgf(self, t: float) -> float:
+        return sum(d.log_mgf(a * t) for a, d in self.active_terms())
 
     def mean(self) -> float:
         return sum(a * d.mean() for a, d in self.active_terms())

@@ -4,27 +4,24 @@ Given a privacy budget, a query sensitivity and a utility goal, find the
 law of the reciprocal scale X = 1/b that maximizes utility subject to the
 exact epsilon constraint.
 
-For usefulness, l1 and l2 both the objective and the constraint are
-linear in the law of X: maximize E f(X) subject to E g(X) <= 0 with
-g(x) = x (1 - e^(eps - sensitivity x)).  The optimum over every law has
-at most two atoms, and a 1-D dual over the multiplier of the constraint
-finds it (``two_atom_optimum``).  When the spec admits the ``bernoulli``
-family this exact solution is returned and no search runs.
+The constraint is E g(X) = 0 with g(x) = x (1 - e^(eps - sensitivity x)):
+g < 0 below x0 = eps/sensitivity and g > 0 above it.  Every calibrated
+law here has one or two atoms.
 
-Otherwise (a spec without ``bernoulli``, or a prior-dependent metric)
-the space of non-negative linear combinations of the configured families
-is searched.  The constrained problem is attacked with an exact-penalty
-objective (utility - rho * |eps - target|, rho escalated over rounds)
-minimized by Nelder-Mead from a deterministic multi-start schedule: the
-degenerate (Laplace-equivalent) seed, one exactly-calibrated seed per
-family, one ensemble seed, and random log-uniform draws.  Every feasible
-candidate met anywhere in the search enters a best-so-far pool; the pool
-winner is re-calibrated so the achieved epsilon sits on the target to
-near machine precision.
+For usefulness, l1 and l2 the objective is linear in the law of X too,
+so the optimum over every law has at most two atoms, and a 1-D dual over
+the multiplier of the constraint finds it (``two_atom_optimum``).
 
-The degenerate seed is always feasible and always in the pool, and the
-exact solver falls back to it when no two-atom law does better, so the
-result can never fall below the Laplace baseline.
+The prior-dependent metrics (mallows, kl, renyi) are estimated by Monte
+Carlo on a stream fixed by the seed, the same draws for every law.  For
+them a 2-D Nelder-Mead searches the two-atom laws with atoms
+x0 e^-|s| <= x0 <= x0 e^|u|, weighted so that E g(X) = 0: every
+candidate meets epsilon by construction.  The search evaluates the
+Laplace law first, then starts from the exact l1 and l2 laws, fixed
+offsets and seeded random offsets, and keeps the best law seen.  A law
+that beats Laplace only on that stream is overfitted to it, so the
+winner must also beat Laplace on a fresh, longer stream, or Laplace is
+returned.  The result is never worse than Laplace on the seed's stream.
 """
 
 from __future__ import annotations
@@ -39,13 +36,7 @@ from .distributions import (
     Bernoulli,
     Degenerate,
     DomainError,
-    Gamma,
     LinearCombo,
-    MgfDist,
-    NoncentralChiSquare,
-    Rayleigh,
-    TruncGaussian,
-    Uniform,
     format_combo,
     parse_combo,
 )
@@ -54,9 +45,8 @@ from .mechanisms import (
     staircase_l2,
     staircase_usefulness,
 )
-from .privacy import PrivacySpec, epsilon_of_combo, passes_necessary_condition
+from .privacy import PrivacySpec, epsilon_of_combo
 from .utility import (
-    DivergentIntegralError,
     UtilityGoal,
     expected_metric_empirical,
     l1_bound,
@@ -66,65 +56,25 @@ from .utility import (
 
 
 class InfeasibleSpecError(RuntimeError):
-    """No candidate satisfied the constraint (cannot happen with the seed)."""
-
-
-class BudgetExhaustedError(RuntimeError):
-    """The global evaluation cap was hit; ``best`` holds the best-so-far."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
-
-
-_BAD = 1e18
-
-# log-scale parameter boxes per family slot; "coeff" upper bound is a_max
-_SLOT_PARAMS: dict[str, tuple[tuple[str, float, float], ...]] = {
-    "degenerate": (("coeff", 1e-4, None), ("value", 1e-8, 1e6)),
-    "bernoulli": (("coeff", 1e-4, None), ("p", 1e-4, 1.0), ("x0", 1e-8, 1e6), ("x1", 1e-8, 1e6)),
-    "gamma": (("coeff", 1e-4, None), ("shape", 5e-2, 3e2), ("scale", 1e-5, 1e5)),
-    "uniform": (("coeff", 1e-4, None), ("lo", 1e-8, 1e4), ("width", 1e-6, 1e5)),
-    "trunc_gaussian": (
-        ("coeff", 1e-4, None),
-        ("mu", 1e-4, 1e4),
-        ("sigma", 1e-4, 1e4),
-        ("lo", 1e-8, 1e4),
-        ("width", 1e-6, 1e5),
-    ),
-    "noncentral_chisq": (("coeff", 1e-4, None), ("dof", 5e-2, 3e2), ("nonc", 1e-8, 1e4)),
-    "rayleigh": (("coeff", 1e-4, None), ("sigma", 1e-5, 1e5)),
-}
-
-DEFAULT_FAMILIES = ("gamma", "uniform", "trunc_gaussian", "bernoulli")
-EXTENDED_FAMILIES = DEFAULT_FAMILIES + ("noncentral_chisq", "rayleigh")
+    """The epsilon target could not be met (scale calibration failed)."""
 
 
 @dataclass(frozen=True)
 class SearchSpaceSpec:
-    """Families, parameter boxes and budgets for the optimizer."""
+    """Budgets for the two-atom search over mallows/kl/renyi.
 
-    families: tuple[str, ...] = DEFAULT_FAMILIES
-    a_max: float = 100.0
+    ``restarts`` Nelder-Mead starts of at most ``max_evals`` evaluations
+    each, every evaluation a Monte-Carlo estimate over ``mc_trials``
+    trials.  Usefulness, l1 and l2 are solved exactly and ignore them.
+    """
+
     restarts: int = 12
     max_evals: int = 300
-    constraint_tol: float = 1e-3
     mc_trials: int = 4000
 
     def __post_init__(self):
-        if not self.families:
-            raise ValueError("need at least one family slot")
-        unknown = [f for f in self.families if f not in _SLOT_PARAMS]
-        if unknown:
-            raise ValueError(f"unknown families {unknown}; known: {sorted(_SLOT_PARAMS)}")
         if self.restarts < 1 or self.max_evals < 1:
             raise ValueError("restarts and max_evals must be >= 1")
-        if not (0 < self.a_max < math.inf and self.constraint_tol > 0):
-            raise ValueError("a_max and constraint_tol must be positive and finite")
-
-    @classmethod
-    def extended(cls, **kwargs) -> "SearchSpaceSpec":
-        return cls(families=EXTENDED_FAMILIES, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -132,7 +82,6 @@ class SolverDiagnostics:
     evaluations: int
     constraint_residual: float
     winning_restart: int
-    boundary_hit: bool
 
 
 @dataclass(frozen=True)
@@ -157,7 +106,6 @@ class CalibratedMechanism:
             f"evaluations = {self.diagnostics.evaluations}",
             f"constraint_residual = {self.diagnostics.constraint_residual!r}",
             f"winning_restart = {self.diagnostics.winning_restart}",
-            f"boundary_hit = {self.diagnostics.boundary_hit}",
             "combo:",
         ]
         lines += ["  " + line for line in format_combo(self.combo).splitlines()]
@@ -165,6 +113,8 @@ class CalibratedMechanism:
 
     @classmethod
     def from_text(cls, text: str) -> "CalibratedMechanism":
+        """Parse a record; keys it does not know (such as the
+        ``boundary_hit`` of older records) are ignored."""
         meta: dict[str, str] = {}
         combo_lines: list[str] = []
         in_combo = False
@@ -192,7 +142,6 @@ class CalibratedMechanism:
                 evaluations=int(meta.get("evaluations", 0)),
                 constraint_residual=float(meta.get("constraint_residual", 0.0)),
                 winning_restart=int(meta.get("winning_restart", 0)),
-                boundary_hit=meta.get("boundary_hit", "False") == "True",
             ),
         )
 
@@ -200,73 +149,6 @@ class CalibratedMechanism:
 def laplace_seed(privacy: PrivacySpec) -> LinearCombo:
     """The point mass at epsilon/sensitivity: exactly the Laplace mechanism."""
     return LinearCombo(((1.0, Degenerate(privacy.epsilon / privacy.sensitivity)),))
-
-
-def _build_dist(family: str, p: dict[str, float]) -> MgfDist:
-    if family == "degenerate":
-        return Degenerate(p["value"])
-    if family == "bernoulli":
-        return Bernoulli(p["p"], p["x0"], p["x1"])
-    if family == "gamma":
-        return Gamma(p["shape"], p["scale"])
-    if family == "uniform":
-        return Uniform(p["lo"], p["lo"] + p["width"])
-    if family == "trunc_gaussian":
-        return TruncGaussian(p["mu"], p["sigma"], p["lo"], p["lo"] + p["width"])
-    if family == "noncentral_chisq":
-        return NoncentralChiSquare(p["dof"], p["nonc"])
-    if family == "rayleigh":
-        return Rayleigh(p["sigma"])
-    raise ValueError(family)
-
-
-class _Encoding:
-    """Maps flat log-parameter vectors to combinations and back."""
-
-    def __init__(self, families: tuple[str, ...], a_max: float):
-        self.families = families
-        self.names: list[tuple[str, str]] = []
-        self.log_lo: list[float] = []
-        self.log_hi: list[float] = []
-        for fam in families:
-            for name, lo, hi in _SLOT_PARAMS[fam]:
-                self.names.append((fam, name))
-                self.log_lo.append(math.log(lo))
-                self.log_hi.append(math.log(a_max if hi is None else hi))
-        self.log_lo = np.asarray(self.log_lo)
-        self.log_hi = np.asarray(self.log_hi)
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.log_lo, self.log_hi)
-
-    def decode(self, x: np.ndarray) -> LinearCombo:
-        vals = np.exp(self.clip(np.asarray(x, float)))
-        terms = []
-        i = 0
-        for fam in self.families:
-            params = {}
-            for name, _, _ in _SLOT_PARAMS[fam]:
-                params[name] = float(vals[i])
-                i += 1
-            coeff = params.pop("coeff")
-            terms.append((coeff, _build_dist(fam, params)))
-        return LinearCombo(tuple(terms))
-
-    def encode(self, terms: list[tuple[str, dict[str, float]]]) -> np.ndarray:
-        out = []
-        for fam, params in terms:
-            for name, _, _ in _SLOT_PARAMS[fam]:
-                out.append(math.log(params[name]))
-        return self.clip(np.asarray(out))
-
-    def at_boundary(self, x: np.ndarray, rel: float = 1e-6) -> bool:
-        x = self.clip(np.asarray(x, float))
-        span = self.log_hi - self.log_lo
-        return bool(np.any((x - self.log_lo) < rel * span) or np.any((self.log_hi - x) < rel * span))
 
 
 def _rescale(combo: LinearCombo, c: float) -> LinearCombo:
@@ -312,110 +194,15 @@ def _analytic_utility(combo: LinearCombo, goal: UtilityGoal, eval_seed: int, mc_
         return l1_bound(combo, rtol=1e-9)
     if goal.metric == "l2":
         return l2_bound(combo, rtol=1e-9)
+    # a point mass is drawn as a two-atom law with both atoms on it, so that
+    # it uses the stream like the search's candidates: all are compared on
+    # the same draws
+    if len(combo.terms) == 1 and isinstance(combo.terms[0][1], Degenerate):
+        (coeff, point), = combo.terms
+        combo = LinearCombo(((coeff, Bernoulli(1.0, point.value, point.value)),))
     return expected_metric_empirical(
         combo, goal, trials=mc_trials, rng=np.random.default_rng(eval_seed)
     )
-
-
-def evaluate_candidate(
-    combo: LinearCombo,
-    privacy: PrivacySpec,
-    goal: UtilityGoal,
-    constraint_tol: float = 1e-3,
-    eval_seed: int = 0,
-    mc_trials: int = 4000,
-) -> tuple[float, float, bool]:
-    """(utility, epsilon, feasible) for one combination.
-
-    Feasible means the epsilon residual is within tolerance *and* the
-    utility-improvement filter passes; all-degenerate combinations (the
-    Laplace seed) bypass the filter.
-    """
-    eps = epsilon_of_combo(combo, privacy.sensitivity)
-    try:
-        utility = _analytic_utility(combo, goal, eval_seed, mc_trials)
-    except (DivergentIntegralError, DomainError):
-        return (math.inf if not goal.higher_is_better else -math.inf, eps, False)
-    within = abs(eps - privacy.epsilon) <= constraint_tol
-    feasible = within and passes_necessary_condition(combo, privacy.sensitivity)
-    return (utility, eps, feasible)
-
-
-@dataclass
-class _Pool:
-    """Best-so-far over every feasible candidate seen anywhere."""
-
-    higher_is_better: bool
-    best_key: tuple | None = None
-    best: tuple | None = None  # (combo, utility, epsilon, restart)
-    order: int = 0
-
-    def offer(self, combo, utility, epsilon, residual, restart):
-        self.order += 1
-        sign = -utility if self.higher_is_better else utility
-        key = (sign, residual, restart, self.order)
-        if self.best_key is None or key < self.best_key:
-            self.best_key = key
-            self.best = (combo, utility, epsilon, restart)
-
-
-def _seed_terms(
-    family: str, privacy: PrivacySpec, variant: int = 0
-) -> tuple[str, dict[str, float]]:
-    """Feasible-by-construction starting points; variant 0 is wide/heavy,
-    variant 1 concentrates near the Laplace-equivalent scale."""
-    scale0 = privacy.epsilon / privacy.sensitivity
-    if family == "degenerate":
-        return family, {"coeff": 1.0, "value": scale0}
-    if family == "bernoulli":
-        spread = 4.0 if variant == 0 else 1.5
-        return family, {"coeff": 1.0, "p": 0.5, "x0": scale0 / spread, "x1": scale0 * spread}
-    if family == "gamma":
-        # exactly feasible by inverting (k+1) ln(1 + dq*theta) = eps
-        shape = 4.0 if variant == 0 else 12.0
-        theta = math.expm1(privacy.epsilon / (shape + 1.0)) / privacy.sensitivity
-        return family, {"coeff": 1.0, "shape": shape, "scale": theta}
-    if family == "uniform":
-        if variant == 0:
-            return family, {"coeff": 1.0, "lo": 0.05 * scale0, "width": 12.0 * scale0}
-        return family, {"coeff": 1.0, "lo": 0.45 * scale0, "width": 2.2 * scale0}
-    if family == "trunc_gaussian":
-        if variant == 0:
-            return family, {
-                "coeff": 1.0,
-                "mu": scale0,
-                "sigma": 0.8 * scale0,
-                "lo": 0.05 * scale0,
-                "width": 25.0 * scale0,
-            }
-        return family, {
-            "coeff": 1.0,
-            "mu": scale0,
-            "sigma": 0.25 * scale0,
-            "lo": 0.4 * scale0,
-            "width": 4.0 * scale0,
-        }
-    if family == "noncentral_chisq":
-        dof, nonc = (3.0, 0.5) if variant == 0 else (8.0, 2.0)
-        return family, {"coeff": scale0 / (dof + nonc), "dof": dof, "nonc": nonc}
-    if family == "rayleigh":
-        return family, {"coeff": 1.0, "sigma": scale0 if variant == 0 else 2.0 * scale0}
-    raise ValueError(family)
-
-
-def _random_terms(families, rng: np.random.Generator, a_max: float):
-    terms = []
-    for fam in families:
-        params = {}
-        for name, lo, hi in _SLOT_PARAMS[fam]:
-            hi = a_max if hi is None else hi
-            # random draws stay in a tamer interior box than the search bounds
-            llo, lhi = math.log(lo), math.log(hi)
-            mid_lo = llo + 0.25 * (lhi - llo)
-            mid_hi = llo + 0.75 * (lhi - llo)
-            params[name] = math.exp(rng.uniform(mid_lo, mid_hi))
-        terms.append((fam, params))
-    return terms
 
 
 _LINEAR_METRICS = ("usefulness", "l1", "l2")
@@ -523,157 +310,97 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     return LinearCombo(((1.0, Bernoulli(p_lo, x_lo, x_hi)),)), calls[0]
 
 
+# fixed starting offsets (s, u) of the two-atom search, after the exact
+# l1 and l2 laws; later starts are drawn uniformly from [0, 4)^2
+_FIXED_OFFSETS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (2.0, 2.0))
+_SIMPLEX_STEP = 0.25
+_HOLDOUT_TRIALS = 10  # length of the fresh stream, in multiples of mc_trials
+_UNUSABLE = 1e300  # finite, so that Nelder-Mead never subtracts inf from inf
+
+
+def _two_atom_law(privacy: PrivacySpec, s: float, u: float) -> LinearCombo:
+    """The law on x0 e^-|s| and x0 e^|u| with E g(X) = 0, whose epsilon is
+    the target by construction; the Laplace law when an atom sits at x0."""
+    eps, dq = privacy.epsilon, privacy.sensitivity
+    x0 = eps / dq
+    x_lo, x_hi = x0 * math.exp(-abs(s)), x0 * math.exp(abs(u))
+    g_lo = -x_lo * math.expm1(eps - dq * x_lo)
+    g_hi = -x_hi * math.expm1(eps - dq * x_hi)
+    if not g_lo < 0.0 < g_hi:
+        return laplace_seed(privacy)
+    return LinearCombo(((1.0, Bernoulli(g_hi / (g_hi - g_lo), x_lo, x_hi)),))
+
+
 def optimize(
     spec: SearchSpaceSpec,
     privacy: PrivacySpec,
     goal: UtilityGoal,
     seed: int | np.random.Generator = 0,
 ) -> CalibratedMechanism:
-    """Search for the utility-maximizing feasible combination.
+    """Calibrate the law of 1/b for one (budget, sensitivity, metric).
 
-    For usefulness, l1 and l2 with ``bernoulli`` among the spec's
-    families, this is the best law over every law of 1/b, from
-    ``two_atom_optimum``; otherwise the best combination the multi-start
-    search over the configured families finds.
+    Usefulness, l1 and l2 get the best law over every law of 1/b, from
+    ``two_atom_optimum``.  Mallows, KL and Renyi get the best two-atom
+    law the search finds on the Monte-Carlo stream fixed by ``seed``;
+    the Laplace law is its first candidate.
 
     Deterministic for fixed (spec, privacy, goal, seed).  Raises
-    ``InfeasibleSpecError`` only if even the degenerate seed cannot be
-    evaluated, and ``BudgetExhaustedError`` if the global evaluation cap
-    is somehow exceeded.
+    ``InfeasibleSpecError`` if the final scale calibration fails.
     """
     if isinstance(seed, np.random.Generator):
         master = int(seed.integers(2**63))
     else:
         master = int(seed)
     eval_seed = master ^ 0x5EED
-    if goal.metric in _LINEAR_METRICS and "bernoulli" in spec.families:
+    if goal.metric in _LINEAR_METRICS:
         law, calls = two_atom_optimum(privacy, goal)
         combo = calibrate_scale(law, privacy)
         utility = _analytic_utility(combo, goal, eval_seed, spec.mc_trials)
         return _calibrated(combo, utility, calls, 0, spec, privacy, goal, eval_seed)
-    pool = _Pool(goal.higher_is_better)
-    evals = [0]
-    eval_cap = 4 * spec.restarts * spec.max_evals + 1000
 
-    def consider(combo: LinearCombo, restart: int):
-        """Evaluate one candidate; admit it to the pool if feasible.
+    sign = -1.0 if goal.higher_is_better else 1.0
+    laplace = laplace_seed(privacy)
+    best = [sign * _analytic_utility(laplace, goal, eval_seed, spec.mc_trials), laplace, 0]
+    evals = [1]
 
-        Returns (signed utility, residual) or None when the candidate is
-        unusable (nonexistent moment, divergent metric, overflow).
-        """
+    def objective(x, restart):
         evals[0] += 1
-        if evals[0] > eval_cap:
-            raise BudgetExhaustedError("evaluation cap exceeded", best=pool.best)
         try:
-            eps = epsilon_of_combo(combo, privacy.sensitivity)
-            utility = _analytic_utility(combo, goal, eval_seed, spec.mc_trials)
-        except (DomainError, DivergentIntegralError, OverflowError):
-            return None
-        if not (math.isfinite(eps) and math.isfinite(utility)):
-            return None
-        residual = abs(eps - privacy.epsilon)
-        signed = -utility if goal.higher_is_better else utility
-        # skip the recalibration for candidates that are far behind the pool
-        # best; a within-tolerance epsilon shift cannot close a 5% gap
-        hopeless = (
-            pool.best_key is not None
-            and signed > pool.best_key[0] + 0.05 * (1.0 + abs(pool.best_key[0]))
+            law = _two_atom_law(privacy, x[0], x[1])
+            value = sign * _analytic_utility(law, goal, eval_seed, spec.mc_trials)
+        except (ValueError, OverflowError):
+            return _UNUSABLE
+        if value < best[0]:
+            best[:] = [value, law, restart]
+        return value if math.isfinite(value) else _UNUSABLE
+
+    x0 = privacy.epsilon / privacy.sensitivity
+    starts = []
+    for metric in ("l1", "l2"):
+        exact = two_atom_optimum(privacy, UtilityGoal(metric))[0].terms[0][1]
+        if isinstance(exact, Bernoulli):
+            starts.append((math.log(x0 / exact.x0), math.log(exact.x1 / x0)))
+    starts += _FIXED_OFFSETS
+    rng = np.random.default_rng([master & (2**63 - 1), 0xD15C])
+    while len(starts) < spec.restarts:
+        starts.append(tuple(rng.uniform(0.0, 4.0, 2)))
+    for restart, start in enumerate(starts[: spec.restarts], start=1):
+        x = np.asarray(start, float)
+        simplex = np.array([x, x + (_SIMPLEX_STEP, 0.0), x + (0.0, _SIMPLEX_STEP)])
+        sp_optimize.minimize(
+            objective, x, args=(restart,), method="Nelder-Mead",
+            options={"maxfev": spec.max_evals, "initial_simplex": simplex,
+                     "xatol": 1e-6, "fatol": 1e-12},
         )
-        if residual <= spec.constraint_tol and not hopeless:
-            # admit the exactly recalibrated candidate so pool members are
-            # compared at equal epsilon instead of exploiting the tolerance
-            try:
-                if residual < 1e-12:
-                    exact, exact_u, exact_eps = combo, utility, eps
-                else:
-                    exact = calibrate_scale(combo, privacy)
-                    exact_u = _analytic_utility(exact, goal, eval_seed, spec.mc_trials)
-                    exact_eps = epsilon_of_combo(exact, privacy.sensitivity)
-                all_deg = all(isinstance(d, Degenerate) for _, d in exact.active_terms())
-                if all_deg or passes_necessary_condition(exact, privacy.sensitivity):
-                    pool.offer(exact, exact_u, exact_eps,
-                               abs(exact_eps - privacy.epsilon), restart)
-            except (InfeasibleSpecError, DomainError, DivergentIntegralError, OverflowError):
-                pass
-        return signed, residual
-
-    def penalty_objective(x: np.ndarray, encoding: _Encoding, rho: float, restart: int) -> float:
-        try:
-            combo = encoding.decode(x)
-        except ValueError:
-            return _BAD
-        out = consider(combo, restart)
-        if out is None:
-            return _BAD
-        base, residual = out
-        return base + rho * residual
-
-    # restart schedule: Laplace seed, per-family seeds (two variants each),
-    # the ensemble seed, then random draws
-    plans: list[tuple[str, object]] = [("laplace", None)]
-    plans += [("family", (fam, 0)) for fam in spec.families]
-    plans += [("family", (fam, 1)) for fam in spec.families]
-    plans.append(("ensemble", None))
-    draw = 0
-    while len(plans) < spec.restarts:
-        plans.append(("random", draw))
-        draw += 1
-    plans = plans[: max(spec.restarts, 1)]
-    if plans[0][0] != "laplace":
-        plans[0] = ("laplace", None)
-
-    seed_seq = np.random.SeedSequence([master & (2**63 - 1), 0xD15C])
-    streams = [np.random.default_rng(s) for s in seed_seq.spawn(len(plans))]
-
-    for restart, (kind, arg) in enumerate(plans):
-        if kind == "laplace":
-            consider(laplace_seed(privacy), restart)
-            continue
-        if kind == "family":
-            fam, variant = arg
-            term_list = [_seed_terms(fam, privacy, variant)]
-            families = (fam,)
-        elif kind == "ensemble":
-            term_list = [_seed_terms(fam, privacy) for fam in spec.families]
-            for _, params in term_list:
-                params["coeff"] /= len(term_list)
-            families = spec.families
-        else:
-            term_list = _random_terms(spec.families, streams[restart], spec.a_max)
-            families = spec.families
-        encoding = _Encoding(families, spec.a_max)
-        try:
-            start = calibrate_scale(
-                encoding.decode(encoding.encode(term_list)), privacy
-            )
-        except InfeasibleSpecError:
-            continue
-        consider(start, restart)
-        start_terms = [
-            (fam, dict(params, coeff=start.terms[i][0]))
-            for i, (fam, params) in enumerate(term_list)
-        ]
-        x = encoding.encode(start_terms)
-        consider(encoding.decode(x), restart)
-        # early rounds get fixed budgets so evaluation sequences are prefixes
-        # of each other across different max_evals (monotone-budget guarantee);
-        # the final high-penalty round absorbs the remainder
-        early = min(60, spec.max_evals // 3)
-        budgets = (early, early, max(10, spec.max_evals - 2 * early))
-        for rho, maxfev in zip((1e1, 1e3, 1e5), budgets):
-            result = sp_optimize.minimize(
-                penalty_objective,
-                x,
-                args=(encoding, rho, restart),
-                method="Nelder-Mead",
-                options={"maxfev": maxfev, "xatol": 1e-9, "fatol": 1e-13, "adaptive": True},
-            )
-            x = result.x
-
-    if pool.best is None:
-        raise InfeasibleSpecError("no feasible candidate found (not even the Laplace seed)")
-
-    combo, utility, _, restart = pool.best
+    _, law, restart = best
+    # keep a law that beat Laplace on the search's stream only if it also
+    # beats Laplace on a fresh one
+    fresh, trials = eval_seed + 1, _HOLDOUT_TRIALS * spec.mc_trials
+    if restart and not (sign * _analytic_utility(law, goal, fresh, trials)
+                        < sign * _analytic_utility(laplace, goal, fresh, trials)):
+        law, restart = laplace, 0
+    combo = calibrate_scale(law, privacy)
+    utility = _analytic_utility(combo, goal, eval_seed, spec.mc_trials)
     return _calibrated(combo, utility, evals[0], restart, spec, privacy, goal, eval_seed)
 
 
@@ -685,45 +412,21 @@ def _calibrated(combo, utility, evaluations, restart, spec, privacy, goal, eval_
         achieved_epsilon=achieved,
         target_epsilon=privacy.epsilon,
         predicted_utility=utility,
-        baseline_laplace_utility=_baseline_laplace(privacy, goal, eval_seed, spec.mc_trials),
-        staircase_utility=_baseline_staircase(privacy, goal),
+        baseline_laplace_utility=baseline_laplace(privacy, goal, eval_seed, spec.mc_trials),
+        staircase_utility=baseline_staircase(privacy, goal),
         diagnostics=SolverDiagnostics(
             evaluations=evaluations,
             constraint_residual=abs(achieved - privacy.epsilon),
             winning_restart=restart,
-            boundary_hit=_winner_at_boundary(combo, spec.a_max),
         ),
     )
 
 
-def _combo_slot_terms(combo: LinearCombo) -> list[tuple[str, dict[str, float]]] | None:
-    """Express a combination in slot-parameter form, or None if impossible."""
-    out = []
-    for a, d in combo.terms:
-        fam = d.family
-        if fam not in _SLOT_PARAMS:
-            return None
-        params = d.params()
-        if "hi" in params:
-            if math.isinf(params["hi"]):
-                return None
-            params["width"] = params.pop("hi") - params["lo"]
-        params["coeff"] = a
-        if any(v <= 0 for v in params.values()):
-            return None
-        out.append((fam, params))
-    return out
-
-
-def _winner_at_boundary(combo: LinearCombo, a_max: float) -> bool:
-    terms = _combo_slot_terms(combo)
-    if terms is None:
-        return False
-    encoding = _Encoding(tuple(fam for fam, _ in terms), a_max)
-    return encoding.at_boundary(encoding.encode(terms))
-
-
-def _baseline_laplace(privacy: PrivacySpec, goal: UtilityGoal, eval_seed: int, mc_trials: int) -> float:
+def baseline_laplace(
+    privacy: PrivacySpec, goal: UtilityGoal, eval_seed: int = 0, mc_trials: int = 4000
+) -> float:
+    """The Laplace mechanism's metric: closed form for usefulness, l1 and
+    l2, else a Monte-Carlo estimate on the ``eval_seed`` stream."""
     b = privacy.sensitivity / privacy.epsilon
     if goal.metric == "usefulness":
         return 1.0 - math.exp(-goal.gamma / b)
@@ -731,12 +434,11 @@ def _baseline_laplace(privacy: PrivacySpec, goal: UtilityGoal, eval_seed: int, m
         return b
     if goal.metric == "l2":
         return math.sqrt(2.0) * b
-    return expected_metric_empirical(
-        laplace_seed(privacy), goal, trials=mc_trials, rng=np.random.default_rng(eval_seed)
-    )
+    return _analytic_utility(laplace_seed(privacy), goal, eval_seed, mc_trials)
 
 
-def _baseline_staircase(privacy: PrivacySpec, goal: UtilityGoal) -> float | None:
+def baseline_staircase(privacy: PrivacySpec, goal: UtilityGoal) -> float | None:
+    """The staircase mechanism's usefulness, l1 or l2; None for other metrics."""
     if goal.metric == "usefulness":
         return staircase_usefulness(privacy.epsilon, privacy.sensitivity, goal.gamma)
     if goal.metric == "l1":

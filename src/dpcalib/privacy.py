@@ -177,8 +177,10 @@ def _combo_rdp(combo: LinearCombo, alpha: float, sensitivity: float) -> float:
             f"MGF does not exist at {dq * (alpha - 1.0)}; "
             f"order-{alpha} privacy moment is unbounded"
         )
-    num = alpha * combo.mgf(dq * (alpha - 1.0)) + (alpha - 1.0) * combo.mgf(-dq * alpha)
-    return math.log(num / (2.0 * alpha - 1.0)) / (alpha - 1.0)
+    # ln(alpha M(dq (alpha-1)) + (alpha-1) M(-dq alpha)), in log space
+    log_num = np.logaddexp(math.log(alpha) + combo.log_mgf(dq * (alpha - 1.0)),
+                           math.log(alpha - 1.0) + combo.log_mgf(-dq * alpha))
+    return float(log_num - math.log(2.0 * alpha - 1.0)) / (alpha - 1.0)
 
 
 def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:

@@ -228,6 +228,25 @@ def test_cli_optimize_writes_record(tmp_path):
     assert abs(record.achieved_epsilon - 2.0) <= 1e-3
 
 
+def test_cli_optimize_prior_metric_record_round_trips(tmp_path, capsys):
+    from dpcalib.optimize import CalibratedMechanism
+
+    prior = tmp_path / "prior.csv"
+    prior.write_text("".join(f"{x!r}\n" for x in np.linspace(0, 5, 8).tolist()))
+    out = tmp_path / "mech.txt"
+    rc = cli.main([
+        "optimize", "--metric", "mallows", "--p", "2", "--prior", str(prior),
+        "--epsilon", "8", "--restarts", "3", "--max-evals", "40", "--out", str(out),
+    ])
+    assert rc == 0
+    text = out.read_text()
+    assert capsys.readouterr().out == text
+    record = CalibratedMechanism.from_text(text)
+    assert record.to_text() == text
+    assert abs(record.achieved_epsilon - 8.0) <= 1e-9
+    assert record.predicted_utility < record.baseline_laplace_utility
+
+
 def test_cli_bench_roundtrip_and_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "bench.ini"
     cfg.write_text(
@@ -244,3 +263,6 @@ def test_cli_bench_roundtrip_and_exit_codes(tmp_path, capsys):
 
 def test_cli_usage_error_exit_code():
     assert cli.main(["optimize"]) == 1  # missing required --epsilon
+    # the family-slot flags are gone
+    for flag in (["--families", "gamma"], ["--extended"], ["--constraint-tol", "1e-3"]):
+        assert cli.main(["optimize", "--epsilon", "1", *flag]) == 1

@@ -8,23 +8,21 @@ from scipy import optimize as sp_optimize
 from dpcalib.distributions import Bernoulli, Degenerate, Gamma, LinearCombo, Uniform, singleton
 from dpcalib.mechanisms import CompoundLaplace, sample_noise
 from dpcalib.optimize import (
-    BudgetExhaustedError,
     CalibratedMechanism,
     InfeasibleSpecError,
     SearchSpaceSpec,
     calibrate_scale,
-    evaluate_candidate,
     laplace_seed,
     optimize,
     two_atom_optimum,
 )
 from dpcalib.privacy import PrivacySpec, epsilon_of_combo, passes_necessary_condition
-from dpcalib.utility import UtilityGoal, usefulness_bound
+from dpcalib.utility import UtilityGoal, expected_metric_empirical, usefulness_bound
 
 FAST = SearchSpaceSpec(restarts=8, max_evals=150)
-# without the bernoulli family, linear metrics go through the slot search
-SLOT_FAMILIES = ("gamma", "uniform", "trunc_gaussian")
-FAST_SEARCH = SearchSpaceSpec(families=SLOT_FAMILIES, restarts=8, max_evals=150)
+# a small budget for the Monte-Carlo two-atom search (mallows/kl/renyi)
+SMALL_SEARCH = SearchSpaceSpec(restarts=3, max_evals=40, mc_trials=400)
+PRIOR = np.linspace(0, 5, 8)
 
 
 def test_laplace_seed_examples():
@@ -37,12 +35,9 @@ def test_laplace_seed_examples():
 
 def test_search_space_validation():
     with pytest.raises(ValueError):
-        SearchSpaceSpec(families=())
-    with pytest.raises(ValueError):
-        SearchSpaceSpec(families=("unknown",))
-    with pytest.raises(ValueError):
         SearchSpaceSpec(restarts=0)
-    assert "rayleigh" in SearchSpaceSpec.extended().families
+    with pytest.raises(ValueError):
+        SearchSpaceSpec(max_evals=0)
 
 
 def test_calibrate_scale_hits_target_exactly():
@@ -55,50 +50,13 @@ def test_calibrate_scale_hits_target_exactly():
         assert epsilon_of_combo(scaled, 1.0) == pytest.approx(2.0, abs=1e-10)
 
 
-def test_evaluate_candidate_seed_and_inversion():
-    privacy = PrivacySpec(1.2, 1.0)
-    goal = UtilityGoal("usefulness", gamma=0.5)
-    utility, eps, feasible = evaluate_candidate(laplace_seed(privacy), privacy, goal)
-    assert feasible and eps == pytest.approx(1.2, rel=1e-15)
-    assert utility == pytest.approx(1.0 - math.exp(-0.6), rel=1e-12)
-    # closed-form inversion of the gamma epsilon: (shape+1) ln(1+dq theta) = eps
-    theta = math.expm1(1.2 / 2.0) - 0.0
-    cand = singleton(Gamma(1.0, theta))
-    utility, eps, feasible = evaluate_candidate(cand, privacy, goal)
-    assert abs(eps - 1.2) < 1e-12
-    assert feasible  # shape 1 passes the filter inside this epsilon window
-
-
-def test_evaluate_candidate_filter_semantics():
-    privacy = PrivacySpec(2.0, 1.0)
-    goal = UtilityGoal("usefulness", gamma=0.5)
-    # exactly on budget but fails the improvement filter: 2 ln(1+theta) = 2
-    theta = math.expm1(1.0)
-    cand = singleton(Gamma(1.0, theta))
-    utility, eps, feasible = evaluate_candidate(cand, privacy, goal)
-    assert abs(eps - 2.0) < 1e-12
-    assert not passes_necessary_condition(cand, 1.0)
-    assert not feasible
-    # far from the budget is infeasible regardless
-    _, _, feasible = evaluate_candidate(singleton(Gamma(4.0, 10.0)), privacy, goal)
-    assert not feasible
-
-
-def test_degenerate_only_family_recovers_laplace_exactly():
-    spec = SearchSpaceSpec(families=("degenerate",), restarts=4, max_evals=80)
-    privacy = PrivacySpec(2.0, 1.0)
-    result = optimize(spec, privacy, UtilityGoal("usefulness", gamma=0.5), seed=3)
-    assert result.predicted_utility == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-    assert result.achieved_epsilon == pytest.approx(2.0, abs=1e-12)
-    assert result.combo.terms[0][1].family == "degenerate"
-
-
-@pytest.mark.parametrize("eps,dq,gamma", [(0.5, 1.0, 0.4), (2.0, 0.5, 0.1), (8.0, 1.0, 0.1)])
+@pytest.mark.parametrize("eps,dq,gamma", [(0.5, 1.0, 0.4), (2.0, 0.5, 0.1), (8.0, 1.0, 0.1),
+                                         (4.0, 1.0, 0.2)])
 def test_optimizer_dominates_laplace(eps, dq, gamma):
     privacy = PrivacySpec(eps, dq)
     result = optimize(FAST, privacy, UtilityGoal("usefulness", gamma=gamma), seed=11)
     assert result.predicted_utility >= result.baseline_laplace_utility - 1e-9
-    assert abs(result.achieved_epsilon - eps) <= FAST.constraint_tol
+    assert abs(result.achieved_epsilon - eps) <= 1e-9
 
 
 def test_optimizer_improves_at_large_epsilon():
@@ -110,12 +68,11 @@ def test_optimizer_improves_at_large_epsilon():
 def test_optimizer_deterministic():
     privacy = PrivacySpec(3.0, 1.0)
     goal = UtilityGoal("usefulness", gamma=0.4)
-    for spec in (FAST, FAST_SEARCH):
-        a = optimize(spec, privacy, goal, seed=21)
-        b = optimize(spec, privacy, goal, seed=21)
-        assert a.combo == b.combo
-        assert a.predicted_utility == b.predicted_utility
-        assert a.diagnostics == b.diagnostics
+    a = optimize(FAST, privacy, goal, seed=21)
+    b = optimize(FAST, privacy, goal, seed=21)
+    assert a.combo == b.combo
+    assert a.predicted_utility == b.predicted_utility
+    assert a.diagnostics == b.diagnostics
 
 
 def test_constraint_honesty():
@@ -126,19 +83,6 @@ def test_constraint_honesty():
     assert result.diagnostics.constraint_residual == pytest.approx(
         abs(fresh - 5.0), abs=1e-12
     )
-
-
-def test_monotone_budget():
-    # above the fixed early-round budgets the evaluation sequence of a larger
-    # run is a strict prefix-extension of a smaller one, so the best-so-far
-    # pool can only grow
-    privacy = PrivacySpec(6.0, 1.0)
-    goal = UtilityGoal("usefulness", gamma=0.3)
-    small = optimize(SearchSpaceSpec(families=SLOT_FAMILIES, restarts=8, max_evals=200),
-                     privacy, goal, seed=5)
-    large = optimize(SearchSpaceSpec(families=SLOT_FAMILIES, restarts=8, max_evals=420),
-                     privacy, goal, seed=5)
-    assert large.predicted_utility >= small.predicted_utility
 
 
 def test_filter_soundness_rejected_candidates_cannot_beat_laplace():
@@ -182,9 +126,9 @@ def test_l2_goal_large_epsilon_beats_laplace():
 
 def test_prior_dependent_goal_runs():
     privacy = PrivacySpec(2.0, 1.0)
-    goal = UtilityGoal("mallows", p=1.0, prior=np.linspace(0, 5, 8))
-    spec = SearchSpaceSpec(restarts=3, max_evals=40, mc_trials=400)
-    result = optimize(spec, privacy, goal, seed=1)
+    goal = UtilityGoal("mallows", p=1.0, prior=PRIOR)
+    result = optimize(SMALL_SEARCH, privacy, goal, seed=1)
+    assert abs(result.achieved_epsilon - 2.0) <= 1e-9
     assert result.predicted_utility <= result.baseline_laplace_utility + 1e-9
     assert result.staircase_utility is None
 
@@ -199,20 +143,8 @@ def test_calibrated_mechanism_round_trip():
     assert back.diagnostics == result.diagnostics
 
 
-def test_extended_families_search():
-    # the extended slots without bernoulli, so the slot search runs
-    families = tuple(f for f in SearchSpaceSpec.extended().families if f != "bernoulli")
-    spec = SearchSpaceSpec(families=families, restarts=12, max_evals=120)
-    privacy = PrivacySpec(4.0, 1.0)
-    result = optimize(spec, privacy, UtilityGoal("usefulness", gamma=0.2), seed=7)
-    assert result.predicted_utility >= result.baseline_laplace_utility - 1e-9
-    assert abs(result.achieved_epsilon - 4.0) <= 1e-3
-
-
 def test_error_classes_exist():
     assert issubclass(InfeasibleSpecError, RuntimeError)
-    err = BudgetExhaustedError("cap", best=None)
-    assert err.best is None
 
 
 def _grid_lp_optimum(privacy, payoff, n=2001):
@@ -258,25 +190,64 @@ def test_linear_metrics_solved_exactly(metric, eps, dq, gamma, family):
         assert dist == Degenerate(eps / dq) and coeff == 1.0
 
 
-def test_exact_solution_beats_the_family_search():
-    privacy = PrivacySpec(5.0, 1.0)
-    goal = UtilityGoal("usefulness", gamma=0.1)
-    searched = optimize(FAST_SEARCH, privacy, goal, seed=11)
-    exact = optimize(FAST, privacy, goal, seed=11)
-    assert isinstance(exact.combo.terms[0][1], Bernoulli)
-    assert searched.diagnostics.evaluations > exact.diagnostics.evaluations
-    assert exact.predicted_utility >= searched.predicted_utility
-
-
 def test_two_atom_optimum_rejects_prior_dependent_metrics():
     goal = UtilityGoal("mallows", p=1.0, prior=np.linspace(0, 5, 8))
     with pytest.raises(ValueError):
         two_atom_optimum(PrivacySpec(1.0, 1.0), goal)
 
 
-def test_bernoulli_slot_in_family_search():
-    spec = SearchSpaceSpec(families=("bernoulli",), restarts=3, max_evals=40, mc_trials=400)
-    goal = UtilityGoal("mallows", p=1.0, prior=np.linspace(0, 5, 8))
-    result = optimize(spec, PrivacySpec(2.0, 1.0), goal, seed=1)
-    assert abs(result.achieved_epsilon - 2.0) <= spec.constraint_tol
-    assert result.predicted_utility <= result.baseline_laplace_utility + 1e-9
+def test_two_atom_search_beats_the_exact_l2_law():
+    # at eps = 8 mallows p=2 is won by a two-atom law, at least as good on
+    # the search's Monte-Carlo stream as the exact l2 law it starts from
+    privacy = PrivacySpec(8.0, 1.0)
+    goal = UtilityGoal("mallows", p=2.0, prior=PRIOR)
+    result = optimize(SMALL_SEARCH, privacy, goal, seed=1)
+    (_, dist), = result.combo.terms
+    assert isinstance(dist, Bernoulli)
+    assert abs(epsilon_of_combo(result.combo, 1.0) - 8.0) <= 1e-9
+    l2_law = calibrate_scale(two_atom_optimum(privacy, UtilityGoal("l2"))[0], privacy)
+    eval_seed = 1 ^ 0x5EED  # the stream optimize derives from seed 1
+    l2_value = expected_metric_empirical(l2_law, goal, trials=SMALL_SEARCH.mc_trials,
+                                         rng=np.random.default_rng(eval_seed))
+    assert result.predicted_utility <= l2_value * (1.0 + 1e-9)
+    assert result.predicted_utility < result.baseline_laplace_utility
+
+
+def test_two_atom_search_deterministic_and_monotone():
+    privacy = PrivacySpec(8.0, 1.0)
+    goal = UtilityGoal("mallows", p=1.0, prior=PRIOR)
+    a = optimize(SMALL_SEARCH, privacy, goal, seed=21)
+    b = optimize(SMALL_SEARCH, privacy, goal, seed=21)
+    assert a.combo == b.combo
+    assert a.predicted_utility == b.predicted_utility
+    assert a.diagnostics == b.diagnostics
+    # a larger budget extends every start's evaluation sequence, so the
+    # best law seen can only improve
+    more = optimize(SearchSpaceSpec(restarts=5, max_evals=80, mc_trials=400),
+                    privacy, goal, seed=21)
+    assert more.predicted_utility <= a.predicted_utility
+    assert more.diagnostics.evaluations > a.diagnostics.evaluations
+
+
+def test_from_text_reads_records_with_boundary_hit():
+    text = (
+        "target_epsilon = 2.0\n"
+        "achieved_epsilon = 2.0000000000000004\n"
+        "predicted_utility = 0.4\n"
+        "baseline_laplace_utility = 0.39346934028736658\n"
+        "staircase_utility = 0.41\n"
+        "evaluations = 3323\n"
+        "constraint_residual = 4.4e-16\n"
+        "winning_restart = 5\n"
+        "boundary_hit = True\n"
+        "combo:\n"
+        "  0.5 gamma shape=2.0 scale=1.0\n"
+        "  0.25 bernoulli p=0.5 x0=1.0 x1=3.0\n"
+    )
+    record = CalibratedMechanism.from_text(text)
+    assert record.combo == LinearCombo(((0.5, Gamma(2.0, 1.0)),
+                                        (0.25, Bernoulli(0.5, 1.0, 3.0))))
+    assert record.diagnostics.evaluations == 3323
+    assert record.diagnostics.winning_restart == 5
+    assert record.staircase_utility == 0.41
+    assert "boundary_hit" not in record.to_text()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,10 @@ def test_necessary_condition_gamma_threshold():
         theta = 1.0 / (2.0 * dq)
         assert passes_necessary_condition(Gamma(1.4104, theta), dq)
         assert not passes_necessary_condition(Gamma(1.4084, theta), dq)
+    # shape 1 calibrated by (shape + 1) ln(1 + dq theta) = eps: passes at
+    # eps = 1.2, fails at eps = 2 (no MGF at +1 for theta = e - 1)
+    assert passes_necessary_condition(Gamma(1.0, math.expm1(0.6)), 1.0)
+    assert not passes_necessary_condition(Gamma(1.0, math.expm1(1.0)), 1.0)
 
 
 def test_necessary_condition_uniform_witness():
@@ -172,6 +177,18 @@ def test_rdp_degenerate_combo_reduces_to_laplace():
         a = rdp_of(combo, alpha).epsilon_rdp
         b = rdp_of(lap, alpha).epsilon_rdp
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_rdp_compound_large_order_stays_finite():
+    # M(dq (alpha - 1)) = e^1890 overflows in linear space; the log-MGF does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deg = rdp_of(singleton(Degenerate(30.0)), 64.0).epsilon_rdp
+        lap = rdp_of(Laplace(1.0 / 30.0), 64.0).epsilon_rdp
+        two = rdp_of(singleton(Bernoulli(0.3, 2.0, 50.0)), 64.0).epsilon_rdp
+    assert deg == pytest.approx(lap, rel=1e-12)
+    assert deg == pytest.approx(29.989122, rel=1e-6)
+    assert math.isfinite(two) and two < 50.0
 
 
 def test_rdp_domain_error_for_unbounded_moment():
