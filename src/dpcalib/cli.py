@@ -8,7 +8,8 @@ Subcommands:
   synth      generate a synthetic dataset
 
 Exit codes: 0 success, 1 config/usage error, 2 infeasible optimization,
-3 partial grid failure.
+3 partial grid failure, 4 verify found the density-grid epsilon more than
+1e-6 above the closed form.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .mechanisms import (
 from .optimize import InfeasibleSpecError, SearchSpaceSpec, optimize
 from .privacy import GridSpec, PrivacySpec, epsilon_of_combo, verify_epsilon_empirically
 from .utility import Histogram, UtilityGoal
+
+VERIFY_TOL = 1e-6  # grid epsilon above the closed form that fails `verify`
 
 
 def _parse_mechanism(text: str):
@@ -110,6 +113,10 @@ def _cmd_verify(args) -> int:
     print(f"epsilon_closed_form = {closed:.9f}")
     print(f"epsilon_density_grid = {empirical:.9f}")
     print(f"gap = {closed - empirical:.3e}")
+    if empirical > closed + VERIFY_TOL:
+        print(f"error: density-grid epsilon exceeds the closed form by more than "
+              f"{VERIFY_TOL:g}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -326,14 +326,16 @@ class TruncGaussian(MgfDist):
         beta = math.inf if math.isinf(self.hi) else (self.hi - self.mu) / self.sigma
         return alpha, beta
 
-    def _log_mgf(self, t: np.ndarray) -> np.ndarray:
+    def _log_mgf(self, t: np.ndarray, log_mass=None) -> np.ndarray:
+        # log_mass: _log_gauss_mass(lo_t, hi_t) if the caller already has it
         alpha, beta = self._alpha_beta()
         lo_t = alpha - self.sigma * t
         hi_t = beta - self.sigma * t
         log_den = float(_log_gauss_mass(alpha, beta))
         with np.errstate(all="ignore"):
-            direct = (self.mu * t + 0.5 * (self.sigma * t) ** 2
-                      + _log_gauss_mass(lo_t, hi_t) - log_den)
+            if log_mass is None:
+                log_mass = _log_gauss_mass(lo_t, hi_t)
+            direct = self.mu * t + 0.5 * (self.sigma * t) ** 2 + log_mass - log_den
             deep = (t * self.lo - 0.5 * alpha * alpha
                     - np.log(np.maximum(lo_t, 1.0))
                     - 0.5 * math.log(2 * math.pi) - log_den)
@@ -358,7 +360,7 @@ class TruncGaussian(MgfDist):
             direct = self.mu + self.sigma ** 2 * t + self.sigma * (r_lo - r_hi)
             deep = self.lo + self.sigma / np.maximum(lo_t, 1.0)
         tilted_mean = np.where(lo_t > self._DEEP_MEAN, deep, direct)
-        out = np.exp(self._log_mgf(t)) * tilted_mean
+        out = np.exp(self._log_mgf(t, log_mass)) * tilted_mean
         return _ret(out, scalar)
 
     def mean(self) -> float:

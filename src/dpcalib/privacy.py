@@ -219,7 +219,12 @@ def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Output grid for the empirical density-ratio check."""
+    """Output grid for the empirical density-ratio check.
+
+    ``step`` bounds the spacing from above: the grid uses
+    sensitivity / ceil(sensitivity / step), so 0 and the sensitivity lie
+    on it.
+    """
 
     step: float = 1e-3
     radius: float | None = None
@@ -248,12 +253,20 @@ def _auto_radius(combo: LinearCombo, grid: GridSpec, sensitivity: float) -> floa
 
 
 def density_grid_epsilon(log_density, shift: float, radius: float, step: float) -> float:
-    """Sup over a grid of |ln p(x) - ln p(x - shift)| for a noise log-density."""
-    xs = np.arange(-radius, shift + radius + step, step)
-    xs = np.unique(np.concatenate([xs, [0.0, shift]]))
-    ld0 = log_density(xs)
-    ld1 = log_density(xs - shift)
-    diff = ld0 - ld1
+    """Sup over a grid of |ln p(x) - ln p(x - shift)| for a noise log-density.
+
+    ``log_density`` must be even, ln p(x) = ln p(-x), as every noise law
+    here is.  The grid x = h*i, i = -m..m+k, has spacing
+    h = shift / ceil(shift/step) <= step, covers [-radius, shift + radius]
+    and holds 0 and shift.  Both sides of every pair (x, x - shift) are
+    read from one evaluation per radial point |x| = h*i, i = 0..m+k.
+    """
+    k = math.ceil(shift / step)
+    h = shift / k
+    m = math.ceil(radius / h)
+    ld = log_density(h * np.arange(m + k + 1))
+    # x <= 0 (its mirror x >= shift gives the negated pairs), then 0 <= x <= shift
+    diff = np.concatenate([ld[:m + 1] - ld[k:], ld[:k + 1] - ld[k::-1]])
     diff = diff[np.isfinite(diff)]
     if diff.size == 0:
         raise GridError("log-density ratio is nowhere finite on the grid")
@@ -265,10 +278,12 @@ def verify_epsilon_empirically(
 ) -> float:
     """Empirical epsilon: sup of the output-density log-ratio over a grid.
 
-    The output density is the analytic p(x) = M'(-|x|)/2, evaluated on a
-    grid wide enough to leave less than ``grid.tail_mass`` outside.  The
+    The output density is the analytic p(x) = M'(-|x|)/2, even in x, on a
+    grid wide enough to leave less than ``grid.tail_mass`` outside.  Its
+    spacing is sensitivity / ceil(sensitivity / grid.step), and M' is
+    evaluated once per radial point (see ``density_grid_epsilon``).  The
     returned value can exceed ``epsilon_of_combo`` only by floating-point
-    error, and matches it exactly at the grid point x = 0.
+    error, and matches it at the grid point x = 0.
     """
     if isinstance(combo, MgfDist):
         combo = singleton(combo)

@@ -214,6 +214,16 @@ def test_cli_verify(capsys):
     assert grid <= closed + 1e-6
 
 
+def test_cli_verify_fails_closed(monkeypatch, capsys):
+    combo = "1 gamma shape=1 scale=1"
+    closed = 2 * math.log(2)
+    monkeypatch.setattr(cli, "verify_epsilon_empirically", lambda *a: closed + 1e-5)
+    assert cli.main(["verify", "--combo", combo]) == 4
+    assert "exceeds the closed form" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "verify_epsilon_empirically", lambda *a: closed + 1e-7)
+    assert cli.main(["verify", "--combo", combo]) == 0
+
+
 def test_cli_optimize_writes_record(tmp_path):
     out = tmp_path / "mech.txt"
     rc = cli.main([

@@ -13,14 +13,22 @@ from dpcalib.distributions import (
     LinearCombo,
     TruncGaussian,
     Uniform,
+    parse_combo,
     singleton,
 )
-from dpcalib.mechanisms import Gaussian, Laplace, RandomizedResponse
+from dpcalib.mechanisms import (
+    Gaussian,
+    Laplace,
+    RandomizedResponse,
+    Staircase,
+    staircase_log_density,
+)
 from dpcalib.privacy import (
     GridSpec,
     GridError,
     PrivacySpec,
     UnsupportedFamilyError,
+    density_grid_epsilon,
     epsilon_closed_form,
     epsilon_of_combo,
     necessary_condition_report,
@@ -233,8 +241,99 @@ def test_grid_epsilon_never_exceeds_closed_form(combo):
 
 
 def test_grid_error_on_insufficient_radius():
-    with pytest.raises(GridError):
-        verify_epsilon_empirically(Degenerate(1.0), 1.0, GridSpec(radius=3.0))
+    for radius in (3.0, 0.5):  # 0.5 is below the sensitivity
+        with pytest.raises(GridError):
+            verify_epsilon_empirically(Degenerate(1.0), 1.0, GridSpec(radius=radius))
     # a generous explicit radius is accepted
     val = verify_epsilon_empirically(Degenerate(1.0), 1.0, GridSpec(radius=25.0))
     assert val == pytest.approx(1.0, abs=1e-3)
+
+
+# The 3-term default ensemble as calibrated to epsilon 1 at sensitivity 1.
+ENSEMBLE = parse_combo(
+    "0.11006938022104956 gamma shape=4.0 scale=0.22140275816016983; "
+    "0.11006938022104956 uniform lo=0.05000000000000001 hi=12.05; "
+    "0.11006938022104956 trunc_gaussian mu=1.0 sigma=0.8 lo=0.05000000000000001 "
+    "hi=25.049999999999997"
+)
+GRID_LAWS = [
+    singleton(Degenerate(1.0)),  # Laplace with b = 1
+    singleton(Bernoulli(0.5, 1.0, 2.0)),
+    ENSEMBLE,
+    singleton(TruncGaussian(0.0, 0.1, 1.0)),
+]
+
+
+def _compound_log_density(combo):
+    def log_density(xs):
+        with np.errstate(divide="ignore"):
+            return np.log(combo.mgf_deriv(-np.abs(xs)))
+    return log_density
+
+
+def _reference_grid_epsilon(log_density, shift, radius, step):
+    # brute force on the signed grid, two evaluations per point
+    xs = np.arange(-radius, shift + radius + step, step)
+    xs = np.unique(np.concatenate([xs, [0.0, shift]]))
+    diff = log_density(xs) - log_density(xs - shift)
+    return float(np.max(np.abs(diff[np.isfinite(diff)])))
+
+
+@pytest.mark.parametrize("combo", GRID_LAWS)
+@pytest.mark.parametrize("radius", [30.0, 0.5])
+def test_density_grid_matches_signed_reference(combo, radius):
+    ld = _compound_log_density(combo)
+    got = density_grid_epsilon(ld, 1.0, radius, 1e-3)
+    assert got == pytest.approx(_reference_grid_epsilon(ld, 1.0, radius, 1e-3), abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.8, 1.5, 3.0])
+@pytest.mark.parametrize("radius", [40.0, 0.5])
+def test_staircase_density_grid_matches_signed_reference(eps, radius):
+    mech = Staircase(eps, 1.0)
+    ld = lambda xs: staircase_log_density(mech, xs)  # noqa: E731
+    got = density_grid_epsilon(ld, 1.0, radius, 1e-3)
+    assert got == pytest.approx(_reference_grid_epsilon(ld, 1.0, radius, 1e-3), abs=1e-12)
+    assert abs(got - eps) <= 1e-9
+
+
+@pytest.mark.parametrize("shift, step", [(1.0, 1e-3), (0.7, 1e-3), (1.0, 0.25)])
+def test_density_grid_matches_reference_off_monotone_densities(shift, step):
+    # an even log-density of period shift in |x|: every pair outside [0, shift]
+    # gives 0, so the sup comes from the pairs inside it, unlike for the
+    # decreasing compound densities
+    ld = lambda xs: np.sin(2.0 * math.pi * np.abs(xs) / shift)  # noqa: E731
+    got = density_grid_epsilon(ld, shift, 4.0, step)
+    assert got == pytest.approx(_reference_grid_epsilon(ld, shift, 4.0, step), abs=1e-12)
+
+
+@pytest.mark.parametrize("shift, radius, step", [(1.0, 5.0, 0.3), (0.7, 3.0, 1e-3),
+                                                 (1.0, 0.5, 1e-3)])
+def test_density_grid_evaluates_each_radial_point_once(shift, radius, step):
+    calls = []
+
+    def log_density(xs):  # Laplace with b = 1, recording what it is asked for
+        calls.append(np.array(xs, float))
+        return -np.abs(xs)
+
+    assert density_grid_epsilon(log_density, shift, radius, step) == pytest.approx(
+        shift, rel=1e-12)
+    assert len(calls) == 1
+    xs = calls[0]
+    k = math.ceil(shift / step)
+    h = shift / k
+    m = math.ceil(radius / h)
+    assert xs.size == m + k + 1
+    assert np.all(xs >= 0.0)
+    # spacing never coarser than step; 0 and shift on the grid; [-radius, shift + radius]
+    # covered, since the negative half mirrors the radial points
+    assert xs[0] == 0.0 and xs[1] <= step
+    assert np.allclose(np.diff(xs), xs[1], rtol=0.0, atol=1e-12)
+    assert xs[k] == pytest.approx(shift, abs=1e-12)
+    assert xs[m] >= radius - 1e-12 and xs[-1] >= shift + radius - 1e-12
+
+
+@pytest.mark.parametrize("combo", GRID_LAWS)
+def test_grid_epsilon_hits_the_closed_form(combo):
+    # x = 0 is always on the grid, and the log-ratio peaks there
+    assert abs(verify_epsilon_empirically(combo, 1.0) - epsilon_of_combo(combo, 1.0)) <= 1e-9
