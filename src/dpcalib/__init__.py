@@ -13,8 +13,6 @@ from .distributions import (
     Gamma,
     LinearCombo,
     MgfDist,
-    NoncentralChiSquare,
-    Rayleigh,
     TruncGaussian,
     Uniform,
     format_combo,

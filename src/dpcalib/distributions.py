@@ -25,9 +25,6 @@ class DomainError(ValueError):
     """The MGF (or its derivative) was probed outside its existence domain."""
 
 
-_SQRT_HALF_PI = math.sqrt(math.pi / 2)
-
-
 def _ret(x, scalar: bool):
     return float(x) if scalar else x
 
@@ -110,15 +107,14 @@ class MgfDist(ABC):
         """Exclusive upper bound of t for which the MGF exists."""
         return math.inf
 
-    def support_min(self) -> float:
-        """Infimum of the support (0 unless the family is bounded away)."""
-        return 0.0
-
     def tail_power(self) -> float:
         """Asymptotic decay exponent of M(-x): M(-x) ~ x^{-p} as x -> inf.
 
-        ``inf`` means exponential decay (support bounded away from zero).
-        Used to decide convergence of improper integrals of the MGF.
+        ``inf`` means exponential decay, and for every family here it is
+        returned exactly when the support is bounded away from zero.  A
+        combination's power is the sum over its terms, so one such term
+        makes it ``inf``.  Used to decide convergence of improper
+        integrals of the MGF.
         """
         return math.inf
 
@@ -166,9 +162,6 @@ class Degenerate(MgfDist):
             return self.value
         return np.full(size, self.value)
 
-    def support_min(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Bernoulli(MgfDist):
@@ -209,13 +202,6 @@ class Bernoulli(MgfDist):
         return np.where(u < self.p, self.x0, self.x1) if size is not None else (
             self.x0 if u < self.p else self.x1
         )
-
-    def support_min(self) -> float:
-        if self.p == 0.0:
-            return self.x1
-        if self.p == 1.0:
-            return self.x0
-        return min(self.x0, self.x1)
 
 
 @dataclass(frozen=True)
@@ -292,9 +278,6 @@ class Uniform(MgfDist):
 
     def sample(self, rng, size=None):
         return rng.uniform(self.lo, self.hi, size)
-
-    def support_min(self) -> float:
-        return self.lo
 
     def tail_power(self) -> float:
         return math.inf if self.lo > 0 else 1.0
@@ -387,108 +370,8 @@ class TruncGaussian(MgfDist):
             min(max(x, self.lo), hi)
         )
 
-    def support_min(self) -> float:
-        return self.lo
-
     def tail_power(self) -> float:
         return math.inf if self.lo > 0 else 1.0
-
-
-@dataclass(frozen=True)
-class NoncentralChiSquare(MgfDist):
-    """Noncentral chi-square with ``dof`` degrees and noncentrality ``nonc``."""
-
-    dof: float
-    nonc: float
-
-    def __post_init__(self):
-        if self.dof <= 0:
-            raise ValueError("dof must be > 0")
-        if self.nonc < 0:
-            raise ValueError("nonc must be >= 0")
-
-    def mgf_domain_sup(self) -> float:
-        return 0.5
-
-    def mgf(self, t):
-        self._check_domain(t)
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
-        out = np.exp(self.nonc * t / (1.0 - 2.0 * t)) * (1.0 - 2.0 * t) ** (-self.dof / 2.0)
-        return _ret(out, scalar)
-
-    def mgf_deriv(self, t):
-        self._check_domain(t)
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
-        out = self.mgf(t) * (self.dof / (1.0 - 2.0 * t) + self.nonc / (1.0 - 2.0 * t) ** 2)
-        return _ret(out, scalar)
-
-    def mean(self) -> float:
-        return self.dof + self.nonc
-
-    def sample(self, rng, size=None):
-        if self.nonc == 0.0:
-            return rng.chisquare(self.dof, size)
-        return rng.noncentral_chisquare(self.dof, self.nonc, size)
-
-    def tail_power(self) -> float:
-        return self.dof / 2.0
-
-
-@dataclass(frozen=True)
-class Rayleigh(MgfDist):
-    """Rayleigh with scale sigma; density (x/sigma^2) exp(-x^2 / 2 sigma^2).
-
-    The textbook MGF term sqrt(pi/2) e^{s^2/2} (erf(s/sqrt2) + 1), s =
-    sigma t, is evaluated as sqrt(2 pi) exp(s^2/2 + log Phi(s)) to stay
-    finite and cancellation-free for very negative s.
-    """
-
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
-
-    _DEEP = -300.0       # mgf switches to the Mills-ratio series here
-    _DEEP_MEAN = -30.0   # the derivative cancels earlier and switches sooner
-
-    @staticmethod
-    def _tail_term(s):
-        # sqrt(pi/2) * e^{s^2/2} * (erf(s/sqrt2) + 1) = sqrt(2pi) e^{s^2/2} Phi(s)
-        with np.errstate(all="ignore"):
-            return math.sqrt(2 * math.pi) * np.exp(0.5 * s * s + special.log_ndtr(s))
-
-    def mgf(self, t):
-        scalar = np.isscalar(t)
-        s = self.sigma * np.asarray(t, float)
-        with np.errstate(all="ignore"):
-            u = 1.0 / (s * s)
-            # 1 + s * tail_term expanded with the Mills series at s -> -inf
-            deep = u * (1.0 - u * (3.0 - u * (15.0 - 105.0 * u)))
-            direct = 1.0 + s * self._tail_term(s)
-        out = np.where(s < self._DEEP, deep, direct)
-        return _ret(out, scalar)
-
-    def mgf_deriv(self, t):
-        scalar = np.isscalar(t)
-        s = self.sigma * np.asarray(t, float)
-        with np.errstate(all="ignore"):
-            u = 1.0 / (s * s)
-            deep = self.sigma * u * (2.0 - u * (12.0 - 90.0 * u)) / np.abs(s)
-            direct = self.sigma * (self._tail_term(s) * (1.0 + s * s) + s)
-        out = np.where(s < self._DEEP_MEAN, deep, direct)
-        return _ret(out, scalar)
-
-    def mean(self) -> float:
-        return self.sigma * _SQRT_HALF_PI
-
-    def sample(self, rng, size=None):
-        return rng.rayleigh(self.sigma, size)
-
-    def tail_power(self) -> float:
-        return 2.0
 
 
 _FAMILY_NAMES: dict[type, str] = {
@@ -497,8 +380,6 @@ _FAMILY_NAMES: dict[type, str] = {
     Gamma: "gamma",
     Uniform: "uniform",
     TruncGaussian: "trunc_gaussian",
-    NoncentralChiSquare: "noncentral_chisq",
-    Rayleigh: "rayleigh",
 }
 
 FAMILIES: dict[str, type] = {name: cls for cls, name in _FAMILY_NAMES.items()}
@@ -568,12 +449,7 @@ class LinearCombo:
         sups = [d.mgf_domain_sup() / a for a, d in self.active_terms()]
         return min(sups) if sups else math.inf
 
-    def support_min(self) -> float:
-        return sum(a * d.support_min() for a, d in self.active_terms())
-
     def tail_power(self) -> float:
-        if self.support_min() > 0:
-            return math.inf
         return sum(d.tail_power() for _, d in self.active_terms())
 
 

@@ -88,9 +88,9 @@ def _epsilon_uniform(lo: float, hi: float, sensitivity: float) -> float:
 def epsilon_closed_form(dist: MgfDist, sensitivity: float) -> float:
     """Per-family closed form of the epsilon-DP level.
 
-    Supported families: Degenerate, Bernoulli, Gamma, Uniform,
-    TruncGaussian.  Values agree with ``epsilon_of_combo`` on the
-    corresponding singleton to floating-point precision.
+    Every family in ``FAMILIES`` has one; another ``MgfDist`` raises
+    ``UnsupportedFamilyError``.  Values agree with ``epsilon_of_combo`` on
+    the corresponding singleton to floating-point precision.
     """
     dq = sensitivity
     if dq <= 0:
@@ -109,7 +109,7 @@ def epsilon_closed_form(dist: MgfDist, sensitivity: float) -> float:
     if isinstance(dist, TruncGaussian):
         return math.log(dist.mean()) - math.log(dist.mgf_deriv(-dq))
     raise UnsupportedFamilyError(
-        f"no closed-form epsilon for family {dist.family!r}; use epsilon_of_combo"
+        f"no closed-form epsilon for {type(dist).__name__}; use epsilon_of_combo"
     )
 
 
@@ -217,37 +217,44 @@ def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:
     raise TypeError(f"unsupported mechanism {mechanism!r}")
 
 
+# output mass the verification grid may leave uncovered, and the caps on
+# the automatic radius and on its (signed-grid) point count
+_TAIL_MASS = 1e-9
+_MAX_RADIUS = 1e7
+_MAX_POINTS = 4e6
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Output grid for the empirical density-ratio check.
 
     ``step`` bounds the spacing from above: the grid uses
     sensitivity / ceil(sensitivity / step), so 0 and the sensitivity lie
-    on it.
+    on it.  ``radius`` is the half-width of the grid and must leave at
+    most 1e-9 of the output mass outside; ``None`` doubles a radius until
+    it does, or falls back to a bounded one where that would take too
+    many points (see ``_auto_radius``).
     """
 
     step: float = 1e-3
     radius: float | None = None
-    tail_mass: float = 1e-9
-    max_radius: float = 1e7
-    max_points: float = 4e6
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be > 0")
 
 
-def _auto_radius(combo: LinearCombo, grid: GridSpec, sensitivity: float) -> float:
+def _auto_radius(combo: LinearCombo, step: float, sensitivity: float) -> float:
     # Total output mass beyond distance R from the center is M(-R).  For
     # power-law MGF tails the mass target can be unreachable; the log-ratio
     # is monotone beyond the two centers (log-convexity of M'), so its sup
     # lies inside [0, sensitivity] and a bounded radius loses nothing.
     fallback = 8.0 * sensitivity + 16.0 / max(combo.mean(), 1e-9)
-    fallback = min(fallback, grid.max_points * grid.step / 2.0)
+    fallback = min(fallback, _MAX_POINTS * step / 2.0)
     r = max(1.0, 2.0 * sensitivity)
-    while combo.mgf(-r) > grid.tail_mass:
+    while combo.mgf(-r) > _TAIL_MASS:
         r *= 2.0
-        if r > grid.max_radius or (2.0 * r + sensitivity) / grid.step > grid.max_points:
+        if r > _MAX_RADIUS or (2.0 * r + sensitivity) / step > _MAX_POINTS:
             return fallback
     return r
 
@@ -279,7 +286,7 @@ def verify_epsilon_empirically(
     """Empirical epsilon: sup of the output-density log-ratio over a grid.
 
     The output density is the analytic p(x) = M'(-|x|)/2, even in x, on a
-    grid wide enough to leave less than ``grid.tail_mass`` outside.  Its
+    grid wide enough to leave less than 1e-9 of the mass outside.  Its
     spacing is sensitivity / ceil(sensitivity / grid.step), and M' is
     evaluated once per radial point (see ``density_grid_epsilon``).  The
     returned value can exceed ``epsilon_of_combo`` only by floating-point
@@ -288,13 +295,13 @@ def verify_epsilon_empirically(
     if isinstance(combo, MgfDist):
         combo = singleton(combo)
     if grid.radius is not None:
-        if combo.mgf(-grid.radius) > grid.tail_mass:
+        if combo.mgf(-grid.radius) > _TAIL_MASS:
             raise GridError(
-                f"radius {grid.radius} leaves more than {grid.tail_mass} of mass uncovered"
+                f"radius {grid.radius} leaves more than {_TAIL_MASS} of mass uncovered"
             )
         radius = grid.radius
     else:
-        radius = _auto_radius(combo, grid, sensitivity)
+        radius = _auto_radius(combo, grid.step, sensitivity)
 
     def log_density(xs):
         with np.errstate(divide="ignore"):

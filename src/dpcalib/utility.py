@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import LinearCombo, MgfDist, singleton
+from .mechanisms import CompoundLaplace, sample_noise
 
 
 class DivergentIntegralError(ArithmeticError):
@@ -276,11 +277,6 @@ def renyi_divergence(p: Histogram, q: Histogram, alpha: float) -> float:
     return math.log(s) / (alpha - 1.0)
 
 
-def _two_fold_noise(combo: LinearCombo, rng: np.random.Generator, size) -> np.ndarray:
-    scales = np.asarray(combo.sample(rng, size), float)
-    return rng.laplace(0.0, 1.0 / scales)
-
-
 def expected_metric_empirical(
     combo: LinearCombo | MgfDist,
     goal: UtilityGoal,
@@ -290,10 +286,11 @@ def expected_metric_empirical(
 ) -> float:
     """Monte-Carlo estimate of the metric under two-fold noise.
 
-    Prior-independent metrics need no ``prior`` and converge to the
-    analytic bounds; Mallows perturbs each vector entry independently,
-    the entropy metrics perturb per-bin counts, clamp at zero and
-    renormalize before evaluating the divergence.
+    The noise is drawn through ``mechanisms.sample_noise``, the sampler a
+    release uses.  Prior-independent metrics need no ``prior`` and
+    converge to the analytic bounds; Mallows perturbs each vector entry
+    independently, the entropy metrics perturb per-bin counts, clamp at
+    zero and renormalize before evaluating the divergence.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -301,27 +298,28 @@ def expected_metric_empirical(
         combo = singleton(combo)
     rng = np.random.default_rng(0) if rng is None else rng
     prior = goal.prior if prior is None else prior
+    mech = CompoundLaplace(combo)
 
     if goal.metric == "usefulness":
-        noise = _two_fold_noise(combo, rng, trials)
+        noise = sample_noise(mech, rng, trials)
         return float(np.mean(np.abs(noise) <= goal.gamma))
     if goal.metric == "l1":
-        return float(np.mean(np.abs(_two_fold_noise(combo, rng, trials))))
+        return float(np.mean(np.abs(sample_noise(mech, rng, trials))))
     if goal.metric == "l2":
-        return float(math.sqrt(np.mean(_two_fold_noise(combo, rng, trials) ** 2)))
+        return float(math.sqrt(np.mean(sample_noise(mech, rng, trials) ** 2)))
 
     if prior is None:
         raise ValueError(f"metric {goal.metric!r} needs a prior")
 
     if goal.metric == "mallows":
         base = np.asarray(prior, float)
-        noise = _two_fold_noise(combo, rng, (trials, base.size))
+        noise = sample_noise(mech, rng, (trials, base.size))
         per_trial = np.mean(np.abs(noise) ** goal.p, axis=1) ** (1.0 / goal.p)
         return float(np.mean(per_trial))
 
     hist: Histogram = prior
     counts = np.asarray(hist.masses) * hist.total
-    noise = _two_fold_noise(combo, rng, (trials, counts.size))
+    noise = sample_noise(mech, rng, (trials, counts.size))
     noisy = np.clip(counts[None, :] + noise, 0.0, None)
     totals = noisy.sum(axis=1)
     vals = np.empty(trials)

@@ -6,8 +6,6 @@ from dpcalib.distributions import (
     Bernoulli,
     Degenerate,
     Gamma,
-    NoncentralChiSquare,
-    Rayleigh,
     TruncGaussian,
     Uniform,
 )
@@ -48,21 +46,11 @@ def trunc_gaussian_dists():
     )
 
 
-def closed_form_dists():
+def any_dist():
     return st.one_of(
         degenerate_dists(),
         bernoulli_dists(),
         gamma_dists(),
         uniform_dists(),
         trunc_gaussian_dists(),
-    )
-
-
-def any_dist():
-    return st.one_of(
-        closed_form_dists(),
-        st.builds(
-            NoncentralChiSquare, dof=st.floats(0.1, 30.0), nonc=st.floats(0.0, 10.0)
-        ),
-        st.builds(Rayleigh, sigma=st.floats(0.05, 10.0)),
     )

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from dpcalib.bench import (
     run_query,
     write_csv,
 )
+from dpcalib.distributions import FAMILIES
 from dpcalib.mechanisms import Laplace
 from dpcalib.optimize import SearchSpaceSpec
 
@@ -276,3 +279,10 @@ def test_cli_usage_error_exit_code():
     # the family-slot flags are gone
     for flag in (["--families", "gamma"], ["--extended"], ["--constraint-tol", "1e-3"]):
         assert cli.main(["optimize", "--epsilon", "1", *flag]) == 1
+
+
+def test_readme_spec_format_names_every_family():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    spec = readme.split("**Distribution / combination spec**", 1)[1].split("\n- **", 1)[0]
+    listed = re.findall(r"`(\w+)\(", spec.split("Families:", 1)[1])
+    assert sorted(listed) == sorted(FAMILIES)

@@ -11,8 +11,6 @@ from dpcalib.distributions import (
     Degenerate,
     Gamma,
     LinearCombo,
-    NoncentralChiSquare,
-    Rayleigh,
     TruncGaussian,
     Uniform,
     singleton,
@@ -197,8 +195,6 @@ _ONE_PER_FAMILY = (
     Gamma(0.5, 1.5),
     Uniform(0.2, 4.0),
     TruncGaussian(0.0, 0.1, 1.0),
-    NoncentralChiSquare(3.0, 2.0),
-    Rayleigh(1.3),
 )
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dpcalib.distributions import (
     DomainError,
     Gamma,
     LinearCombo,
+    MgfDist,
     TruncGaussian,
     Uniform,
     parse_combo,
@@ -98,15 +100,28 @@ def test_closed_form_agrees_with_general(dq, dist):
     assert abs(closed - general) <= 1e-9 * (1.0 + abs(general))
 
 
-def test_closed_form_unsupported_families():
-    from dpcalib.distributions import NoncentralChiSquare, Rayleigh
+@dataclass(frozen=True)
+class _PointMassStub(MgfDist):
+    """A point mass at 2 that is not one of the known families."""
 
-    with pytest.raises(UnsupportedFamilyError):
-        epsilon_closed_form(NoncentralChiSquare(2.0, 1.0), 1.0)
-    with pytest.raises(UnsupportedFamilyError):
-        epsilon_closed_form(Rayleigh(1.0), 1.0)
-    # the general formula still covers them
-    assert epsilon_of_combo(Rayleigh(1.0), 1.0) > 0
+    def mgf(self, t):
+        return np.exp(2.0 * np.asarray(t, float))
+
+    def mgf_deriv(self, t):
+        return 2.0 * np.exp(2.0 * np.asarray(t, float))
+
+    def mean(self) -> float:
+        return 2.0
+
+    def sample(self, rng, size=None):
+        return 2.0 if size is None else np.full(size, 2.0)
+
+
+def test_closed_form_unsupported_families():
+    with pytest.raises(UnsupportedFamilyError, match="_PointMassStub"):
+        epsilon_closed_form(_PointMassStub(), 1.0)
+    # the general formula still covers it: a point mass at 2 is Laplace(1/2)
+    assert epsilon_of_combo(_PointMassStub(), 1.0) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_epsilon_monotone_in_sensitivity():

@@ -9,7 +9,6 @@ from dpcalib.distributions import (
     Degenerate,
     Gamma,
     LinearCombo,
-    Rayleigh,
     TruncGaussian,
     Uniform,
     singleton,
@@ -103,10 +102,10 @@ def test_l2_gamma_against_monte_carlo():
 
 
 def test_l2_divergence_for_rayleigh():
-    # rayleigh density ~ x near zero, so E[1/X^2] diverges
+    # Gamma(2, 1) has E[1/X] = 1/(theta (k - 1)) = 1, but E[1/X^2] diverges
     with pytest.raises(DivergentIntegralError):
-        l2_bound(singleton(Rayleigh(1.0)))
-    assert l1_bound(singleton(Rayleigh(1.0))) > 0
+        l2_bound(singleton(Gamma(2.0, 1.0)))
+    assert l1_bound(singleton(Gamma(2.0, 1.0))) == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize(
