@@ -29,28 +29,28 @@ def _ret(x, scalar: bool):
     return float(x) if scalar else x
 
 
+def _diff_log(log_hi, log_lo):
+    """log(e^log_hi - e^log_lo); nan ratios (-inf minus -inf) mean zero mass."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.minimum(log_lo - log_hi, 0.0)
+        ratio = np.where(np.isnan(ratio), -np.inf, ratio)
+        return log_hi + np.log1p(-np.exp(ratio))
+
+
 def _log_gauss_mass(lo, hi):
     """log(Phi(hi) - Phi(lo)) computed stably for extreme arguments."""
     lo_b, hi_b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
     shape = lo_b.shape
     lo_b = np.atleast_1d(lo_b)
     hi_b = np.atleast_1d(hi_b)
-    out = np.empty(lo_b.shape)
-    # Work in whichever tail keeps both CDF values away from 1.
+    # Work in whichever tail keeps both CDF values away from 1.  The upper
+    # tail (lo >= 0) holds most points where t <= 0 shifts both bounds up,
+    # so it is evaluated everywhere and the other points are overwritten.
+    out = _diff_log(special.log_ndtr(-lo_b), special.log_ndtr(-hi_b))
     left = hi_b <= 0.0
-    right = lo_b >= 0.0
-    mid = ~(left | right)
-    def _diff(log_hi, log_lo):
-        # log(e^log_hi - e^log_lo); nan ratios (-inf minus -inf) mean zero mass
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.minimum(log_lo - log_hi, 0.0)
-            ratio = np.where(np.isnan(ratio), -np.inf, ratio)
-            return log_hi + np.log1p(-np.exp(ratio))
-
+    mid = ~(left | (lo_b >= 0.0))
     if np.any(left):
-        out[left] = _diff(special.log_ndtr(hi_b[left]), special.log_ndtr(lo_b[left]))
-    if np.any(right):
-        out[right] = _diff(special.log_ndtr(-lo_b[right]), special.log_ndtr(-hi_b[right]))
+        out[left] = _diff_log(special.log_ndtr(hi_b[left]), special.log_ndtr(lo_b[left]))
     if np.any(mid):
         out[mid] = np.log(special.ndtr(hi_b[mid]) - special.ndtr(lo_b[mid]))
     return out.reshape(shape)
@@ -89,6 +89,11 @@ class MgfDist(ABC):
     @abstractmethod
     def mgf_deriv(self, t):
         """E[X e^{tX}]; equals the mean at t = 0."""
+
+    def mgf_and_deriv(self, t):
+        """(M(t), M'(t)), bit-identical to ``(mgf(t), mgf_deriv(t))``;
+        families whose two values share work override it."""
+        return self.mgf(t), self.mgf_deriv(t)
 
     @abstractmethod
     def mean(self) -> float:
@@ -204,6 +209,11 @@ class Bernoulli(MgfDist):
         )
 
 
+# rng.gamma returns exact zeros for a visible share of draws below this shape
+# (47.5% at shape 1e-3), and a zero scale cannot be released
+_MIN_GAMMA_SHAPE = 0.05
+
+
 @dataclass(frozen=True)
 class Gamma(MgfDist):
     """Gamma(shape k, scale theta); MGF (1 - theta*t)^(-k) for t < 1/theta."""
@@ -214,6 +224,11 @@ class Gamma(MgfDist):
     def __post_init__(self):
         if not (self.shape > 0 and self.scale > 0):
             raise ValueError("shape and scale must be > 0")
+        if self.shape < _MIN_GAMMA_SHAPE:
+            raise ValueError(
+                f"gamma shape must be >= {_MIN_GAMMA_SHAPE}, got {self.shape}: below it "
+                "draws underflow to exact zeros, so the sampled law is not the analysed one"
+            )
 
     def mgf_domain_sup(self) -> float:
         return 1.0 / self.scale
@@ -265,13 +280,17 @@ class Uniform(MgfDist):
         return _ret(out, scalar)
 
     def mgf_deriv(self, t):
+        return self.mgf_and_deriv(t)[1]
+
+    def mgf_and_deriv(self, t):
         scalar = np.isscalar(t)
         t = np.asarray(t, float)
         w = self.hi - self.lo
-        out = np.exp(t * self.lo) * (
-            self.lo * _expm1_over(t * w) + w * _expm1_over_deriv(t * w)
-        )
-        return _ret(out, scalar)
+        shift = np.exp(t * self.lo)
+        ratio = _expm1_over(t * w)
+        m = shift * ratio
+        d = shift * (self.lo * ratio + w * _expm1_over_deriv(t * w))
+        return _ret(m, scalar), _ret(d, scalar)
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -297,6 +316,26 @@ class TruncGaussian(MgfDist):
             raise ValueError("sigma must be > 0")
         if not (0.0 <= self.lo < self.hi):
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
+        alpha = (self.lo - self.mu) / self.sigma
+        beta = math.inf if math.isinf(self.hi) else (self.hi - self.mu) / self.sigma
+        if alpha < 0.0 < beta:
+            cdf, tail = (special.ndtr(alpha), special.ndtr(beta)), None
+        else:
+            # Invert the tail holding [alpha, beta] in log space, as
+            # _log_gauss_mass does: ndtr rounds to 1 beyond about 8.3, where
+            # inverting between the two CDF values would return inf.  The
+            # sign s mirrors the lower tail (beta <= 0) onto the upper one.
+            s = 1.0 if alpha >= 0.0 else -1.0
+            near, far = (alpha, beta) if s > 0 else (beta, alpha)
+            log_near = special.log_ndtr(-s * near)
+            cdf, tail = None, (s, log_near,
+                               -np.expm1(special.log_ndtr(-s * far) - log_near))
+        # per-law constants, computed once: the standardized bounds, the log
+        # normaliser and what the sampler inverts between
+        for name, value in (("_alpha", alpha), ("_beta", beta),
+                            ("_log_den", float(_log_gauss_mass(alpha, beta))),
+                            ("_cdf", cdf), ("_tail", tail)):
+            object.__setattr__(self, name, value)
 
     # beyond these values of alpha - sigma*t the direct expressions cancel
     # catastrophically and asymptotics toward the lower truncation point
@@ -304,65 +343,57 @@ class TruncGaussian(MgfDist):
     _DEEP = 1e5
     _DEEP_MEAN = 1e3
 
-    def _alpha_beta(self):
-        alpha = (self.lo - self.mu) / self.sigma
-        beta = math.inf if math.isinf(self.hi) else (self.hi - self.mu) / self.sigma
-        return alpha, beta
-
-    def _log_mgf(self, t: np.ndarray, log_mass=None) -> np.ndarray:
-        # log_mass: _log_gauss_mass(lo_t, hi_t) if the caller already has it
-        alpha, beta = self._alpha_beta()
-        lo_t = alpha - self.sigma * t
-        hi_t = beta - self.sigma * t
-        log_den = float(_log_gauss_mass(alpha, beta))
+    def _tilted(self, t: np.ndarray):
+        # standardized bounds of the law tilted by e^{tx}, and the log of
+        # the normal mass between them
+        lo_t = self._alpha - self.sigma * t
+        hi_t = self._beta - self.sigma * t
         with np.errstate(all="ignore"):
-            if log_mass is None:
-                log_mass = _log_gauss_mass(lo_t, hi_t)
-            direct = self.mu * t + 0.5 * (self.sigma * t) ** 2 + log_mass - log_den
-            deep = (t * self.lo - 0.5 * alpha * alpha
-                    - np.log(np.maximum(lo_t, 1.0))
-                    - 0.5 * math.log(2 * math.pi) - log_den)
-        return np.where(lo_t > self._DEEP, deep, direct)
+            return lo_t, hi_t, _log_gauss_mass(lo_t, hi_t)
+
+    def _log_mgf(self, t: np.ndarray, lo_t: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            out = self.mu * t + 0.5 * (self.sigma * t) ** 2 + log_mass - self._log_den
+            deep = lo_t > self._DEEP
+            if np.any(deep):
+                out = np.where(deep, t * self.lo - 0.5 * self._alpha * self._alpha
+                               - np.log(np.maximum(lo_t, 1.0))
+                               - 0.5 * math.log(2 * math.pi) - self._log_den, out)
+        return out
 
     def mgf(self, t):
         scalar = np.isscalar(t)
         t = np.asarray(t, float)
-        return _ret(np.exp(self._log_mgf(t)), scalar)
+        lo_t, _, log_mass = self._tilted(t)
+        return _ret(np.exp(self._log_mgf(t, lo_t, log_mass)), scalar)
 
     def mgf_deriv(self, t):
+        return self.mgf_and_deriv(t)[1]
+
+    def mgf_and_deriv(self, t):
         scalar = np.isscalar(t)
         t = np.asarray(t, float)
-        alpha, beta = self._alpha_beta()
-        lo_t = alpha - self.sigma * t
-        hi_t = beta - self.sigma * t
+        lo_t, hi_t, log_mass = self._tilted(t)
         with np.errstate(all="ignore"):
-            log_mass = _log_gauss_mass(lo_t, hi_t)
             # hazard-style ratios stay bounded where the raw pdf/mass underflow
             r_lo = np.exp(_norm_logpdf(lo_t) - log_mass)
-            r_hi = np.where(np.isinf(hi_t), 0.0, np.exp(_norm_logpdf(hi_t) - log_mass))
-            direct = self.mu + self.sigma ** 2 * t + self.sigma * (r_lo - r_hi)
-            deep = self.lo + self.sigma / np.maximum(lo_t, 1.0)
-        tilted_mean = np.where(lo_t > self._DEEP_MEAN, deep, direct)
-        out = np.exp(self._log_mgf(t, log_mass)) * tilted_mean
-        return _ret(out, scalar)
+            r_hi = 0.0 if math.isinf(self._beta) else np.exp(_norm_logpdf(hi_t) - log_mass)
+            tilted_mean = self.mu + self.sigma ** 2 * t + self.sigma * (r_lo - r_hi)
+            deep = lo_t > self._DEEP_MEAN
+            if np.any(deep):
+                tilted_mean = np.where(deep, self.lo + self.sigma / np.maximum(lo_t, 1.0),
+                                       tilted_mean)
+        m = np.exp(self._log_mgf(t, lo_t, log_mass))
+        return _ret(m, scalar), _ret(m * tilted_mean, scalar)
 
     def mean(self) -> float:
         return float(self.mgf_deriv(0.0))
 
     def sample(self, rng, size=None):
-        alpha, beta = self._alpha_beta()
-        if alpha < 0.0 < beta:
-            u = rng.uniform(special.ndtr(alpha), special.ndtr(beta), size)
-            z = special.ndtri(u)
+        if self._tail is None:
+            z = special.ndtri(rng.uniform(*self._cdf, size))
         else:
-            # Invert the tail holding [alpha, beta] in log space, as
-            # _log_gauss_mass does: ndtr rounds to 1 beyond about 8.3, where
-            # the inversion above would return inf.  The sign s mirrors the
-            # lower tail (beta <= 0) onto the upper one.
-            s = 1.0 if alpha >= 0.0 else -1.0
-            near, far = (alpha, beta) if s > 0 else (beta, alpha)
-            log_near = special.log_ndtr(-s * near)
-            frac = -np.expm1(special.log_ndtr(-s * far) - log_near)
+            s, log_near, frac = self._tail
             z = -s * special.ndtri_exp(log_near + np.log1p(-frac * rng.random(size)))
         x = self.mu + self.sigma * z
         hi = self.hi if not math.isinf(self.hi) else np.inf
@@ -405,52 +436,56 @@ class LinearCombo:
         if not any(a > 0 for a in coeffs):
             raise ValueError("at least one coefficient must be > 0")
         object.__setattr__(self, "terms", tuple((float(a), d) for a, d in self.terms))
+        object.__setattr__(self, "_active", tuple((a, d) for a, d in self.terms if a > 0))
 
     def active_terms(self) -> tuple[tuple[float, MgfDist], ...]:
-        return tuple((a, d) for a, d in self.terms if a > 0)
+        return self._active
 
     def mgf(self, t):
         scalar = np.isscalar(t)
         t_arr = np.asarray(t, float)
         out = np.ones_like(t_arr, dtype=float)
-        for a, d in self.active_terms():
+        for a, d in self._active:
             out = out * d.mgf(a * t_arr)
         return _ret(out, scalar)
 
     def mgf_deriv(self, t):
         scalar = np.isscalar(t)
         t_arr = np.asarray(t, float)
-        active = self.active_terms()
-        vals = [d.mgf(a * t_arr) for a, d in active]
+        if len(self._active) == 1:  # no other term's M enters the product
+            (a, d), = self._active
+            return _ret(a * d.mgf_deriv(a * t_arr), scalar)
+        # product rule over one (M, M') pair per term
+        pairs = [d.mgf_and_deriv(a * t_arr) for a, d in self._active]
         out = np.zeros_like(t_arr, dtype=float)
-        for j, (a, d) in enumerate(active):
-            part = a * d.mgf_deriv(a * t_arr)
-            for i, v in enumerate(vals):
+        for j, (a, _) in enumerate(self._active):
+            part = a * pairs[j][1]
+            for i, (v, _) in enumerate(pairs):
                 if i != j:
                     part = part * v
             out = out + part
         return _ret(out, scalar)
 
     def log_mgf(self, t: float) -> float:
-        return sum(d.log_mgf(a * t) for a, d in self.active_terms())
+        return sum(d.log_mgf(a * t) for a, d in self._active)
 
     def mean(self) -> float:
-        return sum(a * d.mean() for a, d in self.active_terms())
+        return sum(a * d.mean() for a, d in self._active)
 
     def sample(self, rng, size=None):
         if size is None:
-            return sum(a * d.sample(rng) for a, d in self.active_terms())
+            return sum(a * d.sample(rng) for a, d in self._active)
         out = np.zeros(size)
-        for a, d in self.active_terms():
+        for a, d in self._active:
             out = out + a * np.asarray(d.sample(rng, size))
         return out
 
     def mgf_domain_sup(self) -> float:
-        sups = [d.mgf_domain_sup() / a for a, d in self.active_terms()]
+        sups = [d.mgf_domain_sup() / a for a, d in self._active]
         return min(sups) if sups else math.inf
 
     def tail_power(self) -> float:
-        return sum(d.tail_power() for _, d in self.active_terms())
+        return sum(d.tail_power() for _, d in self._active)
 
 
 def singleton(dist: MgfDist, coeff: float = 1.0) -> LinearCombo:

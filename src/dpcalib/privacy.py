@@ -231,9 +231,11 @@ class GridSpec:
     ``step`` bounds the spacing from above: the grid uses
     sensitivity / ceil(sensitivity / step), so 0 and the sensitivity lie
     on it.  ``radius`` is the half-width of the grid and must leave at
-    most 1e-9 of the output mass outside; ``None`` doubles a radius until
-    it does, or falls back to a bounded one where that would take too
-    many points (see ``_auto_radius``).
+    most 1e-9 of the output mass outside.  ``None`` doubles a radius until
+    it does, then shrinks it by bisection toward the smallest radius that
+    still does.  Where doubling would take too many points it returns a
+    bounded fallback radius instead, which is not shrunk (see
+    ``_auto_radius``).
     """
 
     step: float = 1e-3
@@ -242,6 +244,11 @@ class GridSpec:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be > 0")
+
+
+# bisection steps that shrink a doubled radius: the result is at most
+# (1 + 2^-steps) times the smallest radius that meets the tail mass
+_SHRINK_STEPS = 6
 
 
 def _auto_radius(combo: LinearCombo, step: float, sensitivity: float) -> float:
@@ -256,6 +263,16 @@ def _auto_radius(combo: LinearCombo, step: float, sensitivity: float) -> float:
         r *= 2.0
         if r > _MAX_RADIUS or (2.0 * r + sensitivity) / step > _MAX_POINTS:
             return fallback
+    # M(-R) decreases in R, so bisect on (r/2, r] and keep the upper end,
+    # which always meets the tail mass.  The fallback above is returned as
+    # it is: it already leaves more than the tail mass uncovered.
+    lo = r / 2.0
+    for _ in range(_SHRINK_STEPS):
+        mid = 0.5 * (lo + r)
+        if combo.mgf(-mid) > _TAIL_MASS:
+            lo = mid
+        else:
+            r = mid
     return r
 
 

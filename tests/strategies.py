@@ -1,5 +1,11 @@
-"""Shared hypothesis strategies for distribution parameterizations."""
+"""Shared test laws: hypothesis strategies for distribution
+parameterizations, the compound laws the benchmark audits, and a
+reference for a combination's M'."""
 
+import configparser
+from pathlib import Path
+
+import numpy as np
 from hypothesis import strategies as st
 
 from dpcalib.distributions import (
@@ -8,7 +14,35 @@ from dpcalib.distributions import (
     Gamma,
     TruncGaussian,
     Uniform,
+    parse_combo,
 )
+
+MECHANISMS_INI = Path(__file__).resolve().parent.parent / "perfbench" / "mechanisms.ini"
+
+
+def committed_compound_laws():
+    """{name: LinearCombo} for every compound mechanism in perfbench/mechanisms.ini."""
+    parser = configparser.ConfigParser()
+    if not parser.read(MECHANISMS_INI):
+        raise FileNotFoundError(MECHANISMS_INI)
+    return {name: parse_combo(sec["combo"]) for name, sec in parser.items()
+            if sec.get("kind") == "compound"}
+
+
+def product_rule_deriv(combo, t):
+    """M'(t) of a combination by the product rule over separate mgf and
+    mgf_deriv calls per term."""
+    t = np.asarray(t, float)
+    active = combo.active_terms()
+    vals = [d.mgf(a * t) for a, d in active]
+    out = np.zeros_like(t)
+    for j, (a, d) in enumerate(active):
+        part = a * d.mgf_deriv(a * t)
+        for i, v in enumerate(vals):
+            if i != j:
+                part = part * v
+        out = out + part
+    return out
 
 
 def degenerate_dists():

@@ -1,11 +1,12 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from strategies import any_dist
+from strategies import any_dist, committed_compound_laws, product_rule_deriv
 from dpcalib.distributions import (
     Bernoulli,
     Degenerate,
@@ -107,6 +108,12 @@ def test_parameter_validation():
         Bernoulli(1.5, 1.0, 2.0)
     with pytest.raises(ValueError):
         Gamma(-1.0, 1.0)
+    # below shape 0.05 rng.gamma returns exact zeros the release would redraw
+    with pytest.raises(ValueError, match="underflow"):
+        Gamma(0.049, 1.0)
+    with pytest.raises(ValueError, match="underflow"):
+        Gamma(1e-3, 1.0)
+    assert Gamma(0.05, 1.0).shape == 0.05
     with pytest.raises(ValueError):
         Uniform(3.0, 2.0)
     with pytest.raises(ValueError):
@@ -171,7 +178,8 @@ def test_trunc_gaussian_tail_sampler(dist, scalar):
 )
 @pytest.mark.parametrize("t", [-2.0, -1.0, -0.1])
 def test_sampler_agrees_with_mgf(dist, t):
-    rng = np.random.default_rng(abs(hash((dist.family, t))) % 2**32)
+    # a key that is the same in every process, so a failure can be replayed
+    rng = np.random.default_rng(zlib.crc32(repr((dist, t)).encode()))
     draws = np.asarray(dist.sample(rng, 200_000))
     vals = np.exp(t * draws)
     se = vals.std() / math.sqrt(vals.size)
@@ -214,6 +222,86 @@ def test_sampler_matches_mgf_on_wide_ranges(dist):
         m = dist.mgf(-t)
         se = math.sqrt(max(dist.mgf(-2.0 * t) - m * m, 0.0) / n)
         assert abs(np.mean(np.exp(-t * draws)) - m) <= 4.0 * se + 2.0 / n
+
+
+# (name, three scalar draws, then a batch of three) from default_rng(2024)
+_PINNED_DRAWS = {
+    "compound_gamma": ([7.293570670265269, 7.524812244312413, 3.5297140280071004],
+                       [6.973154361962942, 8.918412499183397, 6.563889994801939]),
+    "compound_uniform": ([11.652698550173382, 3.7445990535949147, 5.374664029528865],
+                         [13.771222354921148, 17.13550678607021, 2.509288540919866]),
+    "compound_trunc_gaussian": ([11.734026604429674, 3.6577423505189013, 5.289514743281716],
+                                [14.000810007021563, 17.74848615506484, 2.426994307398517]),
+    "compound_bernoulli": ([1.2791508378930057, 0.3197877094732514, 0.3197877094732514],
+                           [1.2791508378930057, 1.2791508378930057, 0.3197877094732514]),
+    "compound_ensemble": ([0.7524115129406491, 0.20631635630046025, 1.133235729121359],
+                          [0.9526797188935956, 0.6060759172666919, 0.5352446371006511]),
+    "deep_tail": ([1.011095104561154, 1.0023858745159588, 1.0036601594362526],
+                  [1.0157893506779245, 1.0528306898186872, 1.001518180089702]),
+}
+
+
+def test_committed_laws_draw_pinned_values():
+    # the release path's draws for a fixed seed stay exactly what they were
+    laws = committed_compound_laws()
+    assert sorted(laws) == sorted(_PINNED_DRAWS)
+    for name, (scalar, batch) in _PINNED_DRAWS.items():
+        rng = np.random.default_rng(2024)
+        assert [laws[name].sample(rng) for _ in range(3)] == scalar, name
+        assert laws[name].sample(rng, 3).tolist() == batch, name
+
+
+_PAIR_LAWS = [
+    Degenerate(1.7),
+    Bernoulli(0.3, 0.5, 22.6),
+    Gamma(11.98, 0.4695),
+    Uniform(0.0, 2.0),
+    Uniform(0.2527, 60.31),
+    TruncGaussian(1.0, 0.8, 0.05, 25.05),      # mid and upper-tail masses
+    TruncGaussian(0.079, 9.229, 0.0017, 5.057),
+    TruncGaussian(0.0, 0.1, 1.0),              # deep upper tail, hi = inf
+    TruncGaussian(1e-4, 1e-4, 1e4),            # asymptotic branches
+    TruncGaussian(100.0, 1.0, 0.0, 50.0),      # lower-tail masses
+]
+_PAIR_ARGS = np.concatenate([[0.0], -np.geomspace(1e-9, 1e9, 181), -np.linspace(0.0, 300.0, 61),
+                             [0.01, 0.04]])
+
+
+def _bits(x):
+    return np.asarray(x, float).view(np.int64)
+
+
+@pytest.mark.parametrize("dist", _PAIR_LAWS, ids=lambda d: d.family)
+def test_mgf_and_deriv_is_bitwise_mgf_and_mgf_deriv(dist):
+    ts = _PAIR_ARGS[_PAIR_ARGS < dist.mgf_domain_sup()]
+    with np.errstate(all="ignore"):
+        m, d = dist.mgf_and_deriv(ts)
+        assert np.array_equal(_bits(m), _bits(dist.mgf(ts)))
+        assert np.array_equal(_bits(d), _bits(dist.mgf_deriv(ts)))
+        for t in ts[::11]:
+            pair = dist.mgf_and_deriv(float(t))
+            assert type(pair[0]) is float and type(pair[1]) is float
+            assert _bits(pair).tolist() == _bits([dist.mgf(float(t)),
+                                                   dist.mgf_deriv(float(t))]).tolist()
+
+
+@pytest.mark.parametrize("combo", [
+    singleton(TruncGaussian(0.0, 0.1, 1.0)),
+    LinearCombo(((0.0, Gamma(2.0, 1.0)), (3.5, Uniform(0.25, 60.0)))),
+    LinearCombo(((0.5, Gamma(2.0, 1.0)), (1.5, Bernoulli(0.3, 0.5, 2.0)))),
+    committed_compound_laws()["compound_ensemble"],
+    LinearCombo(((0.2, TruncGaussian(0.5, 1.0, 0.0)), (0.6, Degenerate(0.3)),
+                 (0.4, Uniform(0.0, 2.0)))),
+])
+def test_combo_deriv_matches_product_rule(combo):
+    ts = -np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 301)])
+    got = combo.mgf_deriv(ts)
+    want = product_rule_deriv(combo, ts)
+    normal = want >= np.finfo(float).tiny
+    assert normal.sum() > 200
+    assert np.max(np.abs(got - want)[normal] / want[normal]) <= 1e-14
+    assert combo.mgf_deriv(-0.7) == pytest.approx(float(product_rule_deriv(combo, -0.7)),
+                                                  rel=1e-14, abs=0.0)
 
 
 def test_combo_of_point_masses_is_point_mass():

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
 from dpcalib.distributions import (
     Bernoulli,
@@ -25,11 +26,13 @@ from dpcalib.mechanisms import (
     Staircase,
     staircase_log_density,
 )
+from dpcalib.optimize import SearchSpaceSpec, optimize
 from dpcalib.privacy import (
     GridSpec,
     GridError,
     PrivacySpec,
     UnsupportedFamilyError,
+    _auto_radius,
     density_grid_epsilon,
     epsilon_closed_form,
     epsilon_of_combo,
@@ -38,7 +41,14 @@ from dpcalib.privacy import (
     rdp_of,
     verify_epsilon_empirically,
 )
-from strategies import gamma_dists, trunc_gaussian_dists, uniform_dists
+from dpcalib.utility import UtilityGoal
+from strategies import (
+    committed_compound_laws,
+    gamma_dists,
+    product_rule_deriv,
+    trunc_gaussian_dists,
+    uniform_dists,
+)
 
 
 def test_privacy_spec_validation():
@@ -352,3 +362,85 @@ def test_density_grid_evaluates_each_radial_point_once(shift, radius, step):
 def test_grid_epsilon_hits_the_closed_form(combo):
     # x = 0 is always on the grid, and the log-ratio peaks there
     assert abs(verify_epsilon_empirically(combo, 1.0) - epsilon_of_combo(combo, 1.0)) <= 1e-9
+
+
+def _power_of_two_radius(combo, step, dq):
+    # the automatic radius without the shrink, doubling from the start
+    # radius until the tail mass is met, and whether it fell back
+    fallback = min(8.0 * dq + 16.0 / max(combo.mean(), 1e-9), 4e6 * step / 2.0)
+    r = max(1.0, 2.0 * dq)
+    while combo.mgf(-r) > 1e-9:
+        r *= 2.0
+        if r > 1e7 or (2.0 * r + dq) / step > 4e6:
+            return fallback, True
+    return r, False
+
+
+def _criterion5_laws():
+    # the usefulness laws of the criterion-5 grid, as its acceptance test builds them
+    return [
+        (optimize(SearchSpaceSpec(), PrivacySpec(eps, dq),
+                  UtilityGoal("usefulness", gamma=gamma), seed=500).combo, dq)
+        for eps in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
+        for dq in (0.5, 1.0)
+        for gamma in (0.1, 0.4, 0.6, 0.9)
+    ]
+
+
+AUDITED_LAWS = [(combo, 1.0) for combo in committed_compound_laws().values()] + [
+    (singleton(Degenerate(1.0)), 1.0),
+    (singleton(Gamma(1.0, 1.0)), 1.0),
+    (ENSEMBLE, 0.5),
+]
+
+
+@pytest.mark.parametrize("combo, dq", AUDITED_LAWS)
+def test_auto_radius_is_near_the_smallest_covering_radius(combo, dq):
+    old, fell_back = _power_of_two_radius(combo, 1e-3, dq)
+    got = _auto_radius(combo, 1e-3, dq)
+    if fell_back:  # the fallback is unchanged
+        assert got == old
+        return
+    assert combo.mgf(-got) <= 1e-9
+    assert combo.mgf(-old / 2.0) > 1e-9  # doubling ran, so the minimum is in (old/2, old]
+    r_min = brentq(lambda r: math.log(combo.mgf(-r)) - math.log(1e-9), old / 2.0, old,
+                   xtol=1e-12, rtol=1e-15)
+    assert got <= (1.0 + 1.0 / 32.0) * r_min
+    assert got <= old
+
+
+def test_auto_radius_keeps_the_fallback_law():
+    # doubling would need more than 4e6 points for this law, so the
+    # bounded radius is kept
+    combo = committed_compound_laws()["compound_trunc_gaussian"]
+    assert _power_of_two_radius(combo, 1e-3, 1.0)[1]
+
+
+def _is_point_mass(combo):
+    return all(isinstance(d, Degenerate) for _, d in combo.active_terms())
+
+
+@pytest.mark.parametrize("combo, dq", AUDITED_LAWS + _criterion5_laws())
+def test_shrunk_radius_keeps_the_grid_epsilon(combo, dq):
+    # the log-ratio peaks on [0, dq], so dropping the far points the old
+    # power-of-two radius held changes no bit of the grid epsilon
+    def product_rule_log_density(xs):
+        with np.errstate(divide="ignore"):
+            return np.log(product_rule_deriv(combo, -np.abs(xs)))
+
+    got = verify_epsilon_empirically(combo, dq)
+    old = density_grid_epsilon(product_rule_log_density, dq,
+                               _power_of_two_radius(combo, 1e-3, dq)[0], 1e-3)
+    if _is_point_mass(combo):
+        # a point mass's log-ratio is the same constant at every x <= 0, so
+        # its grid maximum is rounding noise over whichever points the grid
+        # holds.  |ln p| stays below 64 on either grid (the doubled radius
+        # is at most twice the covering one, where ln p is about ln 1e-9,
+        # and epsilon <= 8), so each side is within 2 ulps of 64 of the
+        # exact epsilon
+        exact = epsilon_of_combo(combo, dq)
+        assert abs(got - exact) <= 2 * np.spacing(64.0)
+        assert abs(old - exact) <= 2 * np.spacing(64.0)
+    else:
+        assert got == old
+
