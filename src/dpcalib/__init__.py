@@ -38,7 +38,6 @@ from .optimize import (
     optimize,
 )
 from .privacy import (
-    GridSpec,
     PrivacySpec,
     RdpPoint,
     UnsupportedFamilyError,

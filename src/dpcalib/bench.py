@@ -29,7 +29,7 @@ from .mechanisms import (
 )
 from .optimize import SearchSpaceSpec, baseline_laplace, baseline_staircase, optimize
 from .privacy import PrivacySpec
-from .utility import UtilityGoal
+from .utility import LINEAR_METRICS, UtilityGoal
 
 
 class EmptyDatasetError(ValueError):
@@ -113,7 +113,7 @@ class ExperimentGrid:
     def __post_init__(self):
         if not self.epsilons or not self.sensitivities or not self.mechanisms:
             raise ValueError("grid axes must be non-empty")
-        if self.metric not in ("usefulness", "l1", "l2"):
+        if self.metric not in LINEAR_METRICS:
             raise ValueError("grid metrics are usefulness, l1 or l2")
         if self.metric == "usefulness" and not self.metric_params:
             raise ValueError("usefulness grids need at least one gamma")

@@ -30,8 +30,8 @@ from .mechanisms import (
     sample_noise,
 )
 from .optimize import InfeasibleSpecError, SearchSpaceSpec, optimize
-from .privacy import GridSpec, PrivacySpec, epsilon_of_combo, verify_epsilon_empirically
-from .utility import Histogram, UtilityGoal
+from .privacy import PrivacySpec, epsilon_of_combo, verify_epsilon_empirically
+from .utility import METRICS, Histogram, UtilityGoal
 
 VERIFY_TOL = 1e-6  # grid epsilon above the closed form that fails `verify`
 
@@ -107,8 +107,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     combo = parse_combo(args.combo)
-    grid = GridSpec(step=args.step)
-    empirical = verify_epsilon_empirically(combo, args.sensitivity, grid)
+    empirical = verify_epsilon_empirically(combo, args.sensitivity, args.step)
     closed = epsilon_of_combo(combo, args.sensitivity)
     print(f"epsilon_closed_form = {closed:.9f}")
     print(f"epsilon_density_grid = {empirical:.9f}")
@@ -168,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="calibrate a noise distribution")
     p_opt.add_argument("--epsilon", type=float, required=True)
     p_opt.add_argument("--sensitivity", type=float, default=1.0)
-    p_opt.add_argument("--metric", default="usefulness",
-                       choices=("usefulness", "l1", "l2", "mallows", "kl", "renyi"))
+    p_opt.add_argument("--metric", default="usefulness", choices=METRICS)
     p_opt.add_argument("--gamma", type=float, default=None)
     p_opt.add_argument("--p", type=float, default=None)
     p_opt.add_argument("--alpha", type=float, default=None)

@@ -123,6 +123,10 @@ class MgfDist(ABC):
         """
         return math.inf
 
+    def active_terms(self) -> tuple[tuple[float, MgfDist], ...]:
+        """The law as a one-term combination, as ``LinearCombo`` reports it."""
+        return ((1.0, self),)
+
     def _check_domain(self, t):
         sup = self.mgf_domain_sup()
         if np.any(np.asarray(t) >= sup):

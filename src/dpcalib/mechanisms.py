@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import LinearCombo
+from .distributions import LinearCombo, MgfDist
 
 _UNDERFLOW = 1e-300
 
@@ -39,7 +39,7 @@ class Laplace:
 class CompoundLaplace:
     """Laplace noise whose reciprocal scale is drawn from ``combo``."""
 
-    combo: LinearCombo
+    combo: LinearCombo | MgfDist
 
     def __post_init__(self):
         if self.combo.mean() <= 0:

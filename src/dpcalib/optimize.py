@@ -47,6 +47,7 @@ from .mechanisms import (
 )
 from .privacy import PrivacySpec, epsilon_of_combo
 from .utility import (
+    LINEAR_METRICS,
     UtilityGoal,
     expected_metric_empirical,
     l1_bound,
@@ -205,7 +206,6 @@ def _analytic_utility(combo: LinearCombo, goal: UtilityGoal, eval_seed: int, mc_
     )
 
 
-_LINEAR_METRICS = ("usefulness", "l1", "l2")
 _ATOMS_PER_SIDE = 2001
 _SPAN = 1e8  # each side's grid spans 8 decades beyond its natural scale
 
@@ -238,7 +238,7 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     beats it, else a ``Bernoulli``, and the number of dual evaluations.
     Usefulness, l1 and l2 only.
     """
-    if goal.metric not in _LINEAR_METRICS:
+    if goal.metric not in LINEAR_METRICS:
         raise ValueError(f"{goal.metric} is not linear in the law of 1/b")
     eps, dq = privacy.epsilon, privacy.sensitivity
     x0 = eps / dq
@@ -335,7 +335,7 @@ def optimize(
     spec: SearchSpaceSpec,
     privacy: PrivacySpec,
     goal: UtilityGoal,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
 ) -> CalibratedMechanism:
     """Calibrate the law of 1/b for one (budget, sensitivity, metric).
 
@@ -347,12 +347,9 @@ def optimize(
     Deterministic for fixed (spec, privacy, goal, seed).  Raises
     ``InfeasibleSpecError`` if the final scale calibration fails.
     """
-    if isinstance(seed, np.random.Generator):
-        master = int(seed.integers(2**63))
-    else:
-        master = int(seed)
+    master = int(seed)
     eval_seed = master ^ 0x5EED
-    if goal.metric in _LINEAR_METRICS:
+    if goal.metric in LINEAR_METRICS:
         law, calls = two_atom_optimum(privacy, goal)
         combo = calibrate_scale(law, privacy)
         utility = _analytic_utility(combo, goal, eval_seed, spec.mc_trials)

@@ -28,7 +28,6 @@ from .distributions import (
     MgfDist,
     TruncGaussian,
     Uniform,
-    singleton,
 )
 
 
@@ -62,8 +61,6 @@ class RdpPoint:
 
 def epsilon_of_combo(combo: LinearCombo | MgfDist, sensitivity: float) -> float:
     """Exact epsilon-DP level of the compound-Laplace mechanism using ``combo``."""
-    if isinstance(combo, MgfDist):
-        combo = singleton(combo)
     if sensitivity <= 0:
         raise ValueError("sensitivity must be > 0")
     deriv = combo.mgf_deriv(-sensitivity)
@@ -131,8 +128,6 @@ def necessary_condition_report(
     made purely of point masses *are* that Laplace mechanism (equality
     holds identically) and are reported as passing so seeds survive.
     """
-    if isinstance(combo, MgfDist):
-        combo = singleton(combo)
     eps = epsilon_of_combo(combo, sensitivity)
     if all(isinstance(d, Degenerate) for _, d in combo.active_terms()):
         return NecessaryConditionReport(True, eps, eps, "degenerate: equals the Laplace baseline")
@@ -166,7 +161,7 @@ def _randomized_response_rdp(p: float, alpha: float) -> float:
     return float(log_sum) / (alpha - 1.0)
 
 
-def _combo_rdp(combo: LinearCombo, alpha: float, sensitivity: float) -> float:
+def _combo_rdp(combo: LinearCombo | MgfDist, alpha: float, sensitivity: float) -> float:
     # sensitivity != 1 is handled by analyzing the normalized query:
     # M(t) -> M(sensitivity * t).
     dq = sensitivity
@@ -188,10 +183,11 @@ def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:
 
     ``mechanism`` is a ``mechanisms.Laplace``/``Gaussian``/
     ``RandomizedResponse``/``CompoundLaplace`` instance or a bare
-    ``LinearCombo`` (treated as compound Laplace).  Formulas assume unit
-    sensitivity; other sensitivities rescale the MGF argument (Laplace,
-    compound) or the noise ratio (Gaussian).  Randomized response is
-    inherently a binary query and ignores ``sensitivity``.
+    ``LinearCombo`` or ``MgfDist`` (treated as compound Laplace).
+    Formulas assume unit sensitivity; other sensitivities rescale the MGF
+    argument (Laplace, compound) or the noise ratio (Gaussian).
+    Randomized response is inherently a binary query and ignores
+    ``sensitivity``.
 
     For a compound law the value is an upper bound, not the level itself:
     it is (1/(alpha-1)) ln E_X[e^{(alpha-1) D_alpha(Laplace(1/X))}], the
@@ -204,8 +200,7 @@ def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if isinstance(mechanism, (LinearCombo, MgfDist)):
-        combo = singleton(mechanism) if isinstance(mechanism, MgfDist) else mechanism
-        return RdpPoint(alpha, _combo_rdp(combo, alpha, sensitivity))
+        return RdpPoint(alpha, _combo_rdp(mechanism, alpha, sensitivity))
     if isinstance(mechanism, mech_mod.CompoundLaplace):
         return RdpPoint(alpha, _combo_rdp(mechanism.combo, alpha, sensitivity))
     if isinstance(mechanism, mech_mod.Laplace):
@@ -218,32 +213,10 @@ def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:
 
 
 # output mass the verification grid may leave uncovered, and the caps on
-# the automatic radius and on its (signed-grid) point count
+# the automatic radius and on the grid's point count
 _TAIL_MASS = 1e-9
 _MAX_RADIUS = 1e7
 _MAX_POINTS = 4e6
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Output grid for the empirical density-ratio check.
-
-    ``step`` bounds the spacing from above: the grid uses
-    sensitivity / ceil(sensitivity / step), so 0 and the sensitivity lie
-    on it.  ``radius`` is the half-width of the grid and must leave at
-    most 1e-9 of the output mass outside.  ``None`` doubles a radius until
-    it does, then shrinks it by bisection toward the smallest radius that
-    still does.  Where doubling would take too many points it returns a
-    bounded fallback radius instead, which is not shrunk (see
-    ``_auto_radius``).
-    """
-
-    step: float = 1e-3
-    radius: float | None = None
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
 
 
 # bisection steps that shrink a doubled radius: the result is at most
@@ -251,11 +224,14 @@ class GridSpec:
 _SHRINK_STEPS = 6
 
 
-def _auto_radius(combo: LinearCombo, step: float, sensitivity: float) -> float:
+def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) -> float:
     # Total output mass beyond distance R from the center is M(-R).  For
     # power-law MGF tails the mass target can be unreachable; the log-ratio
     # is monotone beyond the two centers (log-convexity of M'), so its sup
     # lies inside [0, sensitivity] and a bounded radius loses nothing.
+    # The doubling budget still counts the signed grid, (2R + sensitivity)
+    # / step, not the m + k + 1 radial points the grid evaluates: a tighter
+    # count would let laws that take the fallback today double instead.
     fallback = 8.0 * sensitivity + 16.0 / max(combo.mean(), 1e-9)
     fallback = min(fallback, _MAX_POINTS * step / 2.0)
     r = max(1.0, 2.0 * sensitivity)
@@ -284,10 +260,17 @@ def density_grid_epsilon(log_density, shift: float, radius: float, step: float) 
     h = shift / ceil(shift/step) <= step, covers [-radius, shift + radius]
     and holds 0 and shift.  Both sides of every pair (x, x - shift) are
     read from one evaluation per radial point |x| = h*i, i = 0..m+k.
+    Raises ``GridError``, before allocating, when m + k + 1 exceeds the
+    point cap (4e6).
     """
     k = math.ceil(shift / step)
     h = shift / k
     m = math.ceil(radius / h)
+    if m + k + 1 > _MAX_POINTS:
+        raise GridError(
+            f"step {step:g} at radius {radius:g} needs {m + k + 1} grid points; "
+            f"the cap is {_MAX_POINTS:g}"
+        )
     ld = log_density(h * np.arange(m + k + 1))
     # x <= 0 (its mirror x >= shift gives the negated pairs), then 0 <= x <= shift
     diff = np.concatenate([ld[:m + 1] - ld[k:], ld[:k + 1] - ld[k::-1]])
@@ -298,30 +281,27 @@ def density_grid_epsilon(log_density, shift: float, radius: float, step: float) 
 
 
 def verify_epsilon_empirically(
-    combo: LinearCombo | MgfDist, sensitivity: float, grid: GridSpec = GridSpec()
+    combo: LinearCombo | MgfDist, sensitivity: float, step: float = 1e-3
 ) -> float:
     """Empirical epsilon: sup of the output-density log-ratio over a grid.
 
-    The output density is the analytic p(x) = M'(-|x|)/2, even in x, on a
-    grid wide enough to leave less than 1e-9 of the mass outside.  Its
-    spacing is sensitivity / ceil(sensitivity / grid.step), and M' is
-    evaluated once per radial point (see ``density_grid_epsilon``).  The
-    returned value can exceed ``epsilon_of_combo`` only by floating-point
-    error, and matches it at the grid point x = 0.
+    The output density is the analytic p(x) = M'(-|x|)/2, even in x.  The
+    grid spacing is sensitivity / ceil(sensitivity / step) <= step, so 0
+    and the sensitivity lie on it, and M' is evaluated once per radial
+    point (see ``density_grid_epsilon``).  The radius is the smallest one,
+    to within 1/64, that leaves at most 1e-9 of the output mass outside;
+    where doubling toward it would pass the caps, a bounded fallback
+    radius is used (see ``_auto_radius``).  A grid of more than 4e6 radial
+    points raises ``GridError``.  The returned value can exceed
+    ``epsilon_of_combo`` only by floating-point error, and matches it at
+    the grid point x = 0.
     """
-    if isinstance(combo, MgfDist):
-        combo = singleton(combo)
-    if grid.radius is not None:
-        if combo.mgf(-grid.radius) > _TAIL_MASS:
-            raise GridError(
-                f"radius {grid.radius} leaves more than {_TAIL_MASS} of mass uncovered"
-            )
-        radius = grid.radius
-    else:
-        radius = _auto_radius(combo, grid.step, sensitivity)
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    radius = _auto_radius(combo, step, sensitivity)
 
     def log_density(xs):
         with np.errstate(divide="ignore"):
             return np.log(combo.mgf_deriv(-np.abs(xs)))
 
-    return density_grid_epsilon(log_density, sensitivity, radius, grid.step)
+    return density_grid_epsilon(log_density, sensitivity, radius, step)

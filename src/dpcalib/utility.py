@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import LinearCombo, MgfDist, singleton
+from .distributions import LinearCombo, MgfDist
 from .mechanisms import CompoundLaplace, sample_noise
 
 
@@ -36,8 +36,11 @@ class NonFiniteError(ArithmeticError):
     pass
 
 
-METRICS = ("usefulness", "l1", "l2", "mallows", "kl", "renyi")
+# usefulness, l1 and l2 are linear in the law of 1/b and need no prior;
+# the others are estimated by Monte Carlo over a prior
+LINEAR_METRICS = ("usefulness", "l1", "l2")
 _PRIOR_DEPENDENT = ("mallows", "kl", "renyi")
+METRICS = LINEAR_METRICS + _PRIOR_DEPENDENT
 
 
 @dataclass(frozen=True)
@@ -135,21 +138,15 @@ class UtilityGoal:
     def prior_dependent(self) -> bool:
         return self.metric in _PRIOR_DEPENDENT
 
-    @property
-    def metric_param(self) -> float | None:
-        return {"usefulness": self.gamma, "mallows": self.p, "renyi": self.alpha}.get(self.metric)
-
 
 def usefulness_bound(combo: LinearCombo | MgfDist, gamma: float) -> float:
     """P(|noise| <= gamma) = 1 - M(-gamma)."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    if isinstance(combo, MgfDist):
-        combo = singleton(combo)
     return 1.0 - combo.mgf(-gamma)
 
 
-def _tail_cutoff(combo: LinearCombo, threshold: float = 1e-12) -> float:
+def _tail_cutoff(combo: LinearCombo | MgfDist, threshold: float = 1e-12) -> float:
     probes = np.exp2(np.arange(0, 41, dtype=float))
     vals = combo.mgf(-probes)
     small = np.nonzero(vals <= threshold)[0]
@@ -159,7 +156,7 @@ def _tail_cutoff(combo: LinearCombo, threshold: float = 1e-12) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _integrate_mgf(combo: LinearCombo, weight: int, cutoff: float, rtol: float) -> float:
+def _integrate_mgf(combo: LinearCombo | MgfDist, weight: int, cutoff: float, rtol: float) -> float:
     """int_0^cutoff x^weight M(-x) dx via panelled Gauss-Legendre.
 
     Panels are geometric (covering 40 octaves below the cutoff, plus a
@@ -190,7 +187,7 @@ def _integrate_mgf(combo: LinearCombo, weight: int, cutoff: float, rtol: float) 
     return cur
 
 
-def _tail_correction(combo: LinearCombo, cutoff: float, weight: int) -> float:
+def _tail_correction(combo: LinearCombo | MgfDist, cutoff: float, weight: int) -> float:
     """Approximate int_cutoff^inf x^weight M(-x) dx (weight 0 or 1)."""
     m = combo.mgf(-cutoff)
     if m == 0.0:
@@ -206,8 +203,6 @@ def _tail_correction(combo: LinearCombo, cutoff: float, weight: int) -> float:
 
 def l1_bound(combo: LinearCombo | MgfDist, rtol: float = 1e-10) -> float:
     """Expected absolute error: int_0^inf M(-x) dx, by adaptive quadrature."""
-    if isinstance(combo, MgfDist):
-        combo = singleton(combo)
     if combo.tail_power() <= 1.0 + 1e-12:
         raise DivergentIntegralError(
             f"E|noise| diverges: MGF tail decays like x^-{combo.tail_power():g}"
@@ -223,8 +218,6 @@ def l2_bound(combo: LinearCombo | MgfDist, rtol: float = 1e-10) -> float:
     The nested tail integral equals int_0^inf u M(-u) du, which is what
     the quadrature evaluates.
     """
-    if isinstance(combo, MgfDist):
-        combo = singleton(combo)
     if combo.tail_power() <= 2.0 + 1e-12:
         raise DivergentIntegralError(
             f"E[noise^2] diverges: MGF tail decays like x^-{combo.tail_power():g}"
@@ -250,15 +243,35 @@ def _check_bins(p: Histogram, q: Histogram):
         raise BinMismatchError("histograms must share bin edges")
 
 
+def _kl(pm, qm):
+    """D(p||q) along the last axis of ``qm`` for a 1-D ``pm``; +inf where
+    q has a hole under p."""
+    support = pm > 0
+    p, q = pm[support], qm[..., support]
+    with np.errstate(divide="ignore"):
+        return np.sum(p * np.log(p / q), axis=-1)
+
+
+def _renyi(pm, qm, alpha: float):
+    """I_alpha(p||q) along the last axis of ``qm`` for a 1-D ``pm``.
+
+    A hole of q under p gives +inf for alpha > 1 and is skipped for
+    alpha < 1; a zero sum gives +inf.
+    """
+    support = pm > 0
+    p, q = pm[support], qm[..., support]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a hole makes its term 0 for alpha < 1, which skips the bin, and
+        # inf or nan (where p^alpha underflows) for alpha > 1, so that the
+        # row's sum is inf or nan and the row scores +inf
+        s = np.sum(p ** alpha * q ** (1.0 - alpha), axis=-1)
+        return np.where(s > 0.0, np.log(s) / (alpha - 1.0), math.inf)
+
+
 def kl_divergence(p: Histogram, q: Histogram) -> float:
     """D(p||q) = sum p_i ln(p_i/q_i); +inf where q has a hole under p."""
     _check_bins(p, q)
-    pm = np.asarray(p.masses)
-    qm = np.asarray(q.masses)
-    support = pm > 0
-    if np.any(qm[support] == 0):
-        return math.inf
-    return float(np.sum(pm[support] * np.log(pm[support] / qm[support])))
+    return float(_kl(np.asarray(p.masses), np.asarray(q.masses)))
 
 
 def renyi_divergence(p: Histogram, q: Histogram, alpha: float) -> float:
@@ -266,38 +279,29 @@ def renyi_divergence(p: Histogram, q: Histogram, alpha: float) -> float:
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("alpha must be > 0 and != 1")
     _check_bins(p, q)
-    pm = np.asarray(p.masses)
-    qm = np.asarray(q.masses)
-    if alpha > 1 and np.any(qm[pm > 0] == 0):
-        return math.inf
-    mask = (pm > 0) & (qm > 0)
-    s = float(np.sum(pm[mask] ** alpha * qm[mask] ** (1.0 - alpha)))
-    if s == 0.0:
-        return math.inf
-    return math.log(s) / (alpha - 1.0)
+    return float(_renyi(np.asarray(p.masses), np.asarray(q.masses), alpha))
 
 
 def expected_metric_empirical(
     combo: LinearCombo | MgfDist,
     goal: UtilityGoal,
-    prior=None,
     trials: int = 10_000,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Monte-Carlo estimate of the metric under two-fold noise.
 
     The noise is drawn through ``mechanisms.sample_noise``, the sampler a
-    release uses.  Prior-independent metrics need no ``prior`` and
-    converge to the analytic bounds; Mallows perturbs each vector entry
-    independently, the entropy metrics perturb per-bin counts, clamp at
-    zero and renormalize before evaluating the divergence.
+    release uses.  Prior-independent metrics converge to the analytic
+    bounds.  The prior-dependent ones read their prior from ``goal``:
+    Mallows perturbs each vector entry independently, the entropy metrics
+    perturb per-bin counts, clamp at zero and renormalize before
+    evaluating the divergence on all trials at once.  A trial whose
+    clamped counts sum to zero scores +inf.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(combo, MgfDist):
-        combo = singleton(combo)
     rng = np.random.default_rng(0) if rng is None else rng
-    prior = goal.prior if prior is None else prior
+    prior = goal.prior
     mech = CompoundLaplace(combo)
 
     if goal.metric == "usefulness":
@@ -317,20 +321,15 @@ def expected_metric_empirical(
         per_trial = np.mean(np.abs(noise) ** goal.p, axis=1) ** (1.0 / goal.p)
         return float(np.mean(per_trial))
 
-    hist: Histogram = prior
-    counts = np.asarray(hist.masses) * hist.total
+    masses = np.asarray(prior.masses)
+    counts = masses * prior.total
     noise = sample_noise(mech, rng, (trials, counts.size))
     noisy = np.clip(counts[None, :] + noise, 0.0, None)
     totals = noisy.sum(axis=1)
-    vals = np.empty(trials)
-    for i in range(trials):
-        if totals[i] <= 0:
-            vals[i] = math.inf
-            continue
-        q = Histogram(hist.bin_edges, tuple(noisy[i] / totals[i]))
-        vals[i] = (kl_divergence(hist, q) if goal.metric == "kl"
-                   else renyi_divergence(hist, q, goal.alpha))
-    return float(np.mean(vals))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = noisy / totals[:, None]
+    vals = _kl(masses, q) if goal.metric == "kl" else _renyi(masses, q, goal.alpha)
+    return float(np.mean(np.where(totals > 0, vals, math.inf)))
 
 
 def transform_error_bound(
@@ -341,8 +340,6 @@ def transform_error_bound(
 ) -> float:
     """Lift a per-scale Laplace error bound b -> e_L(b) to the compound
     mechanism by averaging over the distribution of b = 1/(combined RV)."""
-    if isinstance(combo, MgfDist):
-        combo = singleton(combo)
     rng = np.random.default_rng(0) if rng is None else rng
     scales = np.asarray(combo.sample(rng, trials), float)
     vals = np.asarray([base_bound(1.0 / s) for s in scales], float)

@@ -215,6 +215,8 @@ def test_cli_verify(capsys):
     grid = float(out.splitlines()[1].split("=")[1])
     assert closed == pytest.approx(2 * math.log(2), rel=1e-9)
     assert grid <= closed + 1e-6
+    assert cli.main(["verify", "--combo", "1 gamma shape=1 scale=1", "--step", "0"]) == 1
+    assert "step must be finite and > 0" in capsys.readouterr().err
 
 
 def test_cli_verify_fails_closed(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from dpcalib.mechanisms import (
 )
 from dpcalib.optimize import SearchSpaceSpec, optimize
 from dpcalib.privacy import (
-    GridSpec,
     GridError,
     PrivacySpec,
     UnsupportedFamilyError,
@@ -41,7 +41,15 @@ from dpcalib.privacy import (
     rdp_of,
     verify_epsilon_empirically,
 )
-from dpcalib.utility import UtilityGoal
+from dpcalib.utility import (
+    Histogram,
+    UtilityGoal,
+    expected_metric_empirical,
+    l1_bound,
+    l2_bound,
+    transform_error_bound,
+    usefulness_bound,
+)
 from strategies import (
     committed_compound_laws,
     gamma_dists,
@@ -265,13 +273,28 @@ def test_grid_epsilon_never_exceeds_closed_form(combo):
     assert grid >= closed - 2e-3
 
 
-def test_grid_error_on_insufficient_radius():
-    for radius in (3.0, 0.5):  # 0.5 is below the sensitivity
-        with pytest.raises(GridError):
-            verify_epsilon_empirically(Degenerate(1.0), 1.0, GridSpec(radius=radius))
-    # a generous explicit radius is accepted
-    val = verify_epsilon_empirically(Degenerate(1.0), 1.0, GridSpec(radius=25.0))
-    assert val == pytest.approx(1.0, abs=1e-3)
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
+def test_verify_rejects_a_step_that_is_not_finite_and_positive(step):
+    with pytest.raises(ValueError, match="step"):
+        verify_epsilon_empirically(Degenerate(1.0), 1.0, step=step)
+
+
+def test_density_grid_error_when_the_ratio_is_nowhere_finite():
+    with pytest.raises(GridError, match="nowhere finite"):
+        density_grid_epsilon(lambda xs: np.full(np.shape(xs), np.nan), 1.0, 5.0, 1e-3)
+
+
+def test_density_grid_caps_the_points_for_any_step():
+    # Laplace with b = 1 at step 2e-7 takes the bounded fallback radius 0.4:
+    # 2e6 + 5e6 + 1 radial points, over the 4e6 cap.  The grid is refused
+    # before the log-density sees a single point.
+    def log_density(xs):
+        raise AssertionError("the grid was built")
+
+    with pytest.raises(GridError, match="cap"):
+        density_grid_epsilon(log_density, 1.0, 0.4, 2e-7)
+    with pytest.raises(GridError, match="cap"):
+        verify_epsilon_empirically(Degenerate(1.0), 1.0, step=2e-7)
 
 
 # The 3-term default ensemble as calibrated to epsilon 1 at sensitivity 1.
@@ -444,3 +467,44 @@ def test_shrunk_radius_keeps_the_grid_epsilon(combo, dq):
     else:
         assert got == old
 
+
+def _bits(value):
+    # every float of a result, as its exact hex form, so that equal bits
+    # (not just equal values) are required
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return value
+
+
+_KL_GOAL = UtilityGoal("kl", prior=Histogram((0, 1, 2, 3, 4), (0.4, 0.3, 0.2, 0.1), 50.0))
+ENTRY_POINTS = {
+    "epsilon_of_combo": lambda law: epsilon_of_combo(law, 0.7),
+    "necessary_condition_report": lambda law: necessary_condition_report(law, 0.7),
+    "rdp_of": lambda law: (rdp_of(law, 1.0), rdp_of(law, 2.0, sensitivity=0.5)),
+    "verify_epsilon_empirically": lambda law: verify_epsilon_empirically(law, 0.7),
+    "usefulness_bound": lambda law: usefulness_bound(law, 0.4),
+    "l1_bound": lambda law: l1_bound(law),
+    "l2_bound": lambda law: l2_bound(law),
+    "expected_metric_empirical": lambda law: tuple(
+        expected_metric_empirical(law, goal, trials=300, rng=np.random.default_rng(8))
+        for goal in (UtilityGoal("usefulness", gamma=0.4), _KL_GOAL)),
+    "transform_error_bound": lambda law: transform_error_bound(
+        lambda b: b * b, law, trials=300, rng=np.random.default_rng(9)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("law", [
+    Degenerate(2.0),
+    Bernoulli(0.3, 1.0, 4.0),
+    Gamma(3.5, 0.6),
+    Uniform(0.5, 3.0),
+    TruncGaussian(0.0, 0.1, 1.0),  # deep tail
+], ids=lambda law: law.family)
+def test_entry_points_take_a_bare_law_as_its_singleton(entry, law):
+    fn = ENTRY_POINTS[entry]
+    assert _bits(fn(law)) == _bits(fn(singleton(law)))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from dpcalib.distributions import (
+    Bernoulli,
     Degenerate,
     Gamma,
     LinearCombo,
@@ -13,6 +14,7 @@ from dpcalib.distributions import (
     Uniform,
     singleton,
 )
+from dpcalib.mechanisms import CompoundLaplace, sample_noise
 from dpcalib.utility import (
     BinMismatchError,
     DivergentIntegralError,
@@ -219,10 +221,9 @@ def test_empirical_usefulness_matches_bound():
 
 
 def test_empirical_mallows_vanishes_without_noise():
-    goal = UtilityGoal("mallows", p=2.0)
-    prior = np.linspace(0.0, 10.0, 20)
+    goal = UtilityGoal("mallows", p=2.0, prior=np.linspace(0.0, 10.0, 20))
     est = expected_metric_empirical(
-        singleton(Degenerate(1e9)), goal, prior=prior, trials=200, rng=np.random.default_rng(2)
+        singleton(Degenerate(1e9)), goal, trials=200, rng=np.random.default_rng(2)
     )
     assert est < 1e-7
 
@@ -238,6 +239,62 @@ def test_empirical_kl_finite_and_monotone_in_scale():
         assert math.isfinite(est) and est > 0
         vals.append(est)
     assert vals[0] > vals[1] > vals[2]
+
+
+def _per_trial_divergence(law, goal, trials, seed):
+    # the per-trial loop the array path replaced, with one pair of
+    # histograms at a time and the divergences as written for one pair
+    hist = goal.prior
+    pm = np.asarray(hist.masses)
+    noise = sample_noise(CompoundLaplace(law), np.random.default_rng(seed),
+                         (trials, pm.size))
+    noisy = np.clip(pm * hist.total + noise, 0.0, None)
+    totals = noisy.sum(axis=1)
+    vals = []
+    for row, total in zip(noisy, totals):
+        if total <= 0:
+            vals.append(math.inf)
+            continue
+        qm = np.asarray(Histogram(hist.bin_edges, tuple(row / total)).masses)
+        support = pm > 0
+        if goal.metric == "kl":
+            hole = np.any(qm[support] == 0)
+            vals.append(math.inf if hole else float(
+                np.sum(pm[support] * np.log(pm[support] / qm[support]))))
+            continue
+        if goal.alpha > 1 and np.any(qm[support] == 0):
+            vals.append(math.inf)
+            continue
+        mask = support & (qm > 0)
+        s = float(np.sum(pm[mask] ** goal.alpha * qm[mask] ** (1.0 - goal.alpha)))
+        vals.append(math.inf if s == 0.0 else math.log(s) / (goal.alpha - 1.0))
+    return float(np.mean(vals))
+
+
+_SKEWED = (0.3, 0.2, 0.15, 0.1, 0.1, 0.1, 0.045, 0.005)
+
+
+@pytest.mark.parametrize("law, prior", [
+    # counts near zero: holes under the prior, so kl and alpha > 1 give inf
+    (Degenerate(1.0), Histogram(tuple(range(9)), _SKEWED, 20.0)),
+    # large counts: every trial finite, divergences near 0
+    (Degenerate(0.5), Histogram.uniform(8, total=1e6)),
+    (Bernoulli(0.4, 0.2, 3.0), Histogram.uniform(50, total=2e3)),
+    # a bin the prior leaves empty
+    (Degenerate(2.0), Histogram(tuple(range(6)), (0.4, 0.0, 0.3, 0.2, 0.1), 400.0)),
+    # noise far above the counts: some trials clip to a zero total
+    (Degenerate(0.01), Histogram.uniform(4, total=1e-2)),
+], ids=["holes", "large-counts", "fifty-bins", "empty-prior-bin", "zero-totals"])
+@pytest.mark.parametrize("metric, alpha", [("kl", None), ("renyi", 0.5), ("renyi", 2.0)])
+def test_divergence_estimate_matches_the_per_trial_loop(law, prior, metric, alpha):
+    goal = UtilityGoal(metric, alpha=alpha, prior=prior)
+    got = expected_metric_empirical(law, goal, trials=400, rng=np.random.default_rng(6))
+    ref = _per_trial_divergence(law, goal, 400, 6)
+    if math.isinf(ref):
+        assert got == ref
+    else:
+        # only the order of the row sums differs
+        assert abs(got - ref) <= max(1e-15, 1e-12 * abs(ref))
 
 
 def test_transform_error_bound_identities():
