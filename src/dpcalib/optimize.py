@@ -50,14 +50,11 @@ from .utility import (
     LINEAR_METRICS,
     UtilityGoal,
     expected_metric_empirical,
-    l1_bound,
-    l2_bound,
-    usefulness_bound,
 )
 
 
 class InfeasibleSpecError(RuntimeError):
-    """The epsilon target could not be met (scale calibration failed)."""
+    """The epsilon target could not be met."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,9 @@ def calibrate_scale(combo: LinearCombo, privacy: PrivacySpec) -> LinearCombo:
     """Rescale all coefficients so the achieved epsilon hits the target.
 
     The epsilon of c * combo is strictly increasing in c and covers
-    (0, inf), so a scalar root always exists.
+    (0, inf), so a scalar root always exists.  A helper for callers that
+    rescale a law of their own: ``optimize`` builds laws that meet the
+    target by construction and does not call it.
     """
 
     def resid(log_c: float) -> float:
@@ -189,21 +188,29 @@ def calibrate_scale(combo: LinearCombo, privacy: PrivacySpec) -> LinearCombo:
 
 
 def _analytic_utility(combo: LinearCombo, goal: UtilityGoal, eval_seed: int, mc_trials: int) -> float:
-    if goal.metric == "usefulness":
-        return usefulness_bound(combo, goal.gamma)
-    if goal.metric == "l1":
-        return l1_bound(combo, rtol=1e-9)
-    if goal.metric == "l2":
-        return l2_bound(combo, rtol=1e-9)
+    """The metric of a one-term ``Degenerate`` or ``Bernoulli`` law: exact
+    from its atoms for usefulness, l1 and l2, else a Monte-Carlo estimate
+    on the ``eval_seed`` stream."""
+    if goal.metric in LINEAR_METRICS:
+        f, _, u, _ = _payoff(goal)
+        return u(_mean_payoff(combo, f))
     # a point mass is drawn as a two-atom law with both atoms on it, so that
     # it uses the stream like the search's candidates: all are compared on
     # the same draws
-    if len(combo.terms) == 1 and isinstance(combo.terms[0][1], Degenerate):
-        (coeff, point), = combo.terms
+    (coeff, point), = combo.terms
+    if isinstance(point, Degenerate):
         combo = LinearCombo(((coeff, Bernoulli(1.0, point.value, point.value)),))
     return expected_metric_empirical(
         combo, goal, trials=mc_trials, rng=np.random.default_rng(eval_seed)
     )
+
+
+def _mean_payoff(combo: LinearCombo, f) -> float:
+    """E f(X) over the atoms a x of a one-term Degenerate or Bernoulli law."""
+    (a, law), = combo.terms
+    if isinstance(law, Degenerate):
+        return float(f(a * law.value))
+    return law.p * float(f(a * law.x0)) + (1.0 - law.p) * float(f(a * law.x1))
 
 
 _ATOMS_PER_SIDE = 2001
@@ -211,14 +218,19 @@ _SPAN = 1e8  # each side's grid spans 8 decades beyond its natural scale
 
 
 def _payoff(goal: UtilityGoal):
-    """f such that the metric is best where E f(X) is largest: usefulness
-    is E[1 - e^(-gamma X)], l1 is E[1/X], l2 is sqrt(2 E[1/X^2])."""
+    """(f, ln f', u, knee) with the metric equal to u(E f(X)) and best
+    where E f(X) is largest: usefulness is E[1 - e^(-gamma X)], l1 is
+    E[1/X], l2 is sqrt(2 E[1/X^2]).  ln f' stays in log space, as f'
+    underflows for usefulness once gamma X passes about 745.  f flattens
+    past x = knee: 1/gamma for usefulness, 0 (no knee) for l1 and l2."""
     if goal.metric == "usefulness":
         gamma = goal.gamma
-        return lambda x: -np.expm1(-gamma * x)
+        return (lambda x: -np.expm1(-gamma * x), lambda x: math.log(gamma) - gamma * x,
+                lambda v: v, 1.0 / gamma)
     if goal.metric == "l1":
-        return lambda x: -1.0 / x
-    return lambda x: -1.0 / (x * x)
+        return lambda x: -1.0 / x, lambda x: -2.0 * math.log(x), lambda v: -v, 0.0
+    return (lambda x: -1.0 / (x * x), lambda x: math.log(2.0) - 3.0 * math.log(x),
+            lambda v: math.sqrt(-2.0 * v), 0.0)
 
 
 def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCombo, int]:
@@ -242,14 +254,13 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
         raise ValueError(f"{goal.metric} is not linear in the law of 1/b")
     eps, dq = privacy.epsilon, privacy.sensitivity
     x0 = eps / dq
-    f = _payoff(goal)
+    f, log_fprime, _, knee = _payoff(goal)
 
     def g(x):
         return -x * np.expm1(eps - dq * x)
 
-    reach = max(x0, 1.0 / goal.gamma) if goal.metric == "usefulness" else x0
     sides = (np.geomspace(x0 / _SPAN, x0, _ATOMS_PER_SIDE),
-             np.geomspace(x0, reach * _SPAN, _ATOMS_PER_SIDE))
+             np.geomspace(x0, max(x0, knee) * _SPAN, _ATOMS_PER_SIDE))
     calls = [0]
 
     def peak(xs, lam):
@@ -275,15 +286,11 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
         lo, hi = dual(log_lam)
         return hi[0] - lo[0]
 
-    laplace = LinearCombo(((1.0, Degenerate(x0)),))
+    laplace = laplace_seed(privacy)
     f0 = float(f(x0))
     tol = 4.0 * np.finfo(float).eps * (1.0 + abs(f0))
     # log slope of f against g at x0, where dg/dx = eps
-    if goal.metric == "usefulness":
-        t0 = math.log(goal.gamma) - goal.gamma * x0 - math.log(eps)
-    else:
-        power = 1.0 if goal.metric == "l1" else 2.0
-        t0 = math.log(power) - (power + 1.0) * math.log(x0) - math.log(eps)
+    t0 = log_fprime(x0) - math.log(eps)
     below, above = dual(t0)
     if max(below[0], above[0]) <= f0 + tol:
         return laplace, calls[0]
@@ -300,14 +307,10 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
         gap, min(a, b), max(a, b), xtol=1e-13, rtol=4.0 * np.finfo(float).eps
     )
     (_, x_lo), (_, x_hi) = dual(root)
-    g_lo, g_hi = float(g(x_lo)), float(g(x_hi))
-    if not g_lo < 0.0 < g_hi:
+    law = _two_atom_law(privacy, x_lo, x_hi)
+    if _mean_payoff(law, f) <= f0 + tol:
         return laplace, calls[0]
-    p_lo = g_hi / (g_hi - g_lo)
-    value = p_lo * float(f(x_lo)) + (1.0 - p_lo) * float(f(x_hi))
-    if value <= f0 + tol:
-        return laplace, calls[0]
-    return LinearCombo(((1.0, Bernoulli(p_lo, x_lo, x_hi)),)), calls[0]
+    return law, calls[0]
 
 
 # fixed starting offsets (s, u) of the two-atom search, after the exact
@@ -316,14 +319,13 @@ _FIXED_OFFSETS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (2.0, 2.0))
 _SIMPLEX_STEP = 0.25
 _HOLDOUT_TRIALS = 10  # length of the fresh stream, in multiples of mc_trials
 _UNUSABLE = 1e300  # finite, so that Nelder-Mead never subtracts inf from inf
+_EPSILON_TOL = 1e-9  # how far a returned law's epsilon may be off the target
 
 
-def _two_atom_law(privacy: PrivacySpec, s: float, u: float) -> LinearCombo:
-    """The law on x0 e^-|s| and x0 e^|u| with E g(X) = 0, whose epsilon is
-    the target by construction; the Laplace law when an atom sits at x0."""
+def _two_atom_law(privacy: PrivacySpec, x_lo: float, x_hi: float) -> LinearCombo:
+    """The law on x_lo and x_hi with E g(X) = 0, whose epsilon is the
+    target by construction; the Laplace law unless g(x_lo) < 0 < g(x_hi)."""
     eps, dq = privacy.epsilon, privacy.sensitivity
-    x0 = eps / dq
-    x_lo, x_hi = x0 * math.exp(-abs(s)), x0 * math.exp(abs(u))
     g_lo = -x_lo * math.expm1(eps - dq * x_lo)
     g_hi = -x_hi * math.expm1(eps - dq * x_hi)
     if not g_lo < 0.0 < g_hi:
@@ -344,26 +346,27 @@ def optimize(
     law the search finds on the Monte-Carlo stream fixed by ``seed``;
     the Laplace law is its first candidate.
 
+    Every law returned meets epsilon by construction, with no rescaling.
     Deterministic for fixed (spec, privacy, goal, seed).  Raises
-    ``InfeasibleSpecError`` if the final scale calibration fails.
+    ``InfeasibleSpecError`` if the dual multiplier cannot be bracketed or
+    the law's epsilon is off the target by more than 1e-9.
     """
     master = int(seed)
     eval_seed = master ^ 0x5EED
     if goal.metric in LINEAR_METRICS:
         law, calls = two_atom_optimum(privacy, goal)
-        combo = calibrate_scale(law, privacy)
-        utility = _analytic_utility(combo, goal, eval_seed, spec.mc_trials)
-        return _calibrated(combo, utility, calls, 0, spec, privacy, goal, eval_seed)
+        return _calibrated(law, calls, 0, spec, privacy, goal, eval_seed)
 
     sign = -1.0 if goal.higher_is_better else 1.0
     laplace = laplace_seed(privacy)
     best = [sign * _analytic_utility(laplace, goal, eval_seed, spec.mc_trials), laplace, 0]
     evals = [1]
+    x0 = privacy.epsilon / privacy.sensitivity
 
     def objective(x, restart):
         evals[0] += 1
         try:
-            law = _two_atom_law(privacy, x[0], x[1])
+            law = _two_atom_law(privacy, x0 * math.exp(-abs(x[0])), x0 * math.exp(abs(x[1])))
             value = sign * _analytic_utility(law, goal, eval_seed, spec.mc_trials)
         except (ValueError, OverflowError):
             return _UNUSABLE
@@ -371,7 +374,6 @@ def optimize(
             best[:] = [value, law, restart]
         return value if math.isfinite(value) else _UNUSABLE
 
-    x0 = privacy.epsilon / privacy.sensitivity
     starts = []
     for metric in ("l1", "l2"):
         exact = two_atom_optimum(privacy, UtilityGoal(metric))[0].terms[0][1]
@@ -396,19 +398,20 @@ def optimize(
     if restart and not (sign * _analytic_utility(law, goal, fresh, trials)
                         < sign * _analytic_utility(laplace, goal, fresh, trials)):
         law, restart = laplace, 0
-    combo = calibrate_scale(law, privacy)
-    utility = _analytic_utility(combo, goal, eval_seed, spec.mc_trials)
-    return _calibrated(combo, utility, evals[0], restart, spec, privacy, goal, eval_seed)
+    return _calibrated(law, evals[0], restart, spec, privacy, goal, eval_seed)
 
 
-def _calibrated(combo, utility, evaluations, restart, spec, privacy, goal, eval_seed):
-    """The result record for the chosen combination, with its baselines."""
+def _calibrated(combo, evaluations, restart, spec, privacy, goal, eval_seed):
+    """The result record for the chosen combination, with its baselines.
+    Fails closed when the combination misses the epsilon target."""
     achieved = epsilon_of_combo(combo, privacy.sensitivity)
+    if not abs(achieved - privacy.epsilon) <= _EPSILON_TOL:
+        raise InfeasibleSpecError(f"epsilon {achieved!r} misses the target {privacy.epsilon!r}")
     return CalibratedMechanism(
         combo=combo,
         achieved_epsilon=achieved,
         target_epsilon=privacy.epsilon,
-        predicted_utility=utility,
+        predicted_utility=_analytic_utility(combo, goal, eval_seed, spec.mc_trials),
         baseline_laplace_utility=baseline_laplace(privacy, goal, eval_seed, spec.mc_trials),
         staircase_utility=baseline_staircase(privacy, goal),
         diagnostics=SolverDiagnostics(
@@ -422,15 +425,8 @@ def _calibrated(combo, utility, evaluations, restart, spec, privacy, goal, eval_
 def baseline_laplace(
     privacy: PrivacySpec, goal: UtilityGoal, eval_seed: int = 0, mc_trials: int = 4000
 ) -> float:
-    """The Laplace mechanism's metric: closed form for usefulness, l1 and
-    l2, else a Monte-Carlo estimate on the ``eval_seed`` stream."""
-    b = privacy.sensitivity / privacy.epsilon
-    if goal.metric == "usefulness":
-        return 1.0 - math.exp(-goal.gamma / b)
-    if goal.metric == "l1":
-        return b
-    if goal.metric == "l2":
-        return math.sqrt(2.0) * b
+    """The Laplace mechanism's metric: exact for usefulness, l1 and l2,
+    else a Monte-Carlo estimate on the ``eval_seed`` stream."""
     return _analytic_utility(laplace_seed(privacy), goal, eval_seed, mc_trials)
 
 

@@ -144,14 +144,6 @@ def passes_necessary_condition(combo: LinearCombo | MgfDist, sensitivity: float)
     return necessary_condition_report(combo, sensitivity).passes
 
 
-def _laplace_rdp(b: float, alpha: float) -> float:
-    if alpha == 1.0:
-        return 1.0 / b + math.exp(-1.0 / b) - 1.0
-    log_num = np.logaddexp(math.log(alpha) + (alpha - 1.0) / b,
-                           math.log(alpha - 1.0) - alpha / b)
-    return float(log_num - math.log(2.0 * alpha - 1.0)) / (alpha - 1.0)
-
-
 def _randomized_response_rdp(p: float, alpha: float) -> float:
     if alpha == 1.0:
         return (2.0 * p - 1.0) * math.log(p / (1.0 - p))
@@ -204,7 +196,7 @@ def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:
     if isinstance(mechanism, mech_mod.CompoundLaplace):
         return RdpPoint(alpha, _combo_rdp(mechanism.combo, alpha, sensitivity))
     if isinstance(mechanism, mech_mod.Laplace):
-        return RdpPoint(alpha, _laplace_rdp(mechanism.b / sensitivity, alpha))
+        return RdpPoint(alpha, _combo_rdp(Degenerate(1.0 / mechanism.b), alpha, sensitivity))
     if isinstance(mechanism, mech_mod.Gaussian):
         return RdpPoint(alpha, alpha * sensitivity ** 2 / (2.0 * mechanism.sigma ** 2))
     if isinstance(mechanism, mech_mod.RandomizedResponse):
@@ -219,7 +211,7 @@ _MAX_RADIUS = 1e7
 _MAX_POINTS = 4e6
 
 
-# bisection steps that shrink a doubled radius: the result is at most
+# bisection steps that shrink a bracketing radius: the result is at most
 # (1 + 2^-steps) times the smallest radius that meets the tail mass
 _SHRINK_STEPS = 6
 
@@ -234,11 +226,18 @@ def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) 
     # count would let laws that take the fallback today double instead.
     fallback = 8.0 * sensitivity + 16.0 / max(combo.mean(), 1e-9)
     fallback = min(fallback, _MAX_POINTS * step / 2.0)
+    # Halve the start radius while its half still meets the tail mass, or
+    # double it until it does: then M(-r/2) > tail mass >= M(-r) for every
+    # law that does not take the fallback, however small its radius.
     r = max(1.0, 2.0 * sensitivity)
-    while combo.mgf(-r) > _TAIL_MASS:
+    uncovered = combo.mgf(-r) > _TAIL_MASS
+    while not uncovered and combo.mgf(-r / 2.0) <= _TAIL_MASS:
+        r /= 2.0
+    while uncovered:
         r *= 2.0
         if r > _MAX_RADIUS or (2.0 * r + sensitivity) / step > _MAX_POINTS:
             return fallback
+        uncovered = combo.mgf(-r) > _TAIL_MASS
     # M(-R) decreases in R, so bisect on (r/2, r] and keep the upper end,
     # which always meets the tail mass.  The fallback above is returned as
     # it is: it already leaves more than the tail mass uncovered.
@@ -289,12 +288,12 @@ def verify_epsilon_empirically(
     grid spacing is sensitivity / ceil(sensitivity / step) <= step, so 0
     and the sensitivity lie on it, and M' is evaluated once per radial
     point (see ``density_grid_epsilon``).  The radius is the smallest one,
-    to within 1/64, that leaves at most 1e-9 of the output mass outside;
-    where doubling toward it would pass the caps, a bounded fallback
-    radius is used (see ``_auto_radius``).  A grid of more than 4e6 radial
-    points raises ``GridError``.  The returned value can exceed
-    ``epsilon_of_combo`` only by floating-point error, and matches it at
-    the grid point x = 0.
+    to within 1/64 however small or large, that leaves at most 1e-9 of the
+    output mass outside; where doubling toward it would pass the caps, a
+    bounded fallback radius is used (see ``_auto_radius``).  A grid of
+    more than 4e6 radial points raises ``GridError``.  The returned value
+    can exceed ``epsilon_of_combo`` only by floating-point error, and
+    matches it at the grid point x = 0.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and > 0, got {step}")

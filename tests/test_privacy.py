@@ -432,6 +432,23 @@ def test_auto_radius_is_near_the_smallest_covering_radius(combo, dq):
     assert got <= old
 
 
+def test_auto_radius_shrinks_below_its_start_radius():
+    # the start radius max(1, 2 dq) is 4.9x the smallest covering radius
+    # ln(1e9)/100 of this law
+    r_min = math.log(1e9) / 100.0
+    got = _auto_radius(Degenerate(100.0), 1e-3, 1.0)
+    assert r_min <= got <= (1.0 + 2.0 ** -6) * r_min
+
+
+@pytest.mark.parametrize("value, dq", [(1e6, 1e-6), (1e7, 1e-7)])
+def test_large_point_mass_verifies_at_small_sensitivity(value, dq):
+    # Laplace at eps = 1 with a covering radius of about 2e-5 and 2e-6: on a
+    # radius of order 1, M' is subnormal at the grid's edge, and at
+    # dq = 1e-7 the grid would pass the point cap
+    got = verify_epsilon_empirically(Degenerate(value), dq)
+    assert abs(got - 1.0) <= 1e-9
+
+
 def test_auto_radius_keeps_the_fallback_law():
     # doubling would need more than 4e6 points for this law, so the
     # bounded radius is kept
