@@ -29,7 +29,7 @@ from .mechanisms import (
 )
 from .optimize import SearchSpaceSpec, baseline_laplace, baseline_staircase, optimize
 from .privacy import PrivacySpec
-from .utility import LINEAR_METRICS, UtilityGoal
+from .utility import LINEAR_METRICS, UtilityGoal, noise_metric
 
 
 class EmptyDatasetError(ValueError):
@@ -159,22 +159,6 @@ def _goal_for(metric: str, mp: float) -> UtilityGoal:
     return UtilityGoal(metric)
 
 
-def _empirical(metric: str, mp: float, noise: np.ndarray):
-    n = noise.size
-    if metric == "usefulness":
-        hits = np.abs(noise) <= mp
-        p = float(np.mean(hits))
-        return p, math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    if metric == "l1":
-        abs_noise = np.abs(noise)
-        return float(np.mean(abs_noise)), float(np.std(abs_noise) / math.sqrt(n))
-    sq = noise ** 2
-    mean_sq = float(np.mean(sq))
-    rmse = math.sqrt(mean_sq)
-    se_mean_sq = float(np.std(sq) / math.sqrt(n))
-    return rmse, se_mean_sq / (2.0 * rmse) if rmse > 0 else 0.0
-
-
 def run_grid(
     grid: ExperimentGrid,
     search: SearchSpaceSpec | None = None,
@@ -226,7 +210,7 @@ def run_grid(
             noise_rng = np.random.default_rng(noise_seed_seq)
             noise = np.asarray(sample_noise(mech, noise_rng, grid.trials))
             row.draws = int(noise.size)
-            row.utility_empirical, row.utility_stderr = _empirical(grid.metric, mp, noise)
+            row.utility_empirical, row.utility_stderr = noise_metric(goal, noise)
         except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
             row.error = f"{type(exc).__name__}: {exc}"
         if timing:
@@ -335,7 +319,7 @@ def load_config(path) -> tuple[ExperimentGrid, SearchSpaceSpec, QuerySpec | None
     optional [query] section.  Keys are documented in the README."""
     import configparser
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")

@@ -119,7 +119,8 @@ class MgfDist(ABC):
         returned exactly when the support is bounded away from zero.  A
         combination's power is the sum over its terms, so one such term
         makes it ``inf``.  Used to decide convergence of improper
-        integrals of the MGF.
+        integrals of the MGF, and to close their right-hand tail exactly:
+        beyond the grid, int x^w M(-x) dx is taken as that of C x^-p.
         """
         return math.inf
 
@@ -296,6 +297,13 @@ class Uniform(MgfDist):
         d = shift * (self.lo * ratio + w * _expm1_over_deriv(t * w))
         return _ret(m, scalar), _ret(d, scalar)
 
+    def log_mgf(self, t: float) -> float:
+        # factor out the larger exponential so that nothing overflows
+        tw = t * (self.hi - self.lo)
+        if tw <= 0.0:
+            return t * self.lo + math.log(float(_expm1_over(tw)))
+        return t * self.hi + math.log(-math.expm1(-tw) / tw)
+
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
@@ -370,6 +378,11 @@ class TruncGaussian(MgfDist):
         t = np.asarray(t, float)
         lo_t, _, log_mass = self._tilted(t)
         return _ret(np.exp(self._log_mgf(t, lo_t, log_mass)), scalar)
+
+    def log_mgf(self, t: float) -> float:
+        t = np.asarray(t, float)
+        lo_t, _, log_mass = self._tilted(t)
+        return float(self._log_mgf(t, lo_t, log_mass))
 
     def mgf_deriv(self, t):
         return self.mgf_and_deriv(t)[1]

@@ -288,3 +288,16 @@ def test_readme_spec_format_names_every_family():
     spec = readme.split("**Distribution / combination spec**", 1)[1].split("\n- **", 1)[0]
     listed = re.findall(r"`(\w+)\(", spec.split("Families:", 1)[1])
     assert sorted(listed) == sorted(FAMILIES)
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the example carries trailing "; ..." comments on values and headers
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    grid, search, query = load_config(cfg)
+    assert grid.metric == "usefulness"
+    assert grid.metric_params == (0.1, 0.4, 0.6, 0.9)
+    assert grid.epsilons == (0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
+    assert (search.restarts, search.max_evals, search.mc_trials) == (12, 300, 4000)
+    assert (query.kind, query.window) == ("count", 30)

@@ -237,9 +237,9 @@ def test_predicted_utility_matches_the_mgf_quadrature(eps, dq, goal):
     # utility layer is an independent route to the same number
     result = optimize(FAST, PrivacySpec(eps, dq), goal, seed=7)
     quadrature = _BOUNDS[goal.metric](result.combo, goal)
-    assert result.predicted_utility == pytest.approx(quadrature, rel=1e-9)
+    assert result.predicted_utility == pytest.approx(quadrature, rel=1e-12)
     assert result.baseline_laplace_utility == pytest.approx(
-        _BOUNDS[goal.metric](laplace_seed(PrivacySpec(eps, dq)), goal), rel=1e-9)
+        _BOUNDS[goal.metric](laplace_seed(PrivacySpec(eps, dq)), goal), rel=1e-12)
 
 
 @pytest.mark.parametrize("goal", [UtilityGoal("l2"), UtilityGoal("mallows", p=1.0, prior=PRIOR)],

@@ -232,6 +232,23 @@ def test_rdp_compound_large_order_stays_finite():
     assert math.isfinite(two) and two < 50.0
 
 
+@pytest.mark.parametrize("law,alpha,expected", [
+    # mpmath values of the compound RDP bound at unit sensitivity
+    (Uniform(0.05, 12.05), 16.0, 11.6597096444576),
+    (Uniform(0.05, 12.05), 64.0, 11.9339151527099),
+    (Uniform(0.05, 12.05), 200.0, 12.007442937061),
+    (TruncGaussian(1.0, 0.8, 0.05), 16.0, 5.76424101759564),
+    (TruncGaussian(1.0, 0.8, 0.05), 64.0, 21.1511065038584),
+    (TruncGaussian(1.0, 0.8, 0.05), 200.0, 64.6771576366625),
+], ids=lambda v: f"{v}" if isinstance(v, float) else v.family)
+def test_rdp_uniform_and_trunc_gaussian_stay_finite(law, alpha, expected):
+    # M(alpha - 1) overflows long before ln M does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = rdp_of(law, alpha).epsilon_rdp
+    assert value == pytest.approx(expected, rel=1e-9)
+
+
 def test_rdp_domain_error_for_unbounded_moment():
     with pytest.raises(DomainError):
         rdp_of(singleton(Gamma(1.0, 1.0)), 3.0)

@@ -10,6 +10,7 @@ from dpcalib.distributions import (
     Degenerate,
     Gamma,
     LinearCombo,
+    MgfDist,
     TruncGaussian,
     Uniform,
     singleton,
@@ -122,12 +123,54 @@ def test_l2_at_least_l1(combo):
     assert l2_bound(combo) >= l1_bound(combo)
 
 
+def _inverse_moment(law, order):
+    """E[X^-order] in closed form."""
+    if isinstance(law, Gamma):
+        k, theta = law.shape, law.scale
+        return 1.0 / (theta * (k - 1.0)) if order == 1 else 1.0 / (
+            theta * theta * (k - 1.0) * (k - 2.0))
+    if isinstance(law, Uniform):
+        integral = math.log(law.hi / law.lo) if order == 1 else 1.0 / law.lo - 1.0 / law.hi
+        return integral / (law.hi - law.lo)
+    if isinstance(law, Degenerate):
+        return law.value ** -order
+    return law.p * law.x0 ** -order + (1.0 - law.p) * law.x1 ** -order
+
+
+# the two near-critical gamma laws, whose right-hand remainders carry much
+# of the integral, are held to the default rtol; every other law to 1e-13
+@pytest.mark.parametrize("law,order,rel", [
+    (Gamma(3.0, 1.0), 2, 1e-13),
+    (Gamma(2.5, 0.3), 2, 1e-13),
+    (Gamma(2.02, 1.0), 2, 1e-10),
+    (Gamma(1.01, 2.0), 1, 1e-10),
+    (Uniform(1e-6, 1.0), 1, 1e-13),
+    (Uniform(1e-6, 1.0), 2, 1e-13),
+] + [(Degenerate(v), order, 1e-13) for v in (1e-100, 1e-3, 1.0, 7.5, 1e6) for order in (1, 2)]
+  + [(Bernoulli(0.3, 1e-3, 1e6), order, 1e-13) for order in (1, 2)],
+    ids=lambda v: repr(v) if isinstance(v, MgfDist) else None)
+def test_moment_bounds_against_closed_forms(law, order, rel):
+    # l1 = E[1/X] and l2 = sqrt(2 E[1/X^2])
+    if order == 1:
+        assert l1_bound(law) == pytest.approx(_inverse_moment(law, 1), rel=rel)
+    else:
+        assert l2_bound(law) == pytest.approx(math.sqrt(2.0 * _inverse_moment(law, 2)), rel=rel)
+
+
 def test_quadrature_against_scipy_oracle():
-    combo = LinearCombo(((0.7, Gamma(3.0, 1.0)), (0.3, Uniform(1.0, 4.0))))
-    ref, _ = integrate.quad(lambda x: combo.mgf(-x), 0, np.inf, limit=300)
-    assert l1_bound(combo) == pytest.approx(ref, rel=1e-7)
-    ref2, _ = integrate.quad(lambda x: x * combo.mgf(-x), 0, np.inf, limit=300)
-    assert l2_bound(combo) == pytest.approx(math.sqrt(2 * ref2), rel=1e-7)
+    ensemble = LinearCombo((
+        (0.11006938022104956, Gamma(4.0, 0.22140275816016983)),
+        (0.11006938022104956, Uniform(0.05000000000000001, 12.05)),
+        (0.11006938022104956, TruncGaussian(1.0, 0.8, 0.05000000000000001, 25.049999999999997)),
+    ))
+
+    def quad(f):
+        return integrate.quad(f, 0, np.inf, epsabs=0, epsrel=1e-11, limit=500)[0]
+
+    for combo in (LinearCombo(((0.7, Gamma(3.0, 1.0)), (0.3, Uniform(1.0, 4.0)))), ensemble):
+        assert l1_bound(combo) == pytest.approx(quad(lambda x: combo.mgf(-x)), rel=1e-11)
+        ref2 = quad(lambda x: x * combo.mgf(-x))
+        assert l2_bound(combo) == pytest.approx(math.sqrt(2 * ref2), rel=1e-11)
 
 
 def test_quadrature_tolerance_self_consistency():
