@@ -48,6 +48,7 @@ from .mechanisms import (
 from .privacy import PrivacySpec, epsilon_of_combo
 from .utility import (
     LINEAR_METRICS,
+    NORM_POWERS,
     UtilityGoal,
     expected_metric_empirical,
 )
@@ -71,8 +72,8 @@ class SearchSpaceSpec:
     mc_trials: int = 4000
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_evals < 1:
-            raise ValueError("restarts and max_evals must be >= 1")
+        if self.restarts < 1 or self.max_evals < 1 or self.mc_trials < 1:
+            raise ValueError("restarts, max_evals and mc_trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -219,18 +220,23 @@ _SPAN = 1e8  # each side's grid spans 8 decades beyond its natural scale
 
 def _payoff(goal: UtilityGoal):
     """(f, ln f', u, knee) with the metric equal to u(E f(X)) and best
-    where E f(X) is largest: usefulness is E[1 - e^(-gamma X)], l1 is
-    E[1/X], l2 is sqrt(2 E[1/X^2]).  ln f' stays in log space, as f'
-    underflows for usefulness once gamma X passes about 745.  f flattens
-    past x = knee: 1/gamma for usefulness, 0 (no knee) for l1 and l2."""
+    where E f(X) is largest: usefulness is E[1 - e^(-gamma X)], and the
+    l1 and l2 norms (E|noise|^p)^(1/p) are (p! E[X^-p])^(1/p).  ln f' stays
+    in log space, as f' underflows for usefulness once gamma X passes
+    about 745.  f flattens past x = knee: 1/gamma for usefulness, 0 (no
+    knee) for the norms."""
     if goal.metric == "usefulness":
         gamma = goal.gamma
         return (lambda x: -np.expm1(-gamma * x), lambda x: math.log(gamma) - gamma * x,
                 lambda v: v, 1.0 / gamma)
-    if goal.metric == "l1":
-        return lambda x: -1.0 / x, lambda x: -2.0 * math.log(x), lambda v: -v, 0.0
-    return (lambda x: -1.0 / (x * x), lambda x: math.log(2.0) - 3.0 * math.log(x),
-            lambda v: math.sqrt(-2.0 * v), 0.0)
+    p = NORM_POWERS[goal.metric]
+    return (lambda x: -1.0 / x ** p, lambda x: math.log(p) - (p + 1) * math.log(x),
+            lambda v: (math.factorial(p) * -v) ** (1.0 / p), 0.0)
+
+
+def _constraint(privacy: PrivacySpec, x):
+    """g(x) of the epsilon constraint E g(X) <= 0."""
+    return -x * np.expm1(privacy.epsilon - privacy.sensitivity * x)
 
 
 def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCombo, int]:
@@ -255,22 +261,18 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     eps, dq = privacy.epsilon, privacy.sensitivity
     x0 = eps / dq
     f, log_fprime, _, knee = _payoff(goal)
-
-    def g(x):
-        return -x * np.expm1(eps - dq * x)
-
     sides = (np.geomspace(x0 / _SPAN, x0, _ATOMS_PER_SIDE),
              np.geomspace(x0, max(x0, knee) * _SPAN, _ATOMS_PER_SIDE))
     calls = [0]
 
     def peak(xs, lam):
         """(max, argmax) of f - lam g over one side."""
-        h = f(xs) - lam * g(xs)
+        h = f(xs) - lam * _constraint(privacy, xs)
         i = int(np.argmax(h))
         best = (float(h[i]), float(xs[i]))
         lo, hi = math.log(xs[max(i - 1, 0)]), math.log(xs[min(i + 1, xs.size - 1)])
         res = sp_optimize.minimize_scalar(
-            lambda t: float(lam * g(math.exp(t)) - f(math.exp(t))),
+            lambda t: float(lam * _constraint(privacy, math.exp(t)) - f(math.exp(t))),
             bounds=(lo, hi), method="bounded", options={"xatol": 1e-12},
         )
         if -res.fun > best[0]:
@@ -325,9 +327,7 @@ _EPSILON_TOL = 1e-9  # how far a returned law's epsilon may be off the target
 def _two_atom_law(privacy: PrivacySpec, x_lo: float, x_hi: float) -> LinearCombo:
     """The law on x_lo and x_hi with E g(X) = 0, whose epsilon is the
     target by construction; the Laplace law unless g(x_lo) < 0 < g(x_hi)."""
-    eps, dq = privacy.epsilon, privacy.sensitivity
-    g_lo = -x_lo * math.expm1(eps - dq * x_lo)
-    g_hi = -x_hi * math.expm1(eps - dq * x_hi)
+    g_lo, g_hi = float(_constraint(privacy, x_lo)), float(_constraint(privacy, x_hi))
     if not g_lo < 0.0 < g_hi:
         return laplace_seed(privacy)
     return LinearCombo(((1.0, Bernoulli(g_hi / (g_hi - g_lo), x_lo, x_hi)),))
@@ -375,7 +375,7 @@ def optimize(
         return value if math.isfinite(value) else _UNUSABLE
 
     starts = []
-    for metric in ("l1", "l2"):
+    for metric in NORM_POWERS:
         exact = two_atom_optimum(privacy, UtilityGoal(metric))[0].terms[0][1]
         if isinstance(exact, Bernoulli):
             starts.append((math.log(x0 / exact.x0), math.log(exact.x1 / x0)))

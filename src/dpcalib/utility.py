@@ -1,14 +1,15 @@
 """Utility metrics and error bounds for compound-Laplace noise.
 
 Prior-independent bounds come straight from the MGF of the reciprocal
-scale: usefulness is 1 - M(-gamma), the expected absolute error is the
-improper integral of M(-x), and the root mean squared error follows from
-the nested tail integral (equivalently, int_0^inf x M(-x) dx by Fubini).
-Both integrals are taken by one trapezoid rule in ln x whose tails are
-closed by exact power-law remainders.  Prior-dependent metrics (Mallows,
-KL, Renyi) are estimated by Monte Carlo over the two-fold noise, which
-is also how arbitrary per-scale error bounds are lifted to the compound
-mechanism; ``noise_metric`` scores usefulness, l1 and l2 on noise draws.
+scale: usefulness is 1 - M(-gamma), and l1 and l2 are the norms
+(E|noise|^p)^(1/p) at p = 1 and 2, with E|noise|^p = p! E[X^-p] =
+p int_0^inf x^(p-1) M(-x) dx.  At p = 2 that integral is the nested tail
+integral of M(-x) (Fubini).  It is taken by one trapezoid rule in ln x
+whose tails are closed by exact power-law remainders.  Prior-dependent
+metrics (Mallows, KL, Renyi) are estimated by Monte Carlo over the
+two-fold noise, which is also how arbitrary per-scale error bounds are
+lifted to the compound mechanism; ``noise_metric`` scores usefulness, l1
+and l2 on noise draws.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ class NonFiniteError(ArithmeticError):
 # usefulness, l1 and l2 are linear in the law of 1/b and need no prior;
 # the others are estimated by Monte Carlo over a prior
 LINEAR_METRICS = ("usefulness", "l1", "l2")
+# l1 and l2 are the norms (E|noise|^p)^(1/p) at these p
+NORM_POWERS = {"l1": 1, "l2": 2}
 _PRIOR_DEPENDENT = ("mallows", "kl", "renyi")
 METRICS = LINEAR_METRICS + _PRIOR_DEPENDENT
 
@@ -148,64 +151,60 @@ def usefulness_bound(combo: LinearCombo | MgfDist, gamma: float) -> float:
     return 1.0 - combo.mgf(-gamma)
 
 
-def _mgf_moment(combo: LinearCombo | MgfDist, weight: int, rtol: float) -> float:
-    """int_0^inf x^weight M(-x) dx by the trapezoid rule in s = ln(x * mean).
+_NORM_RTOL = 1e-10  # relative agreement of two trapezoid levels
 
-    With k = weight + 1 it is mean^-k int F(s) ds, F(s) = e^{ks} M(-e^s/mean).
+
+def _noise_norm(combo: LinearCombo | MgfDist, p: int) -> float:
+    """(E|noise|^p)^(1/p), with E|noise|^p = p int_0^inf x^(p-1) M(-x) dx,
+    by the trapezoid rule in s = ln(x * mean).
+
+    That integral is mean^-p int F(s) ds, F(s) = e^{ps} M(-e^s/mean).
     A power-law tail of M is exponential in s and the body is smooth, so the
     rule converges geometrically.  The remainders are exact to first order:
-    F(lo)/k on the left, where M = 1, and F(hi)/(p - k) on the right, where
-    M ~ C x^-p with p = ``tail_power()`` (zero for an exponential tail).
+    F(lo)/p on the left, where M = 1, and F(hi)/(q - p) on the right, where
+    M ~ C x^-q with q = ``tail_power()`` (zero for an exponential tail).
     The step halves from 1/2, evaluating only the new midpoints, until two
-    levels agree to ``rtol`` or after 6 halvings.
+    levels agree to 1e-10 or after 6 halvings.  The root is taken before
+    the scale 1/mean, so the norm is finite wherever it is representable.
     """
-    k = weight + 1.0
+    if combo.tail_power() <= p + 1e-12:
+        raise DivergentIntegralError(
+            f"E|noise|^{p} diverges: MGF tail decays like x^-{combo.tail_power():g}"
+        )
     mean = combo.mean()
-    lo = -40.0 / k
+    lo = -40.0 / p
     with np.errstate(under="ignore", over="ignore"):
-        # one pass at unit steps up to where e^{ks} stays finite; the grid
+        # one pass at unit steps up to where e^{ps} stays finite; the grid
         # ends one step past the last point that still counts, and M above
         # 1e-250 keeps it out of the subnormal range
-        u = np.exp(lo + np.arange(math.ceil(700.0 / k - lo) + 1))
+        u = np.exp(lo + np.arange(math.ceil(700.0 / p - lo) + 1))
         m = combo.mgf(-u / mean)
-        f = u ** k * m
+        f = u ** p * m
         last = np.flatnonzero((f > 1e-17 * f.max()) & (m > 1e-250))[-1]
         n = min(int(last) + 1, f.size - 1)
         f_lo, f_hi = float(f[0]), float(f[n])
-        remainder = f_lo / k + f_hi / (combo.tail_power() - k)
+        remainder = f_lo / p + f_hi / (combo.tail_power() - p)
         h, total = 1.0, float(np.sum(f[1:n])) + 0.5 * (f_lo + f_hi)
         prev = math.nan
         for _ in range(7):
             h *= 0.5
             u = np.exp(lo + h * np.arange(1.0, n / h, 2.0))
-            total += float(np.sum(u ** k * combo.mgf(-u / mean)))
+            total += float(np.sum(u ** p * combo.mgf(-u / mean)))
             cur = h * total + remainder
-            if abs(cur - prev) <= rtol * abs(cur):
+            if abs(cur - prev) <= _NORM_RTOL * abs(cur):
                 break
             prev = cur
-        return float(cur * np.float64(mean) ** -k)
+        return (p * cur) ** (1.0 / p) / mean
 
 
-def l1_bound(combo: LinearCombo | MgfDist, rtol: float = 1e-10) -> float:
-    """Expected absolute error: int_0^inf M(-x) dx, by a trapezoid rule in ln x."""
-    if combo.tail_power() <= 1.0 + 1e-12:
-        raise DivergentIntegralError(
-            f"E|noise| diverges: MGF tail decays like x^-{combo.tail_power():g}"
-        )
-    return _mgf_moment(combo, 0, rtol)
+def l1_bound(combo: LinearCombo | MgfDist) -> float:
+    """Expected absolute error E|noise| = int_0^inf M(-x) dx."""
+    return _noise_norm(combo, 1)
 
 
-def l2_bound(combo: LinearCombo | MgfDist, rtol: float = 1e-10) -> float:
-    """Root expected squared error: sqrt(2 * int_0^inf int_x^inf M(-u) du dx).
-
-    The nested tail integral equals int_0^inf u M(-u) du (Fubini), which
-    is what the trapezoid rule evaluates.
-    """
-    if combo.tail_power() <= 2.0 + 1e-12:
-        raise DivergentIntegralError(
-            f"E[noise^2] diverges: MGF tail decays like x^-{combo.tail_power():g}"
-        )
-    return math.sqrt(2.0 * _mgf_moment(combo, 1, rtol))
+def l2_bound(combo: LinearCombo | MgfDist) -> float:
+    """Root expected squared error sqrt(E[noise^2]) = sqrt(2 int_0^inf x M(-x) dx)."""
+    return _noise_norm(combo, 2)
 
 
 def _mallows(d, p: float):
@@ -269,18 +268,17 @@ def renyi_divergence(p: Histogram, q: Histogram, alpha: float) -> float:
 
 
 def noise_metric(goal: UtilityGoal, noise: np.ndarray) -> tuple[float, float]:
-    """(estimate, standard error) of usefulness, l1 or l2 from noise draws."""
+    """(estimate, standard error) of usefulness, l1 or l2 from noise draws;
+    the error of a norm is that of mean |n|^p, carried through the root."""
     n = noise.size
     if goal.metric == "usefulness":
-        p = float(np.mean(np.abs(noise) <= goal.gamma))
-        return p, math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    if goal.metric == "l1":
-        abs_noise = np.abs(noise)
-        return float(np.mean(abs_noise)), float(np.std(abs_noise) / math.sqrt(n))
-    sq = noise ** 2
-    rmse = math.sqrt(float(np.mean(sq)))
-    se_mean_sq = float(np.std(sq) / math.sqrt(n))
-    return rmse, se_mean_sq / (2.0 * rmse) if rmse > 0 else 0.0
+        hit = float(np.mean(np.abs(noise) <= goal.gamma))
+        return hit, math.sqrt(max(hit * (1.0 - hit), 0.0) / n)
+    p = NORM_POWERS[goal.metric]
+    powers = np.abs(noise) ** p
+    est = float(np.mean(powers)) ** (1.0 / p)
+    se = float(np.std(powers) / math.sqrt(n))
+    return est, se / (p * est ** (p - 1)) if est > 0 else 0.0
 
 
 def expected_metric_empirical(

@@ -1,12 +1,14 @@
 """Shared test laws: hypothesis strategies for distribution
-parameterizations, the compound laws the benchmark audits, and a
-reference for a combination's M'."""
+parameterizations, the compound laws the benchmark audits, a
+reference for a combination's M', and a linear-program oracle for
+the best law of the reciprocal scale."""
 
 import configparser
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy import optimize as sp_optimize
 
 from dpcalib.distributions import (
     Bernoulli,
@@ -18,6 +20,7 @@ from dpcalib.distributions import (
 )
 
 MECHANISMS_INI = Path(__file__).resolve().parent.parent / "perfbench" / "mechanisms.ini"
+ORACLE_SCALES = np.geomspace(1e-3, 1e3, 4001)
 
 
 def committed_compound_laws():
@@ -43,6 +46,21 @@ def product_rule_deriv(combo, t):
                 part = part * v
         out = out + part
     return out
+
+
+def lp_optimum(eps: float, dq: float, payoff) -> float:
+    """max E payoff(X) over laws of X on ORACLE_SCALES and the Laplace scale
+    eps/dq whose epsilon is at most eps: E[X (1 - e^(eps - dq X))] <= 0 is
+    ln E[X] - ln M'(-dq) <= eps."""
+    x = np.union1d(ORACLE_SCALES, [eps / dq])
+    res = sp_optimize.linprog(
+        -payoff(x),
+        A_ub=(-x * np.expm1(eps - dq * x))[None, :], b_ub=[0.0],
+        A_eq=np.ones((1, x.size)), b_eq=[1.0],
+        bounds=(0.0, None), method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 def degenerate_dists():

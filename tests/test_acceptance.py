@@ -17,7 +17,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import optimize as sp_optimize
 from scipy import stats
 
 from dpcalib import cli
@@ -59,12 +58,12 @@ from dpcalib.utility import (
     renyi_divergence,
     usefulness_bound,
 )
+from strategies import lp_optimum
 
 EPSILONS = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
 SENSITIVITIES = (0.5, 1.0)
 GAMMAS = (0.1, 0.4, 0.6, 0.9)
 L2_LARGE_EPSILONS = (6.0, 8.0)
-ORACLE_SCALES = np.geomspace(1e-3, 1e3, 4001)
 
 
 def _finish(num: int, name: str, failures: list[str], notes: list[str] | None = None):
@@ -141,31 +140,16 @@ def test_criterion_02_laplace_recovery():
             [f"KS p-value {ks.pvalue:.3f} on 1e5 draws"])
 
 
-def _class_optimum_lp(eps: float, dq: float, payoff) -> float:
-    """max E payoff(X) over laws of X on ORACLE_SCALES and the Laplace scale
-    eps/dq whose epsilon is at most eps: E[X (1 - e^(eps - dq X))] <= 0 is
-    ln E[X] - ln M'(-dq) <= eps."""
-    x = np.union1d(ORACLE_SCALES, [eps / dq])
-    res = sp_optimize.linprog(
-        -payoff(x),
-        A_ub=(-x * np.expm1(eps - dq * x))[None, :], b_ub=[0.0],
-        A_eq=np.ones((1, x.size)), b_eq=[1.0],
-        bounds=(0.0, None), method="highs",
-    )
-    assert res.status == 0, res.message
-    return -res.fun
-
-
 @pytest.fixture(scope="module")
 def class_optimum():
     """Best usefulness per criterion-5 cell, and best l2 at the large
     criterion-6 epsilons, over every compound-Laplace law on the grid."""
     usefulness = {
-        (eps, dq, gamma): _class_optimum_lp(eps, dq, lambda x, g=gamma: -np.expm1(-g * x))
+        (eps, dq, gamma): lp_optimum(eps, dq, lambda x, g=gamma: -np.expm1(-g * x))
         for eps in EPSILONS for dq in SENSITIVITIES for gamma in GAMMAS
     }
     l2 = {
-        eps: math.sqrt(-2.0 * _class_optimum_lp(eps, 1.0, lambda x: -1.0 / (x * x)))
+        eps: math.sqrt(-2.0 * lp_optimum(eps, 1.0, lambda x: -1.0 / (x * x)))
         for eps in L2_LARGE_EPSILONS
     }
     return {"usefulness": usefulness, "l2": l2}

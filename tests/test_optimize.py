@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from scipy import optimize as sp_optimize
-
 from dpcalib.distributions import Bernoulli, Degenerate, Gamma, LinearCombo, Uniform, singleton
 from dpcalib.mechanisms import CompoundLaplace, sample_noise
 from dpcalib.optimize import (
@@ -25,6 +23,7 @@ from dpcalib.utility import (
     l2_bound,
     usefulness_bound,
 )
+from strategies import lp_optimum
 
 FAST = SearchSpaceSpec(restarts=8, max_evals=150)
 # a small budget for the Monte-Carlo two-atom search (mallows/kl/renyi)
@@ -45,6 +44,8 @@ def test_search_space_validation():
         SearchSpaceSpec(restarts=0)
     with pytest.raises(ValueError):
         SearchSpaceSpec(max_evals=0)
+    with pytest.raises(ValueError):
+        SearchSpaceSpec(mc_trials=0)
 
 
 def test_calibrate_scale_hits_target_exactly():
@@ -154,18 +155,6 @@ def test_error_classes_exist():
     assert issubclass(InfeasibleSpecError, RuntimeError)
 
 
-def _grid_lp_optimum(privacy, payoff, n=2001):
-    """Best E payoff(X) over laws on a log grid plus the Laplace scale."""
-    eps, dq = privacy.epsilon, privacy.sensitivity
-    x = np.union1d(np.geomspace(1e-2, 1e3, n), [eps / dq])
-    res = sp_optimize.linprog(
-        -payoff(x), A_ub=(-x * np.expm1(eps - dq * x))[None, :], b_ub=[0.0],
-        A_eq=np.ones((1, x.size)), b_eq=[1.0], bounds=(0.0, None), method="highs",
-    )
-    assert res.status == 0
-    return -res.fun
-
-
 @pytest.mark.parametrize("metric,eps,dq,gamma,family", [
     ("usefulness", 5.0, 1.0, 0.1, "bernoulli"),
     ("usefulness", 8.0, 1.0, 0.4, "bernoulli"),
@@ -185,13 +174,13 @@ def test_linear_metrics_solved_exactly(metric, eps, dq, gamma, family):
     assert np.all(np.isfinite(noise) & (noise != 0.0))
     # no law on a fine grid of scales does better
     if metric == "usefulness":
-        best = _grid_lp_optimum(privacy, lambda x: -np.expm1(-gamma * x))
+        best = lp_optimum(eps, dq, lambda x: -np.expm1(-gamma * x))
         assert result.predicted_utility >= best - 1e-9
     elif metric == "l1":
-        best = -_grid_lp_optimum(privacy, lambda x: -1.0 / x)
+        best = -lp_optimum(eps, dq, lambda x: -1.0 / x)
         assert result.predicted_utility <= best * (1.0 + 1e-9)
     else:
-        best = math.sqrt(-2.0 * _grid_lp_optimum(privacy, lambda x: -1.0 / (x * x)))
+        best = math.sqrt(-2.0 * lp_optimum(eps, dq, lambda x: -1.0 / (x * x)))
         assert result.predicted_utility <= best * (1.0 + 1e-9)
     if family == "degenerate":
         assert dist == Degenerate(eps / dq) and coeff == 1.0
