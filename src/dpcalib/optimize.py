@@ -239,50 +239,78 @@ def _constraint(privacy: PrivacySpec, x):
     return -x * np.expm1(privacy.epsilon - privacy.sensitivity * x)
 
 
+def _constraint_slope(privacy: PrivacySpec, x: float) -> float:
+    """g'(x) at a float x."""
+    z = privacy.epsilon - privacy.sensitivity * x
+    return privacy.sensitivity * x * math.exp(z) - math.expm1(z)
+
+
+_LOG_LAM_REACH = 1500.0  # bracket reach in ln lam; lam = e^(ln lam) underflows past -745
+_LOG_X_TOL = 1e-12  # width in ln x at which a peak's bisection stops
+
+
+def _peak(privacy: PrivacySpec, f, log_fprime, side, log_lam: float) -> tuple[float, float]:
+    """(max, argmax) of h = f - lam g, lam = e^log_lam, over one side's
+    table (xs, ln xs, f(xs), g(xs)): the best grid point, or the point
+    that bisecting the sign of dh/dx finds between its neighbours if h is
+    higher there."""
+    xs, ts, fs, gs = side
+    lam = math.exp(log_lam)
+    h = fs - lam * gs
+    i = int(np.argmax(h))
+    lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, xs.size - 1)])
+    while hi - lo > _LOG_X_TOL:
+        # h rises where f' > lam g', in log space as f' and lam may
+        # underflow; f' > 0 always
+        mid = 0.5 * (lo + hi)
+        x = math.exp(mid)
+        slope = _constraint_slope(privacy, x)
+        if slope <= 0.0 or log_fprime(x) > log_lam + math.log(slope):
+            lo = mid
+        else:
+            hi = mid
+    x = math.exp(0.5 * (lo + hi))
+    value = float(f(x) - lam * _constraint(privacy, x))
+    return (value, x) if value > h[i] else (float(h[i]), float(xs[i]))
+
+
 def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCombo, int]:
     """The law of X that is best for a linear metric over *every* law.
 
     Maximizes E f(X) subject to E g(X) <= 0, g(x) = x (1 - e^(eps - dq x)),
     which is the epsilon constraint.  g < 0 below x0 = eps/dq and g > 0
     above it.  For a multiplier lam >= 0 the dual is the larger of
-    H_lo(lam) = max over x <= x0 of f - lam g (increasing in lam) and
+    H_lo(lam) = max over x <= x0 of h = f - lam g (increasing in lam) and
     H_hi(lam), the same over x >= x0 (decreasing).  Its minimum is where
     the two cross; each side's maximizer there is an atom, weighted so
-    that E g(X) = 0.  Each side's maximum is taken on a log-spaced grid
-    and refined by a bounded scalar search around the best grid point.
+    that E g(X) = 0.  Each side's maximum is taken on a log-spaced grid,
+    whose f and g are tabled once per call, and refined from the closed
+    form of dh/dx (``_peak``).
 
     Returns the law, ``Degenerate(x0)`` (exactly Laplace) when the line
     tangent to (g, f) at x0 already supports the curve or no two-atom law
     beats it, else a ``Bernoulli``, and the number of dual evaluations.
-    Usefulness, l1 and l2 only.
+    Usefulness, l1 and l2 only.  Raises ``InfeasibleSpecError`` when g
+    overflows on the grid (epsilon near 710 and above) or the multiplier
+    cannot be bracketed.
     """
     if goal.metric not in LINEAR_METRICS:
         raise ValueError(f"{goal.metric} is not linear in the law of 1/b")
     eps, dq = privacy.epsilon, privacy.sensitivity
     x0 = eps / dq
     f, log_fprime, _, knee = _payoff(goal)
-    sides = (np.geomspace(x0 / _SPAN, x0, _ATOMS_PER_SIDE),
-             np.geomspace(x0, max(x0, knee) * _SPAN, _ATOMS_PER_SIDE))
+    with np.errstate(over="ignore"):
+        sides = [(xs, np.log(xs), f(xs), _constraint(privacy, xs))
+                 for xs in (np.geomspace(x0 / _SPAN, x0, _ATOMS_PER_SIDE),
+                            np.geomspace(x0, max(x0, knee) * _SPAN, _ATOMS_PER_SIDE))]
+    if not all(np.isfinite(gs).all() for *_, gs in sides):
+        raise InfeasibleSpecError(
+            f"epsilon {eps!r} is too large at sensitivity {dq!r}: e^(eps - dq x) overflows")
     calls = [0]
-
-    def peak(xs, lam):
-        """(max, argmax) of f - lam g over one side."""
-        h = f(xs) - lam * _constraint(privacy, xs)
-        i = int(np.argmax(h))
-        best = (float(h[i]), float(xs[i]))
-        lo, hi = math.log(xs[max(i - 1, 0)]), math.log(xs[min(i + 1, xs.size - 1)])
-        res = sp_optimize.minimize_scalar(
-            lambda t: float(lam * _constraint(privacy, math.exp(t)) - f(math.exp(t))),
-            bounds=(lo, hi), method="bounded", options={"xatol": 1e-12},
-        )
-        if -res.fun > best[0]:
-            best = (-float(res.fun), math.exp(res.x))
-        return best
 
     def dual(log_lam):
         calls[0] += 1
-        lam = math.exp(log_lam)
-        return peak(sides[0], lam), peak(sides[1], lam)
+        return [_peak(privacy, f, log_fprime, side, log_lam) for side in sides]
 
     def gap(log_lam):
         lo, hi = dual(log_lam)
@@ -296,13 +324,13 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     below, above = dual(t0)
     if max(below[0], above[0]) <= f0 + tol:
         return laplace, calls[0]
-    # bracket the crossing by unit steps in log lam, then solve it
+    # bracket the crossing by doubling steps in log lam, then solve it
     d = above[0] - below[0]
     step = 1.0 if d > 0 else -1.0
     a = b = t0
     while d != 0.0 and (d > 0) == (step > 0):
-        a, b = b, b + step
-        if abs(b - t0) > 200.0:
+        a, b, step = b, b + step, 2.0 * step
+        if abs(b - t0) > _LOG_LAM_REACH:
             raise InfeasibleSpecError("the dual multiplier could not be bracketed")
         d = gap(b)
     root = b if d == 0.0 else sp_optimize.brentq(

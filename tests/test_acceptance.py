@@ -243,6 +243,7 @@ def test_criterion_05_usefulness_dominance(usefulness_grid, class_optimum):
     notes = [f"grid of {len(results)} cells optimized in {elapsed:.0f}s"]
     lap_fail = []
     stair_fail = []
+    lp_fail = []
     held_to_optimum = 0
     print("\n    eps   dq  gamma |   tuned   laplace staircase   optimum   margin")
     for (eps, dq, gamma), cal in sorted(results.items()):
@@ -255,6 +256,9 @@ def test_criterion_05_usefulness_dominance(usefulness_grid, class_optimum):
               f"{stair:9.6f} {best:9.6f} {margin:+9.6f}")
         if tuned < lap - 1e-6:
             lap_fail.append((eps, dq, gamma))
+        # the LP over laws on the oracle grid is a lower bound on the best law
+        if tuned < best - 4.0 * np.finfo(float).eps * (1.0 + abs(best)):
+            lp_fail.append((eps, dq, gamma, tuned - best))
         # max(Laplace, Staircase) where some law reaches it, else the class optimum
         need = min(max(lap, stair), best)
         held_to_optimum += need < max(lap, stair) - 1e-6
@@ -264,6 +268,10 @@ def test_criterion_05_usefulness_dominance(usefulness_grid, class_optimum):
         failures.append(f"tuned mechanism fell below Laplace in cells {lap_fail}")
     else:
         notes.append("dominates the Laplace baseline in all 48 cells")
+    if lp_fail:
+        failures.append(f"tuned usefulness fell below the LP oracle in cells {lp_fail}")
+    else:
+        notes.append("reaches the LP oracle in all 48 cells")
     notes.append(f"{held_to_optimum} cells where every law falls more than 1e-6 short of "
                  "max(Laplace, Staircase) are held to the class optimum instead")
     if stair_fail:

@@ -243,6 +243,17 @@ def test_cli_optimize_writes_record(tmp_path):
     assert abs(record.achieved_epsilon - 2.0) <= 1e-3
 
 
+def test_cli_optimize_large_epsilon(tmp_path):
+    # exits 0 with an exact-epsilon law at eps = 300, and 2 (infeasible)
+    # where e^eps overflows
+    out = tmp_path / "mech.txt"
+    assert cli.main(["optimize", "--epsilon", "300", "--metric", "l2", "--out", str(out)]) == 0
+    from dpcalib.optimize import CalibratedMechanism
+
+    assert abs(CalibratedMechanism.from_text(out.read_text()).achieved_epsilon - 300.0) <= 1e-9
+    assert cli.main(["optimize", "--epsilon", "720", "--metric", "l2"]) == 2
+
+
 def test_cli_optimize_prior_metric_record_round_trips(tmp_path, capsys):
     from dpcalib.optimize import CalibratedMechanism
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -198,12 +199,89 @@ def test_tiny_epsilon_returns_the_laplace_law_unscaled(goal, dq):
     assert result.combo == LinearCombo(((1.0, Degenerate(0.01 / dq)),))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dq", [1e-3, 1.0, 300.0])
-@pytest.mark.parametrize("eps", [0.01, 0.25, 1.0, 8.0, 60.0])
+@pytest.mark.parametrize("eps", [0.01, 0.25, 1.0, 8.0, 60.0, 260.0, 500.0, 700.0])
 @pytest.mark.parametrize("goal", LINEAR_GOALS, ids=lambda goal: goal.metric)
 def test_two_atom_optimum_meets_epsilon_without_rescaling(goal, eps, dq):
     law, _ = two_atom_optimum(PrivacySpec(eps, dq), goal)
     assert abs(epsilon_of_combo(law, dq) - eps) <= 1e-12 * max(1.0, eps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps", [710.0, 1000.0])
+@pytest.mark.parametrize("goal", LINEAR_GOALS, ids=lambda goal: goal.metric)
+def test_two_atom_optimum_refuses_an_overflowing_epsilon(goal, eps):
+    # past eps ~ 709.78, e^eps overflows: a clear error, not a warning
+    with pytest.raises(InfeasibleSpecError, match="too large"):
+        two_atom_optimum(PrivacySpec(eps, 1.0), goal)
+
+
+def _reference_payoff(goal):
+    """f(x) of each linear metric, written apart from the optimizer's table."""
+    if goal.metric == "usefulness":
+        return lambda x: -np.expm1(-goal.gamma * x)
+    return {"l1": lambda x: -1.0 / x, "l2": lambda x: -1.0 / (x * x)}[goal.metric]
+
+
+@pytest.mark.parametrize("eps,dq,goal", [
+    (eps, dq, UtilityGoal("usefulness", gamma=gamma))
+    for eps, dq in ((0.5, 0.5), (2.0, 1.0), (5.0, 1.0), (8.0, 0.5)) for gamma in (0.1, 0.9)
+] + [
+    (eps, dq, UtilityGoal(metric))
+    for metric in ("l1", "l2") for eps, dq in ((0.25, 1.0), (4.0, 0.5), (8.0, 1.0), (60.0, 300.0))
+] + [
+    (30.0, 3.0, UtilityGoal("usefulness", gamma=1.0)),
+    (260.0, 1.0, UtilityGoal("usefulness", gamma=0.1)),
+    (260.0, 1.0, UtilityGoal("l1")),
+    (260.0, 1.0, UtilityGoal("l2")),
+])
+def test_each_refined_peak_beats_a_dense_grid(eps, dq, goal, monkeypatch):
+    # every side maximum the dual evaluates is at least the maximum of
+    # h = f - lam g on a dense log grid of the bracket it refines, less 4
+    # ulp of the terms h is computed from.  e^(eps - dq x) carries the
+    # rounding of its argument, so that term counts |eps - dq x| times:
+    # at eps = 260 a float h is off by about 100 ulp of h.  Exactly, in
+    # decimal, the refined point is as high as its dense neighbours.
+    optimize_module = importlib.import_module("dpcalib.optimize")
+    peak = optimize_module._peak
+    seen = []
+
+    def recording(privacy, f, log_fprime, side, log_lam):
+        out = peak(privacy, f, log_fprime, side, log_lam)
+        seen.append((side[0], math.exp(log_lam), out))
+        return out
+
+    monkeypatch.setattr(optimize_module, "_peak", recording)
+    two_atom_optimum(PrivacySpec(eps, dq), goal)
+    assert seen
+    f = _reference_payoff(goal)
+    for xs, lam, (value, x_peak) in seen:
+        h = f(xs) - lam * -xs * np.expm1(eps - dq * xs)
+        i = int(np.argmax(h))
+        dense = np.geomspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 20001)
+        g = -dense * np.expm1(eps - dq * dense)
+        h = f(dense) - lam * g
+        terms = np.abs(f(dense)) + lam * np.abs(g) * (1.0 + np.abs(eps - dq * dense))
+        assert value >= h.max() - 4.0 * np.spacing(terms.max())
+        k = int(np.searchsorted(dense, x_peak))
+        exact = _decimal_h(goal, eps, dq, lam, x_peak)
+        for x in {dense[max(k - 1, 0)], dense[min(k, dense.size - 1)]}:
+            best = _decimal_h(goal, eps, dq, lam, x)
+            assert exact >= best - 4 * Decimal(np.spacing(abs(float(best))))
+
+
+def _decimal_h(goal, eps, dq, lam, x):
+    """f(x) - lam g(x) in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x, lam = Decimal(x), Decimal(lam)
+        g = -x * ((Decimal(eps) - Decimal(dq) * x).exp() - 1)
+        if goal.metric == "usefulness":
+            f = 1 - (-Decimal(goal.gamma) * x).exp()
+        else:
+            f = -1 / x ** (1 if goal.metric == "l1" else 2)
+        return f - lam * g
 
 
 _BOUNDS = {
@@ -213,14 +291,34 @@ _BOUNDS = {
 }
 
 
-@pytest.mark.parametrize("eps,dq,goal", [
+# the 48 criterion-5 usefulness cells, and l1 and l2 at six epsilons
+LINEAR_CELLS = [
     (eps, dq, UtilityGoal("usefulness", gamma=gamma))
     for eps in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0) for dq in (0.5, 1.0)
     for gamma in (0.1, 0.4, 0.6, 0.9)
 ] + [
     (eps, 1.0, UtilityGoal(metric))
     for metric in ("l1", "l2") for eps in (0.5, 1.0, 2.0, 4.0, 6.0, 8.0)
-])
+]
+
+
+@pytest.mark.parametrize("eps,dq,goal", LINEAR_CELLS[48:])
+def test_two_atom_optimum_reaches_the_lp_oracle(eps, dq, goal):
+    # the LP over laws on a fine grid of scales is a lower bound on the
+    # best law; the dual's law must reach it.  Criterion 5 checks the same
+    # on the usefulness cells.
+    law, _ = two_atom_optimum(PrivacySpec(eps, dq), goal)
+    (coeff, dist), = law.terms
+    f = _reference_payoff(goal)
+    if isinstance(dist, Bernoulli):
+        value = dist.p * f(coeff * dist.x0) + (1.0 - dist.p) * f(coeff * dist.x1)
+    else:
+        value = f(coeff * dist.value)
+    oracle = lp_optimum(eps, dq, f)
+    assert value >= oracle - 4.0 * np.finfo(float).eps * (1.0 + abs(oracle))
+
+
+@pytest.mark.parametrize("eps,dq,goal", LINEAR_CELLS)
 def test_predicted_utility_matches_the_mgf_quadrature(eps, dq, goal):
     # the record scores the law from its atoms; the MGF quadrature of the
     # utility layer is an independent route to the same number
