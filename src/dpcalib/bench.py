@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,22 +41,6 @@ class ConfigError(ValueError):
 
 
 MECHANISM_NAMES = ("compound", "laplace", "staircase")
-
-CSV_COLUMNS = (
-    "epsilon_target",
-    "epsilon_achieved",
-    "sensitivity",
-    "metric",
-    "metric_param",
-    "mechanism",
-    "utility_analytic",
-    "utility_empirical",
-    "utility_stderr",
-    "trials",
-    "seed",
-    "wall_ms",
-    "error",
-)
 
 
 @dataclass(frozen=True)
@@ -151,6 +135,10 @@ class GridRow:
     error: str = ""
     combo: LinearCombo | None = field(default=None, compare=False)
     draws: int = field(default=0, compare=False)
+
+
+# the CSV holds the compared fields, in order
+CSV_COLUMNS = tuple(f.name for f in fields(GridRow) if f.compare)
 
 
 def _goal_for(metric: str, mp: float) -> UtilityGoal:

@@ -190,33 +190,28 @@ def staircase_usefulness(
     return 2.0 * half
 
 
-def _staircase_geometric_sums(b: float):
-    s0 = 1.0 / (1.0 - b)
-    s1 = b / (1.0 - b) ** 2
-    s2 = b * (1.0 + b) / (1.0 - b) ** 3
-    return s0, s1, s2
+def staircase_norm(
+    epsilon: float, sensitivity: float, p: int, gamma_s: float | None = None
+) -> float:
+    """(E|staircase noise|^p)^(1/p) for an integer p >= 1, in closed form.
 
-
-def staircase_l1(epsilon: float, sensitivity: float, gamma_s: float | None = None) -> float:
-    """E|staircase noise| in closed form (geometric series)."""
+    At unit sensitivity band k adds 2a b^k (I(k, k + g) + b I(k + g, k + 1)),
+    with I the integral of x^p.  Expanding (k + c)^(p+1) in powers of k
+    cancels the k^(p+1) terms and leaves E|noise|^p =
+    2a/(p+1) sum_{j<=p} C(p+1, j) S_j (g^(p+1-j) + b (1 - g^(p+1-j))), with
+    S_j = sum_k k^j b^k = N_j / (1 - b)^(j+1), N_0 = 1 and
+    N_j = b sum_{i<j} C(j, i) N_i (1 - b)^(j-1-i).
+    """
     g = gamma_s if gamma_s is not None else staircase_default_width(epsilon)
     b = math.exp(-epsilon)
     a = _staircase_density_peak(epsilon, 1.0, g)
-    s0, s1, s2 = _staircase_geometric_sums(b)
-    total = (g * s1 + g * g * s0 / 2.0
-             + b * ((1.0 - g) * s1 + (1.0 - g * g) * s0 / 2.0))
-    return sensitivity * 2.0 * a * total
-
-
-def staircase_l2(epsilon: float, sensitivity: float, gamma_s: float | None = None) -> float:
-    """sqrt(E[staircase noise^2]) in closed form."""
-    g = gamma_s if gamma_s is not None else staircase_default_width(epsilon)
-    b = math.exp(-epsilon)
-    a = _staircase_density_peak(epsilon, 1.0, g)
-    s0, s1, s2 = _staircase_geometric_sums(b)
-    total = (g * s2 + g * g * s1 + g ** 3 * s0 / 3.0
-             + b * ((1.0 - g) * s2 + (1.0 - g * g) * s1 + (1.0 - g ** 3) * s0 / 3.0))
-    return sensitivity * math.sqrt(2.0 * a * total)
+    nums = [1.0]
+    for j in range(1, p + 1):
+        nums.append(b * sum(math.comb(j, i) * n * (1.0 - b) ** (j - 1 - i)
+                            for i, n in enumerate(nums)))
+    total = sum(math.comb(p + 1, j) * n / (1.0 - b) ** (j + 1)
+                * (g ** (p + 1 - j) + b * (1.0 - g ** (p + 1 - j))) for j, n in enumerate(nums))
+    return sensitivity * (2.0 * a * total / (p + 1)) ** (1.0 / p)
 
 
 def staircase_log_density(mech: Staircase, xs) -> np.ndarray:

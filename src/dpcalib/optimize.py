@@ -8,11 +8,12 @@ The constraint is E g(X) = 0 with g(x) = x (1 - e^(eps - sensitivity x)):
 g < 0 below x0 = eps/sensitivity and g > 0 above it.  Every calibrated
 law here has one or two atoms.
 
-For usefulness, l1 and l2 the objective is linear in the law of X too,
-so the optimum over every law has at most two atoms, and a 1-D dual over
-the multiplier of the constraint finds it (``two_atom_optimum``).
+For usefulness and the noise norms (l1, l2, and mallows at p = 1, which
+is l1 for any prior) the objective is linear in the law of X too, so the
+optimum over every law has at most two atoms, and a 1-D dual over the
+multiplier of the constraint finds it (``two_atom_optimum``).
 
-The prior-dependent metrics (mallows, kl, renyi) are estimated by Monte
+The other metrics (mallows at p != 1, kl, renyi) are estimated by Monte
 Carlo on a stream fixed by the seed, the same draws for every law.  For
 them a 2-D Nelder-Mead searches the two-atom laws with atoms
 x0 e^-|s| <= x0 <= x0 e^|u|, weighted so that E g(X) = 0: every
@@ -40,18 +41,9 @@ from .distributions import (
     format_combo,
     parse_combo,
 )
-from .mechanisms import (
-    staircase_l1,
-    staircase_l2,
-    staircase_usefulness,
-)
+from .mechanisms import staircase_norm, staircase_usefulness
 from .privacy import PrivacySpec, epsilon_of_combo
-from .utility import (
-    LINEAR_METRICS,
-    NORM_POWERS,
-    UtilityGoal,
-    expected_metric_empirical,
-)
+from .utility import NORM_POWERS, UtilityGoal, expected_metric_empirical, norm_power
 
 
 class InfeasibleSpecError(RuntimeError):
@@ -64,7 +56,8 @@ class SearchSpaceSpec:
 
     ``restarts`` Nelder-Mead starts of at most ``max_evals`` evaluations
     each, every evaluation a Monte-Carlo estimate over ``mc_trials``
-    trials.  Usefulness, l1 and l2 are solved exactly and ignore them.
+    trials.  Usefulness, l1, l2 and mallows at p = 1 are solved exactly
+    and ignore them.
     """
 
     restarts: int = 12
@@ -190,10 +183,11 @@ def calibrate_scale(combo: LinearCombo, privacy: PrivacySpec) -> LinearCombo:
 
 def _analytic_utility(combo: LinearCombo, goal: UtilityGoal, eval_seed: int, mc_trials: int) -> float:
     """The metric of a one-term ``Degenerate`` or ``Bernoulli`` law: exact
-    from its atoms for usefulness, l1 and l2, else a Monte-Carlo estimate
-    on the ``eval_seed`` stream."""
-    if goal.metric in LINEAR_METRICS:
-        f, _, u, _ = _payoff(goal)
+    from its atoms for usefulness and the noise norms, else a Monte-Carlo
+    estimate on the ``eval_seed`` stream."""
+    payoff = _payoff(goal)
+    if payoff is not None:
+        f, _, u, _ = payoff
         return u(_mean_payoff(combo, f))
     # a point mass is drawn as a two-atom law with both atoms on it, so that
     # it uses the stream like the search's candidates: all are compared on
@@ -215,23 +209,33 @@ def _mean_payoff(combo: LinearCombo, f) -> float:
 
 
 _ATOMS_PER_SIDE = 2001
-_SPAN = 1e8  # each side's grid spans 8 decades beyond its natural scale
+_SPAN = 1e8  # each side's grid spans at least 8 decades beyond its natural scale
 
 
 def _payoff(goal: UtilityGoal):
     """(f, ln f', u, knee) with the metric equal to u(E f(X)) and best
-    where E f(X) is largest: usefulness is E[1 - e^(-gamma X)], and the
-    l1 and l2 norms (E|noise|^p)^(1/p) are (p! E[X^-p])^(1/p).  ln f' stays
-    in log space, as f' underflows for usefulness once gamma X passes
-    about 745.  f flattens past x = knee: 1/gamma for usefulness, 0 (no
-    knee) for the norms."""
+    where E f(X) is largest, or None if no such f exists: usefulness is
+    E[1 - e^(-gamma X)], and the noise norms (E|noise|^p)^(1/p) are
+    (p! E[X^-p])^(1/p).  ln f' stays in log space, as f' underflows for
+    usefulness once gamma X passes about 745.  f flattens past x = knee:
+    1/gamma for usefulness, 0 (no knee) for the norms."""
     if goal.metric == "usefulness":
         gamma = goal.gamma
         return (lambda x: -np.expm1(-gamma * x), lambda x: math.log(gamma) - gamma * x,
                 lambda v: v, 1.0 / gamma)
-    p = NORM_POWERS[goal.metric]
+    p = norm_power(goal)
+    if p is None:
+        return None
     return (lambda x: -1.0 / x ** p, lambda x: math.log(p) - (p + 1) * math.log(x),
             lambda v: (math.factorial(p) * -v) ** (1.0 / p), 0.0)
+
+
+def _reach(goal: UtilityGoal, eps: float) -> float:
+    """How far the upper grid runs past max(x0, knee): _SPAN, or for a
+    noise norm 8 e^(eps/(p+1)) / eps if further, as its high atom sits near
+    c x0 e^(eps/(p+1)) / eps (c = 0.74 for l1, 1.39 for l2, eps 20 to 700)."""
+    p = norm_power(goal)
+    return _SPAN if p is None else max(_SPAN, 8.0 * math.exp(eps / (p + 1)) / eps)
 
 
 def _constraint(privacy: PrivacySpec, x):
@@ -285,24 +289,28 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     the two cross; each side's maximizer there is an atom, weighted so
     that E g(X) = 0.  Each side's maximum is taken on a log-spaced grid,
     whose f and g are tabled once per call, and refined from the closed
-    form of dh/dx (``_peak``).
+    form of dh/dx (``_peak``).  For the norms at large epsilon the upper
+    grid reaches further (``_reach``), at the same points per decade.
 
     Returns the law, ``Degenerate(x0)`` (exactly Laplace) when the line
     tangent to (g, f) at x0 already supports the curve or no two-atom law
     beats it, else a ``Bernoulli``, and the number of dual evaluations.
-    Usefulness, l1 and l2 only.  Raises ``InfeasibleSpecError`` when g
-    overflows on the grid (epsilon near 710 and above) or the multiplier
-    cannot be bracketed.
+    Usefulness, l1, l2 and mallows at p = 1 only, else ``ValueError``.
+    Raises ``InfeasibleSpecError`` when g overflows on the grid (epsilon
+    near 710 and above) or the multiplier cannot be bracketed.
     """
-    if goal.metric not in LINEAR_METRICS:
+    payoff = _payoff(goal)
+    if payoff is None:
         raise ValueError(f"{goal.metric} is not linear in the law of 1/b")
     eps, dq = privacy.epsilon, privacy.sensitivity
     x0 = eps / dq
-    f, log_fprime, _, knee = _payoff(goal)
+    f, log_fprime, _, knee = payoff
+    reach = _reach(goal, eps)  # n_hi keeps the lower grid's points per decade
+    n_hi = 1 + round((_ATOMS_PER_SIDE - 1) * math.log(reach) / math.log(_SPAN))
     with np.errstate(over="ignore"):
         sides = [(xs, np.log(xs), f(xs), _constraint(privacy, xs))
                  for xs in (np.geomspace(x0 / _SPAN, x0, _ATOMS_PER_SIDE),
-                            np.geomspace(x0, max(x0, knee) * _SPAN, _ATOMS_PER_SIDE))]
+                            np.geomspace(x0, max(x0, knee) * reach, n_hi))]
     if not all(np.isfinite(gs).all() for *_, gs in sides):
         raise InfeasibleSpecError(
             f"epsilon {eps!r} is too large at sensitivity {dq!r}: e^(eps - dq x) overflows")
@@ -369,10 +377,11 @@ def optimize(
 ) -> CalibratedMechanism:
     """Calibrate the law of 1/b for one (budget, sensitivity, metric).
 
-    Usefulness, l1 and l2 get the best law over every law of 1/b, from
-    ``two_atom_optimum``.  Mallows, KL and Renyi get the best two-atom
-    law the search finds on the Monte-Carlo stream fixed by ``seed``;
-    the Laplace law is its first candidate.
+    Usefulness, l1, l2 and mallows at p = 1 (the l1 law, for any prior)
+    get the best law over every law of 1/b, from ``two_atom_optimum``.
+    Other mallows, KL and Renyi goals get the best two-atom law the search
+    finds on the Monte-Carlo stream fixed by ``seed``; the Laplace law is
+    its first candidate.
 
     Every law returned meets epsilon by construction, with no rescaling.
     Deterministic for fixed (spec, privacy, goal, seed).  Raises
@@ -381,7 +390,7 @@ def optimize(
     """
     master = int(seed)
     eval_seed = master ^ 0x5EED
-    if goal.metric in LINEAR_METRICS:
+    if _payoff(goal) is not None:
         law, calls = two_atom_optimum(privacy, goal)
         return _calibrated(law, calls, 0, spec, privacy, goal, eval_seed)
 
@@ -453,17 +462,14 @@ def _calibrated(combo, evaluations, restart, spec, privacy, goal, eval_seed):
 def baseline_laplace(
     privacy: PrivacySpec, goal: UtilityGoal, eval_seed: int = 0, mc_trials: int = 4000
 ) -> float:
-    """The Laplace mechanism's metric: exact for usefulness, l1 and l2,
-    else a Monte-Carlo estimate on the ``eval_seed`` stream."""
+    """The Laplace mechanism's metric: exact for usefulness and the noise
+    norms, else a Monte-Carlo estimate on the ``eval_seed`` stream."""
     return _analytic_utility(laplace_seed(privacy), goal, eval_seed, mc_trials)
 
 
 def baseline_staircase(privacy: PrivacySpec, goal: UtilityGoal) -> float | None:
-    """The staircase mechanism's usefulness, l1 or l2; None for other metrics."""
+    """The staircase mechanism's usefulness or noise norm, else None."""
     if goal.metric == "usefulness":
         return staircase_usefulness(privacy.epsilon, privacy.sensitivity, goal.gamma)
-    if goal.metric == "l1":
-        return staircase_l1(privacy.epsilon, privacy.sensitivity)
-    if goal.metric == "l2":
-        return staircase_l2(privacy.epsilon, privacy.sensitivity)
-    return None
+    p = norm_power(goal)
+    return None if p is None else staircase_norm(privacy.epsilon, privacy.sensitivity, p)

@@ -39,8 +39,8 @@ class NonFiniteError(ArithmeticError):
     pass
 
 
-# usefulness, l1 and l2 are linear in the law of 1/b and need no prior;
-# the others are estimated by Monte Carlo over a prior
+# usefulness, l1 and l2 are linear in the law of 1/b and need no prior, as is
+# mallows at p = 1 (``norm_power``); the others are Monte-Carlo estimates
 LINEAR_METRICS = ("usefulness", "l1", "l2")
 # l1 and l2 are the norms (E|noise|^p)^(1/p) at these p
 NORM_POWERS = {"l1": 1, "l2": 2}
@@ -142,6 +142,15 @@ class UtilityGoal:
     @property
     def prior_dependent(self) -> bool:
         return self.metric in _PRIOR_DEPENDENT
+
+
+def norm_power(goal: UtilityGoal) -> int | None:
+    """p when the goal's value is the noise norm (E|noise|^p)^(1/p), else
+    None: 1 for l1, 2 for l2, and 1 for Mallows at p = 1, whose mean
+    |noise| over the entries is E|noise| whatever the prior."""
+    if goal.metric == "mallows" and goal.p == 1:
+        return 1
+    return NORM_POWERS.get(goal.metric)
 
 
 def usefulness_bound(combo: LinearCombo | MgfDist, gamma: float) -> float:

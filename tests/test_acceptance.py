@@ -36,8 +36,7 @@ from dpcalib.mechanisms import (
     Laplace,
     gaussian_sigma,
     sample_noise,
-    staircase_l1,
-    staircase_l2,
+    staircase_norm,
 )
 from dpcalib.optimize import SearchSpaceSpec, laplace_seed, optimize
 from dpcalib.privacy import (
@@ -316,11 +315,11 @@ def test_criterion_05_usefulness_dominance(usefulness_grid, class_optimum):
 def test_criterion_06_l1_l2_regimes(class_optimum):
     failures = []
     notes = []
-    st6, lap6 = staircase_l1(6.0, 1.0), 1.0 / 6.0
+    st6, lap6 = staircase_norm(6.0, 1.0, 1), 1.0 / 6.0
     if not st6 < lap6:
         failures.append(f"staircase l1 at eps=6 ({st6:.4f}) does not beat Laplace ({lap6:.4f})")
     # the width-optimal staircase is l1-optimal at every eps: dq e^(eps/2) / (e^eps - 1)
-    st05, lap05 = staircase_l1(0.5, 1.0), 2.0
+    st05, lap05 = staircase_norm(0.5, 1.0, 1), 2.0
     closed05 = math.exp(0.25) / math.expm1(0.5)
     notes.append(f"staircase l1 at eps=0.5: {st05:.12f} vs closed form {closed05:.12f} "
                  f"and Laplace {lap05:.6f}")
@@ -341,7 +340,7 @@ def test_criterion_06_l1_l2_regimes(class_optimum):
             failures.append(f"l2 at eps={eps} is {ratio:.3f}x Laplace, outside 5%")
     for eps in L2_LARGE_EPSILONS:
         cal = optimize(spec, PrivacySpec(eps, 1.0), UtilityGoal("l2"), seed=600)
-        stair = staircase_l2(eps, 1.0)
+        stair = staircase_norm(eps, 1.0, 2)
         best = class_optimum["l2"][eps]
         tuned = cal.predicted_utility
         ratio = tuned / stair

@@ -160,7 +160,10 @@ def test_csv_columns_fixed_order(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(rows, path)
     parsed = read_csv_rows(path)
-    assert tuple(parsed[0].keys()) == CSV_COLUMNS
+    assert tuple(parsed[0].keys()) == CSV_COLUMNS == (
+        "epsilon_target", "epsilon_achieved", "sensitivity", "metric", "metric_param",
+        "mechanism", "utility_analytic", "utility_empirical", "utility_stderr", "trials",
+        "seed", "wall_ms", "error")
 
 
 def test_load_config(tmp_path):
@@ -271,6 +274,14 @@ def test_cli_optimize_prior_metric_record_round_trips(tmp_path, capsys):
     assert record.to_text() == text
     assert abs(record.achieved_epsilon - 8.0) <= 1e-9
     assert record.predicted_utility < record.baseline_laplace_utility
+
+
+def test_cli_optimize_mallows_p1_needs_no_prior(capsys):
+    # mallows at p = 1 is E|noise|, solved exactly as l1 with no prior
+    assert cli.main(["optimize", "--epsilon", "8", "--metric", "mallows", "--p", "1"]) == 0
+    mallows = capsys.readouterr().out
+    assert cli.main(["optimize", "--epsilon", "8", "--metric", "l1"]) == 0
+    assert mallows == capsys.readouterr().out
 
 
 def test_cli_bench_roundtrip_and_exit_codes(tmp_path, capsys):

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from dpcalib.distributions import (
     FAMILIES,
@@ -27,9 +27,8 @@ from dpcalib.mechanisms import (
     perturb,
     sample_noise,
     staircase_default_width,
-    staircase_l1,
-    staircase_l2,
     staircase_log_density,
+    staircase_norm,
     staircase_sample,
     staircase_usefulness,
 )
@@ -100,11 +99,31 @@ def test_staircase_analytic_moments_match_samples():
     rng = np.random.default_rng(4)
     for eps in (0.5, 2.0, 6.0):
         x = staircase_sample(eps, 1.0, None, rng, 400_000)
-        assert np.mean(np.abs(x)) == pytest.approx(staircase_l1(eps, 1.0), rel=0.02)
-        assert math.sqrt(np.mean(x**2)) == pytest.approx(staircase_l2(eps, 1.0), rel=0.02)
+        assert np.mean(np.abs(x)) == pytest.approx(staircase_norm(eps, 1.0, 1), rel=0.02)
+        assert math.sqrt(np.mean(x**2)) == pytest.approx(staircase_norm(eps, 1.0, 2), rel=0.02)
     # sensitivity scales both linearly
-    assert staircase_l1(2.0, 3.0) == pytest.approx(3 * staircase_l1(2.0, 1.0))
-    assert staircase_l2(2.0, 3.0) == pytest.approx(3 * staircase_l2(2.0, 1.0))
+    assert staircase_norm(2.0, 3.0, 1) == pytest.approx(3 * staircase_norm(2.0, 1.0, 1))
+    assert staircase_norm(2.0, 3.0, 2) == pytest.approx(3 * staircase_norm(2.0, 1.0, 2))
+
+
+@pytest.mark.parametrize("gamma_s", [None, 0.3, 1.0])
+@pytest.mark.parametrize("eps", [0.25, 2.0, 8.0])
+@pytest.mark.parametrize("p", [1, 2])
+def test_staircase_norm_matches_quadrature_of_the_density(p, eps, gamma_s):
+    # 2 * sum over bands of int x^p e^(log density) on each sub-band, on
+    # which the density is flat, until a band adds less than 1e-18
+    mech = Staircase(eps, 1.0, gamma_s)
+    g = mech.width
+    pieces = []
+    for k in range(100_000):
+        band = sum(integrate.quad(lambda x: x ** p * math.exp(staircase_log_density(mech, x)),
+                                  lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+                   for lo, hi in ((k, k + g), (k + g, k + 1)) if hi > lo)
+        pieces.append(band)
+        if band < 1e-18 * sum(pieces):
+            break
+    expected = (2.0 * math.fsum(pieces)) ** (1.0 / p)
+    assert staircase_norm(eps, 1.0, p, gamma_s) == pytest.approx(expected, rel=1e-10)
 
 
 def test_staircase_density_grid_epsilon_respects_guarantee():

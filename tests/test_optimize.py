@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpcalib.distributions import Bernoulli, Degenerate, Gamma, LinearCombo, Uniform, singleton
-from dpcalib.mechanisms import CompoundLaplace, sample_noise
+from dpcalib.mechanisms import CompoundLaplace, sample_noise, staircase_norm
 from dpcalib.optimize import (
     CalibratedMechanism,
     InfeasibleSpecError,
@@ -135,7 +135,7 @@ def test_l2_goal_large_epsilon_beats_laplace():
 
 def test_prior_dependent_goal_runs():
     privacy = PrivacySpec(2.0, 1.0)
-    goal = UtilityGoal("mallows", p=1.0, prior=PRIOR)
+    goal = UtilityGoal("mallows", p=2.0, prior=PRIOR)
     result = optimize(SMALL_SEARCH, privacy, goal, seed=1)
     assert abs(result.achieved_epsilon - 2.0) <= 1e-9
     assert result.predicted_utility <= result.baseline_laplace_utility + 1e-9
@@ -329,7 +329,7 @@ def test_predicted_utility_matches_the_mgf_quadrature(eps, dq, goal):
         _BOUNDS[goal.metric](laplace_seed(PrivacySpec(eps, dq)), goal), rel=1e-12)
 
 
-@pytest.mark.parametrize("goal", [UtilityGoal("l2"), UtilityGoal("mallows", p=1.0, prior=PRIOR)],
+@pytest.mark.parametrize("goal", [UtilityGoal("l2"), UtilityGoal("mallows", p=2.0, prior=PRIOR)],
                          ids=lambda goal: goal.metric)
 def test_optimize_fails_closed_off_the_epsilon_target(goal, monkeypatch):
     # the package exports the function under the module's name
@@ -341,8 +341,48 @@ def test_optimize_fails_closed_off_the_epsilon_target(goal, monkeypatch):
         optimize(SMALL_SEARCH, PrivacySpec(8.0, 1.0), goal, seed=1)
 
 
+@pytest.mark.parametrize("prior", [None, PRIOR], ids=("no-prior", "prior"))
+@pytest.mark.parametrize("dq", [1e-3, 1.0, 300.0])
+@pytest.mark.parametrize("eps", [0.01, 1.0, 8.0, 60.0])
+def test_mallows_p1_is_solved_as_l1(eps, dq, prior):
+    # mean |noise| over the entries is E|noise| whatever the prior, so
+    # mallows at p = 1 gets the exact l1 law, for any seed and budget
+    privacy = PrivacySpec(eps, dq)
+    l1 = optimize(FAST, privacy, UtilityGoal("l1"), seed=0)
+    mallows = optimize(SMALL_SEARCH, privacy, UtilityGoal("mallows", p=1.0, prior=prior), seed=5)
+    assert mallows.combo == l1.combo
+    assert mallows.predicted_utility == l1.predicted_utility
+    assert mallows.baseline_laplace_utility == l1.baseline_laplace_utility
+    assert mallows.staircase_utility == l1.staircase_utility == staircase_norm(eps, dq, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps", [60.0, 100.0, 300.0, 700.0])
+@pytest.mark.parametrize("metric", ["l1", "l2"])
+def test_norm_laws_keep_their_high_atom_inside_the_grid(metric, eps, monkeypatch):
+    # the upper grid grows with eps, so the high atom is a peak of the dual,
+    # not the grid's last point: a grid 1e20 further out, at the same points
+    # per decade, finds no better law
+    optimize_module = importlib.import_module("dpcalib.optimize")
+    privacy, goal = PrivacySpec(eps, 1.0), UtilityGoal(metric)
+    law, _ = two_atom_optimum(privacy, goal)
+    (_, dist), = law.terms
+    reach = optimize_module._reach(goal, eps)
+    last_step = optimize_module._SPAN ** (1.0 / (optimize_module._ATOMS_PER_SIDE - 1))
+    assert isinstance(dist, Bernoulli) and dist.x1 < eps * reach / last_step
+    noise = sample_noise(CompoundLaplace(law), np.random.default_rng(0), 10_000)
+    assert np.all(np.isfinite(noise) & (noise != 0.0))
+    reach_of = optimize_module._reach
+    monkeypatch.setattr(optimize_module, "_reach", lambda goal, eps: 1e20 * reach_of(goal, eps))
+    (_, wide), = two_atom_optimum(privacy, goal)[0].terms
+    f = _reference_payoff(goal)
+    value = dist.p * f(dist.x0) + (1.0 - dist.p) * f(dist.x1)
+    wide_value = wide.p * f(wide.x0) + (1.0 - wide.p) * f(wide.x1)
+    assert value >= wide_value - 4.0 * np.finfo(float).eps * abs(wide_value)
+
+
 def test_two_atom_optimum_rejects_prior_dependent_metrics():
-    goal = UtilityGoal("mallows", p=1.0, prior=np.linspace(0, 5, 8))
+    goal = UtilityGoal("mallows", p=2.0, prior=np.linspace(0, 5, 8))
     with pytest.raises(ValueError):
         two_atom_optimum(PrivacySpec(1.0, 1.0), goal)
 
@@ -366,7 +406,7 @@ def test_two_atom_search_beats_the_exact_l2_law():
 
 def test_two_atom_search_deterministic_and_monotone():
     privacy = PrivacySpec(8.0, 1.0)
-    goal = UtilityGoal("mallows", p=1.0, prior=PRIOR)
+    goal = UtilityGoal("mallows", p=2.0, prior=PRIOR)
     a = optimize(SMALL_SEARCH, privacy, goal, seed=21)
     b = optimize(SMALL_SEARCH, privacy, goal, seed=21)
     assert a.combo == b.combo

@@ -28,6 +28,7 @@ from dpcalib.utility import (
     l1_bound,
     l2_bound,
     mallows_distance,
+    norm_power,
     renyi_divergence,
     transform_error_bound,
     usefulness_bound,
@@ -372,6 +373,18 @@ def test_utility_goal_validation():
     assert UtilityGoal("usefulness", gamma=0.1).higher_is_better
     assert not UtilityGoal("l2").higher_is_better
     assert UtilityGoal("kl").prior_dependent
+
+
+def test_norm_power_names_the_goals_that_are_noise_norms():
+    assert norm_power(UtilityGoal("l1")) == 1
+    assert norm_power(UtilityGoal("l2")) == 2
+    # mean |noise| over a vector's entries is E|noise| whatever the prior
+    assert norm_power(UtilityGoal("mallows", p=1.0)) == 1
+    assert norm_power(UtilityGoal("mallows", p=1.0, prior=np.arange(5.0))) == 1
+    for goal in (UtilityGoal("mallows", p=2.0), UtilityGoal("mallows", p=1.5),
+                 UtilityGoal("usefulness", gamma=0.1), UtilityGoal("kl"),
+                 UtilityGoal("renyi", alpha=2.0)):
+        assert norm_power(goal) is None
 
 
 def test_histogram_validation_and_file_round_trip(tmp_path):
