@@ -325,11 +325,8 @@ def load_config(path) -> tuple[ExperimentGrid, SearchSpaceSpec, QuerySpec | None
             master_seed=g.getint("seed", 0),
         )
         s = parser["search"] if "search" in parser else {}
-        search = SearchSpaceSpec(
-            restarts=int(s.get("restarts", 12)),
-            max_evals=int(s.get("max_evals", 300)),
-            mc_trials=int(s.get("mc_trials", 4000)),
-        )
+        search = SearchSpaceSpec(**{f.name: int(s[f.name])
+                                    for f in fields(SearchSpaceSpec) if f.name in s})
         query = None
         if "query" in parser:
             q = parser["query"]

@@ -173,10 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--alpha", type=float, default=None)
     p_opt.add_argument("--prior", default=None,
                        help="prior file for kl/renyi, or for mallows its length (p = 1: none)")
-    p_opt.add_argument("--restarts", type=int, default=12,
-                       help="starts of the two-atom search; mallows/kl/renyi only "
-                            "(usefulness/l1/l2 and mallows p = 1 are solved exactly)")
-    p_opt.add_argument("--max-evals", type=int, default=300,
+    p_opt.add_argument("--restarts", type=int, default=SearchSpaceSpec.restarts,
+                       help="how many of the two-atom search's six fixed starts to run; "
+                            "mallows/kl/renyi only (usefulness/l1/l2 and mallows p = 1 "
+                            "are solved exactly)")
+    p_opt.add_argument("--max-evals", type=int, default=SearchSpaceSpec.max_evals,
                        help="evaluations per start of the two-atom search; "
                             "mallows/kl/renyi only")
     p_opt.add_argument("--seed", type=int, default=0)

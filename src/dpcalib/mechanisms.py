@@ -172,7 +172,9 @@ def perturb(mech: NoiseMechanism, true_value: float, rng: np.random.Generator) -
 
 def _staircase_density_peak(epsilon: float, sensitivity: float, g: float) -> float:
     b = math.exp(-epsilon)
-    return (1.0 - b) / (2.0 * sensitivity * (g + b * (1.0 - g)))
+    # 1 - b as -expm1(-eps) here and in staircase_norm, which cancels
+    # against it: 1 - b loses its digits at small eps
+    return -math.expm1(-epsilon) / (2.0 * sensitivity * (g + b * (1.0 - g)))
 
 
 def staircase_usefulness(
@@ -204,12 +206,13 @@ def staircase_norm(
     """
     g = gamma_s if gamma_s is not None else staircase_default_width(epsilon)
     b = math.exp(-epsilon)
+    one_minus_b = -math.expm1(-epsilon)
     a = _staircase_density_peak(epsilon, 1.0, g)
     nums = [1.0]
     for j in range(1, p + 1):
-        nums.append(b * sum(math.comb(j, i) * n * (1.0 - b) ** (j - 1 - i)
+        nums.append(b * sum(math.comb(j, i) * n * one_minus_b ** (j - 1 - i)
                             for i, n in enumerate(nums)))
-    total = sum(math.comb(p + 1, j) * n / (1.0 - b) ** (j + 1)
+    total = sum(math.comb(p + 1, j) * n / one_minus_b ** (j + 1)
                 * (g ** (p + 1 - j) + b * (1.0 - g ** (p + 1 - j))) for j, n in enumerate(nums))
     return sensitivity * (2.0 * a * total / (p + 1)) ** (1.0 / p)
 

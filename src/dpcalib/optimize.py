@@ -13,16 +13,15 @@ is l1 for any prior) the objective is linear in the law of X too, so the
 optimum over every law has at most two atoms, and a 1-D dual over the
 multiplier of the constraint finds it (``two_atom_optimum``).
 
-The other metrics (mallows at p != 1, kl, renyi) are estimated by Monte
-Carlo on a stream fixed by the seed, the same draws for every law.  For
-them a 2-D Nelder-Mead searches the two-atom laws with atoms
+The other metrics (mallows at p != 1, kl, renyi) have no known optimal
+law.  For them a 2-D Nelder-Mead searches the two-atom laws with atoms
 x0 e^-|s| <= x0 <= x0 e^|u|, weighted so that E g(X) = 0: every
-candidate meets epsilon by construction.  The search evaluates the
-Laplace law first, then starts from the exact l1 and l2 laws, fixed
-offsets and seeded random offsets, and keeps the best law seen.  A law
-that beats Laplace only on that stream is overfitted to it, so the
-winner must also beat Laplace on a fresh, longer stream, or Laplace is
-returned.  The result is never worse than Laplace on the seed's stream.
+candidate meets epsilon by construction.  Its objective is
+``utility.TwoAtomMetric``, drawn once per call from the seed: unbiased,
+deterministic and smooth in the atoms and the weight.  The search starts
+from the exact l1 and l2 laws and fixed offsets, and returns the best
+law a run ends on if it beats the Laplace law on the same draws by more
+than two standard errors of the paired difference, else the Laplace law.
 """
 
 from __future__ import annotations
@@ -43,30 +42,39 @@ from .distributions import (
 )
 from .mechanisms import staircase_norm, staircase_usefulness
 from .privacy import PrivacySpec, epsilon_of_combo
-from .utility import NORM_POWERS, UtilityGoal, expected_metric_empirical, norm_power
+from .utility import NORM_POWERS, TwoAtomMetric, UtilityGoal, norm_power
 
 
 class InfeasibleSpecError(RuntimeError):
     """The epsilon target could not be met."""
 
 
+# starting offsets (s, u) of the two-atom search, after the exact l1 and
+# l2 laws
+_FIXED_OFFSETS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (2.0, 2.0))
+_STARTS = len(NORM_POWERS) + len(_FIXED_OFFSETS)
+
+
 @dataclass(frozen=True)
 class SearchSpaceSpec:
     """Budgets for the two-atom search over mallows/kl/renyi.
 
-    ``restarts`` Nelder-Mead starts of at most ``max_evals`` evaluations
-    each, every evaluation a Monte-Carlo estimate over ``mc_trials``
-    trials.  Usefulness, l1, l2 and mallows at p = 1 are solved exactly
-    and ignore them.
+    Nelder-Mead runs from the first ``restarts`` of its six fixed starts
+    (the exact l1 and l2 laws, where they have two atoms, then four fixed
+    offsets), each of at most ``max_evals`` evaluations of one estimate
+    over ``mc_trials`` trials drawn once per call.  Usefulness, l1, l2 and
+    mallows at p = 1 are solved exactly and ignore them.
     """
 
-    restarts: int = 12
+    restarts: int = 6
     max_evals: int = 300
     mc_trials: int = 4000
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_evals < 1 or self.mc_trials < 1:
             raise ValueError("restarts, max_evals and mc_trials must be >= 1")
+        if self.restarts > _STARTS:
+            raise ValueError(f"restarts must be <= {_STARTS}, the number of fixed starts")
 
 
 @dataclass(frozen=True)
@@ -181,31 +189,30 @@ def calibrate_scale(combo: LinearCombo, privacy: PrivacySpec) -> LinearCombo:
     return _rescale(combo, math.exp(log_c))
 
 
-def _analytic_utility(combo: LinearCombo, goal: UtilityGoal, eval_seed: int, mc_trials: int) -> float:
+def _analytic_utility(combo: LinearCombo, goal: UtilityGoal, estimate: TwoAtomMetric | None) -> float:
     """The metric of a one-term ``Degenerate`` or ``Bernoulli`` law: exact
-    from its atoms for usefulness and the noise norms, else a Monte-Carlo
-    estimate on the ``eval_seed`` stream."""
+    from its atoms for usefulness and the noise norms, else ``estimate``
+    at its atoms."""
     payoff = _payoff(goal)
-    if payoff is not None:
-        f, _, u, _ = payoff
-        return u(_mean_payoff(combo, f))
-    # a point mass is drawn as a two-atom law with both atoms on it, so that
-    # it uses the stream like the search's candidates: all are compared on
-    # the same draws
-    (coeff, point), = combo.terms
-    if isinstance(point, Degenerate):
-        combo = LinearCombo(((coeff, Bernoulli(1.0, point.value, point.value)),))
-    return expected_metric_empirical(
-        combo, goal, trials=mc_trials, rng=np.random.default_rng(eval_seed)
-    )
+    if payoff is None:
+        return estimate(*_atoms(combo))
+    f, _, u, _ = payoff
+    return u(_mean_payoff(combo, f))
+
+
+def _atoms(combo: LinearCombo) -> tuple[float, float, float]:
+    """(w, x_lo, x_hi) of a one-term Degenerate or Bernoulli law: the atoms
+    a x, with weight w on x_lo."""
+    (a, law), = combo.terms
+    if isinstance(law, Degenerate):
+        return 1.0, a * law.value, a * law.value
+    return law.p, a * law.x0, a * law.x1
 
 
 def _mean_payoff(combo: LinearCombo, f) -> float:
-    """E f(X) over the atoms a x of a one-term Degenerate or Bernoulli law."""
-    (a, law), = combo.terms
-    if isinstance(law, Degenerate):
-        return float(f(a * law.value))
-    return law.p * float(f(a * law.x0)) + (1.0 - law.p) * float(f(a * law.x1))
+    """E f(X) over the atoms of a one-term Degenerate or Bernoulli law."""
+    w, x_lo, x_hi = _atoms(combo)
+    return w * float(f(x_lo)) + (1.0 - w) * float(f(x_hi))
 
 
 _ATOMS_PER_SIDE = 2001
@@ -351,11 +358,8 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     return law, calls[0]
 
 
-# fixed starting offsets (s, u) of the two-atom search, after the exact
-# l1 and l2 laws; later starts are drawn uniformly from [0, 4)^2
-_FIXED_OFFSETS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (2.0, 2.0))
 _SIMPLEX_STEP = 0.25
-_HOLDOUT_TRIALS = 10  # length of the fresh stream, in multiples of mc_trials
+_SIGNIFICANCE = 2.0  # standard errors by which a searched law must beat Laplace
 _UNUSABLE = 1e300  # finite, so that Nelder-Mead never subtracts inf from inf
 _EPSILON_TOL = 1e-9  # how far a returned law's epsilon may be off the target
 
@@ -380,35 +384,32 @@ def optimize(
     Usefulness, l1, l2 and mallows at p = 1 (the l1 law, for any prior)
     get the best law over every law of 1/b, from ``two_atom_optimum``.
     Other mallows, KL and Renyi goals get the best two-atom law the search
-    finds on the Monte-Carlo stream fixed by ``seed``; the Laplace law is
-    its first candidate.
+    finds on the estimate drawn from ``seed``, or the Laplace law if that
+    law does not beat it there by more than two paired standard errors.
 
     Every law returned meets epsilon by construction, with no rescaling.
     Deterministic for fixed (spec, privacy, goal, seed).  Raises
     ``InfeasibleSpecError`` if the dual multiplier cannot be bracketed or
     the law's epsilon is off the target by more than 1e-9.
     """
-    master = int(seed)
-    eval_seed = master ^ 0x5EED
     if _payoff(goal) is not None:
         law, calls = two_atom_optimum(privacy, goal)
-        return _calibrated(law, calls, 0, spec, privacy, goal, eval_seed)
+        return _calibrated(law, calls, 0, privacy, goal, None)
 
+    estimate = TwoAtomMetric(goal, spec.mc_trials, np.random.default_rng(int(seed) ^ 0x5EED))
     sign = -1.0 if goal.higher_is_better else 1.0
-    laplace = laplace_seed(privacy)
-    best = [sign * _analytic_utility(laplace, goal, eval_seed, spec.mc_trials), laplace, 0]
-    evals = [1]
     x0 = privacy.epsilon / privacy.sensitivity
+    evals = [1]
 
-    def objective(x, restart):
+    def law_at(x):
+        return _two_atom_law(privacy, x0 * math.exp(-abs(x[0])), x0 * math.exp(abs(x[1])))
+
+    def objective(x):
         evals[0] += 1
         try:
-            law = _two_atom_law(privacy, x0 * math.exp(-abs(x[0])), x0 * math.exp(abs(x[1])))
-            value = sign * _analytic_utility(law, goal, eval_seed, spec.mc_trials)
+            value = sign * estimate(*_atoms(law_at(x)))
         except (ValueError, OverflowError):
             return _UNUSABLE
-        if value < best[0]:
-            best[:] = [value, law, restart]
         return value if math.isfinite(value) else _UNUSABLE
 
     starts = []
@@ -417,29 +418,31 @@ def optimize(
         if isinstance(exact, Bernoulli):
             starts.append((math.log(x0 / exact.x0), math.log(exact.x1 / x0)))
     starts += _FIXED_OFFSETS
-    rng = np.random.default_rng([master & (2**63 - 1), 0xD15C])
-    while len(starts) < spec.restarts:
-        starts.append(tuple(rng.uniform(0.0, 4.0, 2)))
-    for restart, start in enumerate(starts[: spec.restarts], start=1):
+    laplace = laplace_seed(privacy)
+    best, law, restart = math.inf, laplace, 0
+    for run, start in enumerate(starts[: spec.restarts], start=1):
         x = np.asarray(start, float)
         simplex = np.array([x, x + (_SIMPLEX_STEP, 0.0), x + (0.0, _SIMPLEX_STEP)])
-        sp_optimize.minimize(
-            objective, x, args=(restart,), method="Nelder-Mead",
+        result = sp_optimize.minimize(
+            objective, x, method="Nelder-Mead",
             options={"maxfev": spec.max_evals, "initial_simplex": simplex,
                      "xatol": 1e-6, "fatol": 1e-12},
         )
-    _, law, restart = best
-    # keep a law that beat Laplace on the search's stream only if it also
-    # beats Laplace on a fresh one
-    fresh, trials = eval_seed + 1, _HOLDOUT_TRIALS * spec.mc_trials
-    if restart and not (sign * _analytic_utility(law, goal, fresh, trials)
-                        < sign * _analytic_utility(laplace, goal, fresh, trials)):
-        law, restart = laplace, 0
-    return _calibrated(law, evals[0], restart, spec, privacy, goal, eval_seed)
+        if result.fun < best:
+            best, law, restart = result.fun, law_at(result.x), run
+    # the search fits its law to these draws, so a law near Laplace can beat
+    # Laplace on them by chance; keep a law only if it wins by more than
+    # _SIGNIFICANCE standard errors of the paired difference
+    gain = sign * (estimate.per_trial(*_atoms(laplace)) - estimate.per_trial(*_atoms(law)))
+    with np.errstate(invalid="ignore"):
+        if not np.mean(gain) > _SIGNIFICANCE * np.std(gain) / math.sqrt(gain.size):
+            law, restart = laplace, 0
+    return _calibrated(law, evals[0], restart, privacy, goal, estimate)
 
 
-def _calibrated(combo, evaluations, restart, spec, privacy, goal, eval_seed):
-    """The result record for the chosen combination, with its baselines.
+def _calibrated(combo, evaluations, restart, privacy, goal, estimate):
+    """The result record for the chosen combination, with its baselines,
+    scored like the search (``estimate`` for the Monte-Carlo metrics).
     Fails closed when the combination misses the epsilon target."""
     achieved = epsilon_of_combo(combo, privacy.sensitivity)
     if not abs(achieved - privacy.epsilon) <= _EPSILON_TOL:
@@ -448,8 +451,8 @@ def _calibrated(combo, evaluations, restart, spec, privacy, goal, eval_seed):
         combo=combo,
         achieved_epsilon=achieved,
         target_epsilon=privacy.epsilon,
-        predicted_utility=_analytic_utility(combo, goal, eval_seed, spec.mc_trials),
-        baseline_laplace_utility=baseline_laplace(privacy, goal, eval_seed, spec.mc_trials),
+        predicted_utility=_analytic_utility(combo, goal, estimate),
+        baseline_laplace_utility=_analytic_utility(laplace_seed(privacy), goal, estimate),
         staircase_utility=baseline_staircase(privacy, goal),
         diagnostics=SolverDiagnostics(
             evaluations=evaluations,
@@ -459,12 +462,12 @@ def _calibrated(combo, evaluations, restart, spec, privacy, goal, eval_seed):
     )
 
 
-def baseline_laplace(
-    privacy: PrivacySpec, goal: UtilityGoal, eval_seed: int = 0, mc_trials: int = 4000
-) -> float:
-    """The Laplace mechanism's metric: exact for usefulness and the noise
-    norms, else a Monte-Carlo estimate on the ``eval_seed`` stream."""
-    return _analytic_utility(laplace_seed(privacy), goal, eval_seed, mc_trials)
+def baseline_laplace(privacy: PrivacySpec, goal: UtilityGoal) -> float:
+    """The Laplace mechanism's usefulness or noise norm, exact; other
+    metrics have no closed form (``ValueError``)."""
+    if _payoff(goal) is None:
+        raise ValueError(f"{goal.metric} has no closed form under Laplace")
+    return _analytic_utility(laplace_seed(privacy), goal, None)
 
 
 def baseline_staircase(privacy: PrivacySpec, goal: UtilityGoal) -> float | None:

@@ -9,7 +9,8 @@ whose tails are closed by exact power-law remainders.  Prior-dependent
 metrics (Mallows, KL, Renyi) are estimated by Monte Carlo over the
 two-fold noise, which is also how arbitrary per-scale error bounds are
 lifted to the compound mechanism; ``noise_metric`` scores usefulness, l1
-and l2 on noise draws.
+and l2 on noise draws.  ``TwoAtomMetric`` is the smooth estimate of the
+prior-dependent metrics that the two-atom search optimizes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .distributions import LinearCombo, MgfDist
 from .mechanisms import CompoundLaplace, sample_noise
@@ -141,7 +143,7 @@ class UtilityGoal:
 
     @property
     def prior_dependent(self) -> bool:
-        return self.metric in _PRIOR_DEPENDENT
+        return self.metric in _PRIOR_DEPENDENT and norm_power(self) is None
 
 
 def norm_power(goal: UtilityGoal) -> int | None:
@@ -277,17 +279,141 @@ def renyi_divergence(p: Histogram, q: Histogram, alpha: float) -> float:
 
 
 def noise_metric(goal: UtilityGoal, noise: np.ndarray) -> tuple[float, float]:
-    """(estimate, standard error) of usefulness, l1 or l2 from noise draws;
-    the error of a norm is that of mean |n|^p, carried through the root."""
+    """(estimate, standard error) of usefulness or a noise norm (l1, l2,
+    mallows at p = 1) from noise draws; the error of a norm is that of
+    mean |n|^p, carried through the root."""
     n = noise.size
     if goal.metric == "usefulness":
         hit = float(np.mean(np.abs(noise) <= goal.gamma))
         return hit, math.sqrt(max(hit * (1.0 - hit), 0.0) / n)
-    p = NORM_POWERS[goal.metric]
+    p = norm_power(goal)
     powers = np.abs(noise) ** p
     est = float(np.mean(powers)) ** (1.0 / p)
     se = float(np.std(powers) / math.sqrt(n))
     return est, se / (p * est ** (p - 1)) if est > 0 else 0.0
+
+
+_CHUNK_SUMS = 1 << 19  # numbers in one chunk's n + 1 sums of a term
+
+
+class TwoAtomMetric:
+    """A smooth, unbiased estimate of mallows, kl or Renyi for the two-atom
+    laws of 1/b, on draws fixed when it is built.
+
+    Each of ``trials`` trials holds one standard-Laplace draw per entry
+    (vector entry or histogram bin), ``rng.laplace(size=(trials, n))``,
+    and for the divergences one random order of the entries, ``order =
+    rng.permuted`` of ``arange(n)`` per trial: column j of trial t belongs
+    to entry ``order[t, j]`` (for Mallows, whose sum treats the entries
+    alike, to entry j).  Under the law with weight w on x_lo and 1 - w on x_hi
+    the number K of entries that draw x_lo is Binomial(n, w), and given K
+    they are a uniform K-subset, here the first K of the order.  So the
+    estimate is sum_K Binom(n, w)(K) times the mean over trials of the
+    metric when the first K entries take x_lo and the rest x_hi: unbiased,
+    and smooth in (w, x_lo, x_hi), as the draws never change.
+
+    Each metric is a function of a few sums over the entries, so every K
+    comes from one prefix sum of the x_lo terms and one suffix sum of the
+    x_hi terms: O(trials n) per call, over chunks of trials so that the
+    n + 1 sums of a chunk hold about ``_CHUNK_SUMS`` numbers.  Mallows sums |noise|^p.  The
+    divergences sum the clipped noise e and, relative to each count c,
+    m ln(1 + e/c) (kl) or m ((1 + e/c)^(1 - alpha) - 1) (Renyi), m the
+    prior mass, so that a small divergence does not cancel against 1.
+    """
+
+    def __init__(self, goal: UtilityGoal, trials: int, rng: np.random.Generator):
+        if goal.prior is None:
+            raise ValueError(f"metric {goal.metric!r} needs a prior")
+        self.goal = goal
+        prior = goal.prior
+        n = np.asarray(prior, float).size if goal.metric == "mallows" else len(prior.masses)
+        # entries along the first axis, so that the sums run over whole rows
+        self._draws = rng.laplace(size=(trials, n)).T.copy()
+        if goal.metric != "mallows":
+            order = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
+            masses = np.asarray(prior.masses)[order.T]
+            support = masses > 0
+            counts = np.where(support, masses * prior.total, 1.0)
+            # u = e/c, clipped where the count reaches zero; a bin the prior
+            # leaves empty counts only in the total, as e / total
+            self._draws /= counts
+            self._floor = -support.astype(float)
+            self._count_share = counts / prior.total
+            self._masses = masses
+            self._mass = float(np.sum(prior.masses))
+
+    def _terms(self, x: float, cols: slice) -> list[np.ndarray]:
+        """Each entry's terms of the sums at 1/b = x, for trials ``cols``."""
+        goal = self.goal
+        draws = self._draws[:, cols]
+        if goal.metric == "mallows":
+            return [np.abs(draws / x) ** goal.p]
+        masses = self._masses[:, cols]
+        u = np.maximum(draws / x, self._floor[:, cols])
+        log_ratio = np.log1p(u)  # ln(c'/c), -inf at a hole
+        shares = u * self._count_share[:, cols]
+        if goal.metric == "kl":
+            return [shares, masses * log_ratio]
+        terms = [shares, masses * np.expm1((1.0 - goal.alpha) * log_ratio)]
+        if goal.alpha < 1.0:
+            # the mass of the bins that are no hole: zero when all are
+            terms.append(masses * (u > -1.0))
+        return terms
+
+    def _metric(self, sums: list[np.ndarray]) -> np.ndarray:
+        goal = self.goal
+        if goal.metric == "mallows":
+            (powers,) = sums
+            return (powers / self._draws.shape[0]) ** (1.0 / goal.p)
+        # with M the prior's mass and c' = c (1 + u), the noisy total over
+        # the prior's is M + s, and D = M ln(M + s) - sum m ln(1 + u),
+        # I = ln(M + s) + ln(M + sum m ((1 + u)^(1 - alpha) - 1)) / (alpha - 1)
+        s, inner, *present = sums
+        mass = self._mass
+        log_mass = math.log(mass)
+        log_total = np.log1p(s / mass)  # less ln M
+        if goal.metric == "kl":
+            # a hole under the prior makes the sum of the logs -inf
+            value = mass * log_total - inner + mass * log_mass
+            return np.where(inner > -math.inf, value, math.inf)
+        # a hole gives +inf for alpha > 1, where the sum is inf, and so does
+        # a zero sum for alpha < 1, where every bin under the prior is a hole
+        log_inner = np.log1p(inner / mass)  # less ln M
+        finite = np.isfinite(log_inner) & (present[0] > 0.0 if present else True)
+        value = log_total + log_inner / (goal.alpha - 1.0) + log_mass * goal.alpha / (goal.alpha - 1.0)
+        return np.where(finite, value, math.inf)
+
+    def __call__(self, w: float, x_lo: float, x_hi: float) -> float:
+        """The estimate for weight w on x_lo and 1 - w on x_hi."""
+        return float(np.mean(self.per_trial(w, x_lo, x_hi)))
+
+    def per_trial(self, w: float, x_lo: float, x_hi: float) -> np.ndarray:
+        """Each trial's term of the estimate: its metric averaged over K."""
+        n, trials = self._draws.shape
+        ks = np.arange(n + 1)
+        # Binom(n, w)(K); xlogy gives 0 ln 0 = 0 at w = 0 and 1
+        pmf = np.exp(special.gammaln(n + 1) - special.gammaln(ks + 1) - special.gammaln(n - ks + 1)
+                     + special.xlogy(ks, w) + special.xlog1py(n - ks, -w))
+        out = np.empty(trials)
+        step = max(1, _CHUNK_SUMS // (n + 1))
+        for start in range(0, trials, step):
+            cols = slice(start, start + step)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                sums = []
+                for lo, hi in zip(self._terms(x_lo, cols), self._terms(x_hi, cols)):
+                    # row K: the first K entries' x_lo terms, the rest's x_hi;
+                    # row by row, which is several times faster than np.cumsum
+                    total = np.zeros((n + 1, lo.shape[1]))
+                    suffix = np.zeros_like(total)
+                    for k in range(n):
+                        np.add(total[k], lo[k], out=total[k + 1])
+                        np.add(suffix[n - k], hi[n - 1 - k], out=suffix[n - 1 - k])
+                    total += suffix
+                    sums.append(total)
+                values = self._metric(sums)
+            values[pmf == 0.0] = 0.0  # a zero weight must not meet an infinite value
+            out[cols] = pmf @ values
+        return out
 
 
 def expected_metric_empirical(
@@ -300,7 +426,8 @@ def expected_metric_empirical(
 
     The noise is drawn through ``mechanisms.sample_noise``, the sampler a
     release uses.  Prior-independent metrics converge to the analytic
-    bounds.  The prior-dependent ones read their prior from ``goal``:
+    bounds, and mallows at p = 1 to l1, with no prior.  The prior-dependent
+    ones read their prior from ``goal``:
     Mallows perturbs each vector entry independently, the entropy metrics
     perturb per-bin counts, clamp at zero and renormalize before
     evaluating the divergence on all trials at once.  A trial whose
@@ -312,7 +439,7 @@ def expected_metric_empirical(
     prior = goal.prior
     mech = CompoundLaplace(combo)
 
-    if goal.metric in LINEAR_METRICS:
+    if not goal.prior_dependent:
         return noise_metric(goal, sample_noise(mech, rng, trials))[0]
 
     if prior is None:

@@ -321,5 +321,5 @@ def test_readme_config_example_loads(tmp_path):
     assert grid.metric == "usefulness"
     assert grid.metric_params == (0.1, 0.4, 0.6, 0.9)
     assert grid.epsilons == (0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
-    assert (search.restarts, search.max_evals, search.mc_trials) == (12, 300, 4000)
+    assert (search.restarts, search.max_evals, search.mc_trials) == (6, 300, 4000)
     assert (query.kind, query.window) == ("count", 30)

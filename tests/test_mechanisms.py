@@ -126,6 +126,18 @@ def test_staircase_norm_matches_quadrature_of_the_density(p, eps, gamma_s):
     assert staircase_norm(eps, 1.0, p, gamma_s) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("eps", [0.001, 0.01, 0.25, 1.0, 8.0])
+def test_staircase_l1_keeps_its_digits_at_small_epsilon(eps):
+    # at the default width E|noise| = e^(eps/2) / (e^eps - 1); 1 - e^-eps
+    # written as a difference lost up to 3e-14 of it at eps = 0.001
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eps)
+        exact = mpmath.exp(e / 2) / mpmath.expm1(e)
+        got = staircase_norm(eps, 1.0, 1)
+        assert abs(got - exact) <= 1.2e-16 * exact
+
+
 def test_staircase_density_grid_epsilon_respects_guarantee():
     for eps in (0.8, 1.5, 3.0):
         mech = Staircase(eps, 1.0)

@@ -11,6 +11,7 @@ from dpcalib.optimize import (
     CalibratedMechanism,
     InfeasibleSpecError,
     SearchSpaceSpec,
+    baseline_laplace,
     calibrate_scale,
     laplace_seed,
     optimize,
@@ -18,6 +19,8 @@ from dpcalib.optimize import (
 )
 from dpcalib.privacy import PrivacySpec, epsilon_of_combo, passes_necessary_condition
 from dpcalib.utility import (
+    Histogram,
+    TwoAtomMetric,
     UtilityGoal,
     expected_metric_empirical,
     l1_bound,
@@ -26,7 +29,7 @@ from dpcalib.utility import (
 )
 from strategies import lp_optimum
 
-FAST = SearchSpaceSpec(restarts=8, max_evals=150)
+FAST = SearchSpaceSpec(restarts=6, max_evals=150)
 # a small budget for the Monte-Carlo two-atom search (mallows/kl/renyi)
 SMALL_SEARCH = SearchSpaceSpec(restarts=3, max_evals=40, mc_trials=400)
 PRIOR = np.linspace(0, 5, 8)
@@ -40,9 +43,23 @@ def test_laplace_seed_examples():
         assert epsilon_of_combo(seed, dq) == pytest.approx(eps, rel=1e-15)
 
 
+def test_baseline_laplace_is_exact_or_refused():
+    # Laplace at scale b = dq/eps has E|noise| = b and usefulness 1 - e^(-gamma/b)
+    privacy = PrivacySpec(2.0, 0.5)
+    assert baseline_laplace(privacy, UtilityGoal("l1")) == pytest.approx(0.25, rel=1e-12)
+    assert baseline_laplace(privacy, UtilityGoal("usefulness", gamma=0.1)) == pytest.approx(
+        -math.expm1(-0.4), rel=1e-12)
+    with pytest.raises(ValueError, match="no closed form"):
+        baseline_laplace(privacy, UtilityGoal("kl", prior=Histogram.uniform(8, total=400.0)))
+
+
 def test_search_space_validation():
     with pytest.raises(ValueError):
         SearchSpaceSpec(restarts=0)
+    # restarts picks from six fixed starts; more would run no more
+    assert SearchSpaceSpec(restarts=6).restarts == 6
+    with pytest.raises(ValueError, match="<= 6"):
+        SearchSpaceSpec(restarts=7)
     with pytest.raises(ValueError):
         SearchSpaceSpec(max_evals=0)
     with pytest.raises(ValueError):
@@ -387,21 +404,77 @@ def test_two_atom_optimum_rejects_prior_dependent_metrics():
         two_atom_optimum(PrivacySpec(1.0, 1.0), goal)
 
 
+def _atoms(combo):
+    (a, dist), = combo.terms
+    if isinstance(dist, Degenerate):
+        return 1.0, a * dist.value, a * dist.value
+    return dist.p, a * dist.x0, a * dist.x1
+
+
 def test_two_atom_search_beats_the_exact_l2_law():
     # at eps = 8 mallows p=2 is won by a two-atom law, at least as good on
-    # the search's Monte-Carlo stream as the exact l2 law it starts from
+    # the search's own estimate as the exact l2 law it starts from
     privacy = PrivacySpec(8.0, 1.0)
     goal = UtilityGoal("mallows", p=2.0, prior=PRIOR)
     result = optimize(SMALL_SEARCH, privacy, goal, seed=1)
     (_, dist), = result.combo.terms
     assert isinstance(dist, Bernoulli)
     assert abs(epsilon_of_combo(result.combo, 1.0) - 8.0) <= 1e-9
-    l2_law = two_atom_optimum(privacy, UtilityGoal("l2"))[0]
-    eval_seed = 1 ^ 0x5EED  # the stream optimize derives from seed 1
-    l2_value = expected_metric_empirical(l2_law, goal, trials=SMALL_SEARCH.mc_trials,
-                                         rng=np.random.default_rng(eval_seed))
+    # the estimate optimize draws from seed 1
+    estimate = TwoAtomMetric(goal, SMALL_SEARCH.mc_trials, np.random.default_rng(1 ^ 0x5EED))
+    assert result.predicted_utility == estimate(*_atoms(result.combo))
+    assert result.baseline_laplace_utility == estimate(1.0, 8.0, 8.0)
+    l2_value = estimate(*_atoms(two_atom_optimum(privacy, UtilityGoal("l2"))[0]))
     assert result.predicted_utility <= l2_value * (1.0 + 1e-9)
     assert result.predicted_utility < result.baseline_laplace_utility
+
+
+def test_search_draws_its_estimate_once(monkeypatch):
+    optimize_module = importlib.import_module("dpcalib.optimize")
+    built = []
+
+    class Counted(TwoAtomMetric):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(optimize_module, "TwoAtomMetric", Counted)
+    result = optimize(SMALL_SEARCH, PrivacySpec(8.0, 1.0),
+                      UtilityGoal("kl", prior=Histogram.uniform(8, total=400.0)), seed=3)
+    assert len(built) == 1 and result.diagnostics.evaluations > SMALL_SEARCH.max_evals
+
+
+_RESCORED_GOALS = [UtilityGoal("mallows", p=2.0, prior=np.arange(10.0)),
+                   UtilityGoal("kl", prior=Histogram.uniform(8, total=400.0)),
+                   UtilityGoal("renyi", alpha=2.0, prior=Histogram.uniform(8, total=400.0))]
+
+
+@pytest.mark.parametrize("eps", [1.0, 4.0, 8.0])
+@pytest.mark.parametrize("goal", _RESCORED_GOALS, ids=lambda goal: goal.metric)
+def test_searched_law_is_no_worse_than_laplace_on_a_fresh_stream(goal, eps):
+    # a law fitted to the search's draws must not lose to Laplace on draws
+    # it never saw, by more than 2 SE of the paired difference
+    result = optimize(SearchSpaceSpec(restarts=6, max_evals=100, mc_trials=1000),
+                      PrivacySpec(eps, 1.0), goal, seed=5)
+    fresh = TwoAtomMetric(goal, 20_000, np.random.default_rng(2026))
+    diff = fresh.per_trial(*_atoms(result.combo)) - fresh.per_trial(1.0, eps, eps)
+    assert np.mean(diff) <= 2.0 * np.std(diff) / math.sqrt(diff.size)
+
+
+@pytest.mark.parametrize("eps", [1.0, 8.0])
+def test_mallows_p1_needs_no_prior(eps):
+    # optimize solves it as l1, and the release sampler's E|noise| of the
+    # returned law agrees with the record
+    goal = UtilityGoal("mallows", p=1.0)
+    assert not goal.prior_dependent
+    result = optimize(SMALL_SEARCH, PrivacySpec(eps, 1.0), goal, seed=2)
+    trials = 200_000
+    got = expected_metric_empirical(result.combo, goal, trials=trials,
+                                    rng=np.random.default_rng(6))
+    noise = sample_noise(CompoundLaplace(result.combo), np.random.default_rng(6), trials)
+    assert np.mean(np.abs(noise)) == pytest.approx(got, rel=1e-12)
+    se = np.std(np.abs(noise)) / math.sqrt(trials)
+    assert abs(got - result.predicted_utility) <= 4.0 * se
 
 
 def test_two_atom_search_deterministic_and_monotone():

@@ -15,6 +15,7 @@ from dpcalib.distributions import (
     Uniform,
     singleton,
 )
+import dpcalib.utility as utility_module
 from dpcalib.mechanisms import CompoundLaplace, sample_noise
 from dpcalib.utility import (
     BinMismatchError,
@@ -22,7 +23,11 @@ from dpcalib.utility import (
     Histogram,
     LengthMismatchError,
     NonFiniteError,
+    TwoAtomMetric,
     UtilityGoal,
+    _kl,
+    _mallows,
+    _renyi,
     expected_metric_empirical,
     kl_divergence,
     l1_bound,
@@ -373,6 +378,20 @@ def test_utility_goal_validation():
     assert UtilityGoal("usefulness", gamma=0.1).higher_is_better
     assert not UtilityGoal("l2").higher_is_better
     assert UtilityGoal("kl").prior_dependent
+    assert UtilityGoal("mallows", p=2.0).prior_dependent
+    # mallows at p = 1 is E|noise|, a noise norm
+    assert not UtilityGoal("mallows", p=1.0).prior_dependent
+
+
+def test_mallows_p1_is_scored_without_a_prior():
+    # scored as E|noise| from the same draws as l1, with or without a prior
+    law = LinearCombo(((1.0, Bernoulli(0.3, 2.0, 20.0)),))
+    l1 = expected_metric_empirical(law, UtilityGoal("l1"), trials=1000,
+                                   rng=np.random.default_rng(4))
+    for prior in (None, np.arange(5.0)):
+        got = expected_metric_empirical(law, UtilityGoal("mallows", p=1.0, prior=prior),
+                                        trials=1000, rng=np.random.default_rng(4))
+        assert got == l1
 
 
 def test_norm_power_names_the_goals_that_are_noise_norms():
@@ -399,3 +418,128 @@ def test_histogram_validation_and_file_round_trip(tmp_path):
     assert h2.total == 100.0
     assert np.allclose(h2.masses, h.masses)
     assert np.allclose(h2.bin_edges, h.bin_edges)
+
+
+_DIVERGENCE_PRIOR = Histogram.uniform(8, total=400.0)
+_TWO_ATOM_GOALS = [
+    UtilityGoal("mallows", p=2.0, prior=np.arange(10.0)),
+    UtilityGoal("kl", prior=_DIVERGENCE_PRIOR),
+    UtilityGoal("renyi", alpha=0.5, prior=_DIVERGENCE_PRIOR),
+    UtilityGoal("renyi", alpha=2.0, prior=_DIVERGENCE_PRIOR),
+]
+_GOAL_IDS = ["mallows", "kl", "renyi-0.5", "renyi-2"]
+
+
+def _law(w, x_lo, x_hi):
+    law = Degenerate(x_lo) if w == 1.0 else Bernoulli(w, x_lo, x_hi)
+    return LinearCombo(((1.0, law),))
+
+
+@pytest.mark.parametrize("atoms", [(1.0, 2.0, 2.0), (0.3, 2.0, 20.0), (0.8, 0.5, 4.0)],
+                         ids=["laplace", "wide", "narrow"])
+@pytest.mark.parametrize("goal", _TWO_ATOM_GOALS, ids=_GOAL_IDS)
+def test_two_atom_metric_agrees_with_the_release_sampler(goal, atoms):
+    # unbiased: within 4 SE of expected_metric_empirical, which draws each
+    # entry's scale independently through the release sampler; its SE comes
+    # from 20 independent batches
+    values = TwoAtomMetric(goal, 20_000, np.random.default_rng(11)).per_trial(*atoms)
+    batches = [expected_metric_empirical(_law(*atoms), goal, trials=2000,
+                                         rng=np.random.default_rng([12, i])) for i in range(20)]
+    se = math.hypot(np.std(values) / math.sqrt(values.size),
+                    np.std(batches, ddof=1) / math.sqrt(len(batches)))
+    assert abs(np.mean(values) - np.mean(batches)) <= 4.0 * se
+
+
+def _metric_of_noise(goal, noise):
+    """The metric of each trial's noise, as expected_metric_empirical scores it."""
+    if goal.metric == "mallows":
+        return _mallows(noise, goal.p)
+    masses = np.asarray(goal.prior.masses)
+    noisy = np.clip(masses * goal.prior.total + noise, 0.0, None)
+    totals = noisy.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = noisy / totals[:, None]
+        vals = _kl(masses, q) if goal.metric == "kl" else _renyi(masses, q, goal.alpha)
+    return np.where(totals > 0, vals, math.inf)
+
+
+_EDGE_PRIORS = [
+    # holes under the prior, an empty prior bin, and zero totals
+    Histogram(tuple(range(9)), _SKEWED, 20.0),
+    Histogram(tuple(range(6)), (0.4, 0.0, 0.3, 0.2, 0.1), 400.0),
+    Histogram.uniform(4, total=1e-2),
+]
+
+
+@pytest.mark.parametrize("x", [0.01, 1.0, 8.0])
+@pytest.mark.parametrize("goal", _TWO_ATOM_GOALS + [
+    UtilityGoal(metric, alpha=alpha, prior=prior) for prior in _EDGE_PRIORS
+    for metric, alpha in (("kl", None), ("renyi", 0.5), ("renyi", 2.0))
+], ids=_GOAL_IDS + [f"{name}-{metric}" for name in ("holes", "empty-bin", "zero-totals")
+                    for metric in ("kl", "renyi-0.5", "renyi-2")])
+def test_two_atom_metric_at_one_atom_is_the_metric_of_its_draws(goal, x):
+    # at w = 1 (every entry on x_lo) and w = 0 (every entry on x_hi) the
+    # estimate is the plain metric of the noise laplace / x, column j of a
+    # trial belonging to entry order[j]; both rebuilt from the seed in the
+    # order the estimate draws them
+    est = TwoAtomMetric(goal, 500, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    n = est._draws.shape[0]
+    laplace = rng.laplace(size=(500, n))
+    noise = laplace / x
+    if goal.metric != "mallows":
+        order = rng.permuted(np.tile(np.arange(n), (500, 1)), axis=1)
+        np.put_along_axis(noise, order, laplace / x, axis=1)
+    expected = float(np.mean(_metric_of_noise(goal, noise)))
+    for got in (est(1.0, x, 3.0 * x), est(0.0, 3.0 * x, x)):
+        if math.isinf(expected):
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("goal", _TWO_ATOM_GOALS + [
+    UtilityGoal("kl", prior=_EDGE_PRIORS[0]), UtilityGoal("renyi", alpha=0.5, prior=_EDGE_PRIORS[2])],
+    ids=_GOAL_IDS + ["holes-kl", "zero-totals-renyi-0.5"])
+def test_two_atom_metric_in_chunks_of_trials_is_the_metric_in_one(goal, monkeypatch):
+    # the sums run over chunks of trials; chunks of a few trials, the last
+    # one short, give each trial the term that one chunk of all gives it
+    est = TwoAtomMetric(goal, 301, np.random.default_rng(5))
+    laws = [(1.0, 2.0, 2.0), (0.3, 0.5, 6.0), (0.0, 1.0, 4.0)]
+    whole = [est.per_trial(*law) for law in laws]
+    n = est._draws.shape[0]
+    monkeypatch.setattr(utility_module, "_CHUNK_SUMS", 7 * (n + 1))
+    for law, expected in zip(laws, whole):
+        np.testing.assert_allclose(est.per_trial(*law), expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("goal", [UtilityGoal(metric, alpha=alpha, prior=_EDGE_PRIORS[2])
+                                  for metric, alpha in (("kl", None), ("renyi", 0.5),
+                                                        ("renyi", 2.0))]
+                         + [UtilityGoal("kl", prior=Histogram.uniform(50, total=50.0))],
+                         ids=["kl", "renyi-0.5", "renyi-2", "kl-50"])
+def test_two_atom_metric_gives_no_weight_to_impossible_patterns(goal):
+    # the atom with no weight scores +inf in every trial; a zero weight
+    # times inf must not make nan
+    est = TwoAtomMetric(goal, 200, np.random.default_rng(5))
+    finite = est(1.0, 1e6, 1e6)
+    assert math.isfinite(finite)
+    assert math.isinf(est(1.0, 1e-6, 1e-6))
+    # the x_hi terms are summed from the other end, so the last bits differ
+    for got in (est(1.0, 1e6, 1e-6), est(0.0, 1e-6, 1e6)):
+        assert got == pytest.approx(finite, rel=1e-12)
+    # a hole under the prior is +inf for kl and alpha > 1, so any weight at
+    # all on the atom that makes holes gives an infinite mean
+    if goal.metric == "kl" or goal.alpha > 1.0:
+        assert math.isinf(est(1e-300, 1e-6, 1e6))
+
+
+def test_two_atom_metric_is_smooth_in_the_weight():
+    # the draws never change, so the estimate is a polynomial in w: more
+    # weight on the noisier atom raises it in steps that barely change
+    goal = _TWO_ATOM_GOALS[1]
+    est = TwoAtomMetric(goal, 400, np.random.default_rng(2))
+    steps = np.diff([est(w, 2.0, 20.0) for w in np.linspace(0.2, 0.3, 11)])
+    assert np.all(steps > 0) and np.ptp(steps) < 0.05 * np.max(steps)
+    assert est(0.25, 2.0, 20.0) == TwoAtomMetric(goal, 400, np.random.default_rng(2))(0.25, 2.0, 20.0)
