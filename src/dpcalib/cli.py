@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .distributions import parse_combo
+from .distributions import parse_combo, parse_spec
 from .mechanisms import (
     CompoundLaplace,
     Gaussian,
@@ -34,25 +34,8 @@ from .privacy import PrivacySpec, epsilon_of_combo, verify_epsilon_empirically
 from .utility import METRICS, Histogram, UtilityGoal
 
 VERIFY_TOL = 1e-6  # grid epsilon above the closed form that fails `verify`
-
-
-def _parse_mechanism(text: str):
-    tokens = text.split()
-    kind = tokens[0].lower()
-    kv = dict(tok.split("=", 1) for tok in tokens[1:])
-    if kind == "laplace":
-        return Laplace(float(kv["b"]))
-    if kind == "gaussian":
-        return Gaussian(float(kv["sigma"]))
-    if kind == "staircase":
-        return Staircase(
-            float(kv["epsilon"]),
-            float(kv.get("sensitivity", 1.0)),
-            float(kv["gamma_s"]) if "gamma_s" in kv else None,
-        )
-    if kind == "randomized_response":
-        return RandomizedResponse(float(kv["p"]))
-    raise ValueError(f"unknown mechanism {kind!r}")
+MECHANISMS = {"laplace": Laplace, "gaussian": Gaussian, "staircase": Staircase,
+              "randomized_response": RandomizedResponse}
 
 
 def _build_goal(args) -> UtilityGoal:
@@ -91,10 +74,10 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
-    if args.combo:
+    if args.combo is not None:
         mech = CompoundLaplace(parse_combo(args.combo))
     else:
-        mech = _parse_mechanism(args.mech)
+        mech = parse_spec(args.mech, MECHANISMS, "mechanism")
     draws = np.atleast_1d(sample_noise(mech, rng, args.count))
     lines = "\n".join(format(x, ".12g") for x in draws)
     if args.out:
@@ -174,21 +157,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--prior", default=None,
                        help="prior file for kl/renyi, or for mallows its length (p = 1: none)")
     p_opt.add_argument("--restarts", type=int, default=SearchSpaceSpec.restarts,
-                       help="how many of the two-atom search's six fixed starts to run; "
+                       help="most Nelder-Mead runs of the two-atom search, each "
+                            "restarted from the last one's end point while it improves; "
                             "mallows/kl/renyi only (usefulness/l1/l2 and mallows p = 1 "
                             "are solved exactly)")
     p_opt.add_argument("--max-evals", type=int, default=SearchSpaceSpec.max_evals,
-                       help="evaluations per start of the two-atom search; "
+                       help="evaluations per run of the two-atom search; "
                             "mallows/kl/renyi only")
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--out", default=None)
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_sam = sub.add_parser("sample", help="draw noise from a mechanism")
-    p_sam.add_argument("--mech", default=None,
-                       help='e.g. "laplace b=1" or "staircase epsilon=2 sensitivity=1"')
-    p_sam.add_argument("--combo", default=None,
-                       help='compound spec, e.g. "1 gamma shape=2 scale=1"')
+    law = p_sam.add_mutually_exclusive_group(required=True)
+    law.add_argument("--mech",
+                     help='e.g. "laplace b=1" or "staircase epsilon=2 sensitivity=1"')
+    law.add_argument("--combo",
+                     help='compound spec, e.g. "1 gamma shape=2 scale=1"')
     p_sam.add_argument("--count", type=int, default=1)
     p_sam.add_argument("--seed", type=int, default=0)
     p_sam.add_argument("--out", default=None)

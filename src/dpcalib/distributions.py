@@ -38,22 +38,13 @@ def _diff_log(log_hi, log_lo):
 
 
 def _log_gauss_mass(lo, hi):
-    """log(Phi(hi) - Phi(lo)) computed stably for extreme arguments."""
-    lo_b, hi_b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
-    shape = lo_b.shape
-    lo_b = np.atleast_1d(lo_b)
-    hi_b = np.atleast_1d(hi_b)
-    # Work in whichever tail keeps both CDF values away from 1.  The upper
-    # tail (lo >= 0) holds most points where t <= 0 shifts both bounds up,
-    # so it is evaluated everywhere and the other points are overwritten.
-    out = _diff_log(special.log_ndtr(-lo_b), special.log_ndtr(-hi_b))
-    left = hi_b <= 0.0
-    mid = ~(left | (lo_b >= 0.0))
-    if np.any(left):
-        out[left] = _diff_log(special.log_ndtr(hi_b[left]), special.log_ndtr(lo_b[left]))
-    if np.any(mid):
-        out[mid] = np.log(special.ndtr(hi_b[mid]) - special.ndtr(lo_b[mid]))
-    return out.reshape(shape)
+    """log(Phi(hi) - Phi(lo)) computed stably for extreme arguments.  The
+    mass of [lo, hi] is that of [-hi, -lo], so each window is mirrored to
+    lo + hi >= 0, where both upper tails 1 - Phi keep their digits."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
+    flip = lo < -hi
+    lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    return _diff_log(special.log_ndtr(-lo), special.log_ndtr(-hi))
 
 
 def _norm_logpdf(x):
@@ -523,20 +514,32 @@ def format_dist(dist: MgfDist) -> str:
     return " ".join(parts)
 
 
-def parse_dist(text: str) -> MgfDist:
+def parse_spec(text: str, kinds: dict[str, type], noun: str):
+    """``kinds[name](**params)`` from "name key=value ...", for the frozen
+    dataclasses in ``kinds``.  ``ValueError``, saying ``noun``, on an empty
+    spec, an unknown name, or a missing or unknown parameter."""
     tokens = text.split()
     if not tokens:
-        raise ValueError("empty distribution spec")
-    family = tokens[0].lower()
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+        raise ValueError(f"empty {noun} spec")
+    name = tokens[0].lower()
+    if name not in kinds:
+        raise ValueError(f"unknown {noun} {name!r}; known: {sorted(kinds)}")
     kwargs = {}
     for tok in tokens[1:]:
         if "=" not in tok:
             raise ValueError(f"malformed parameter {tok!r} (expected key=value)")
         key, val = tok.split("=", 1)
         kwargs[key] = float(val)
-    return FAMILIES[family](**kwargs)
+    try:
+        return kinds[name](**kwargs)
+    except TypeError:
+        names = ", ".join(f.name for f in fields(kinds[name]))
+        raise ValueError(f"{noun} {name!r} takes {names}; got {', '.join(kwargs) or 'none'}"
+                         ) from None
+
+
+def parse_dist(text: str) -> MgfDist:
+    return parse_spec(text, FAMILIES, "family")
 
 
 def format_combo(combo: LinearCombo) -> str:

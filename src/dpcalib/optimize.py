@@ -18,10 +18,11 @@ law.  For them a 2-D Nelder-Mead searches the two-atom laws with atoms
 x0 e^-|s| <= x0 <= x0 e^|u|, weighted so that E g(X) = 0: every
 candidate meets epsilon by construction.  Its objective is
 ``utility.TwoAtomMetric``, drawn once per call from the seed: unbiased,
-deterministic and smooth in the atoms and the weight.  The search starts
-from the exact l1 and l2 laws and fixed offsets, and returns the best
-law a run ends on if it beats the Laplace law on the same draws by more
-than two standard errors of the paired difference, else the Laplace law.
+deterministic and smooth in the atoms and the weight.  One run starts
+from the better of the exact l1 and l2 laws and is restarted from its own
+end point while that improves.  The search returns its law if it beats
+the Laplace law on the same draws by more than two standard errors of
+the paired difference, else the Laplace law.
 """
 
 from __future__ import annotations
@@ -49,21 +50,16 @@ class InfeasibleSpecError(RuntimeError):
     """The epsilon target could not be met."""
 
 
-# starting offsets (s, u) of the two-atom search, after the exact l1 and
-# l2 laws
-_FIXED_OFFSETS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (2.0, 2.0))
-_STARTS = len(NORM_POWERS) + len(_FIXED_OFFSETS)
-
-
 @dataclass(frozen=True)
 class SearchSpaceSpec:
     """Budgets for the two-atom search over mallows/kl/renyi.
 
-    Nelder-Mead runs from the first ``restarts`` of its six fixed starts
-    (the exact l1 and l2 laws, where they have two atoms, then four fixed
-    offsets), each of at most ``max_evals`` evaluations of one estimate
-    over ``mc_trials`` trials drawn once per call.  Usefulness, l1, l2 and
-    mallows at p = 1 are solved exactly and ignore them.
+    Nelder-Mead runs from the better of the exact l1 and l2 laws, then is
+    restarted from its own end point, at most ``restarts`` runs in all and
+    stopping at the first that ends no better; each run takes at most
+    ``max_evals`` evaluations of one estimate over ``mc_trials`` trials
+    drawn once per call.  Usefulness, l1, l2 and mallows at p = 1 are
+    solved exactly and ignore them.
     """
 
     restarts: int = 6
@@ -73,12 +69,14 @@ class SearchSpaceSpec:
     def __post_init__(self):
         if self.restarts < 1 or self.max_evals < 1 or self.mc_trials < 1:
             raise ValueError("restarts, max_evals and mc_trials must be >= 1")
-        if self.restarts > _STARTS:
-            raise ValueError(f"restarts must be <= {_STARTS}, the number of fixed starts")
 
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """``winning_restart`` is the number of the last Nelder-Mead run that
+    improved the two-atom search's law, else 0: the start law, the Laplace
+    law, or a metric solved exactly."""
+
     evaluations: int
     constraint_residual: float
     winning_restart: int
@@ -383,9 +381,10 @@ def optimize(
 
     Usefulness, l1, l2 and mallows at p = 1 (the l1 law, for any prior)
     get the best law over every law of 1/b, from ``two_atom_optimum``.
-    Other mallows, KL and Renyi goals get the best two-atom law the search
-    finds on the estimate drawn from ``seed``, or the Laplace law if that
-    law does not beat it there by more than two paired standard errors.
+    Other mallows, KL and Renyi goals get the law the two-atom search
+    finds on the estimate drawn from ``seed`` (``SearchSpaceSpec``), or the
+    Laplace law if neither exact law has two atoms or the found law does
+    not beat it there by more than two paired standard errors.
 
     Every law returned meets epsilon by construction, with no rescaling.
     Deterministic for fixed (spec, privacy, goal, seed).  Raises
@@ -412,29 +411,33 @@ def optimize(
             return _UNUSABLE
         return value if math.isfinite(value) else _UNUSABLE
 
+    laplace = laplace_seed(privacy)
     starts = []
     for metric in NORM_POWERS:
         exact = two_atom_optimum(privacy, UtilityGoal(metric))[0].terms[0][1]
         if isinstance(exact, Bernoulli):
-            starts.append((math.log(x0 / exact.x0), math.log(exact.x1 / x0)))
-    starts += _FIXED_OFFSETS
-    laplace = laplace_seed(privacy)
-    best, law, restart = math.inf, laplace, 0
-    for run, start in enumerate(starts[: spec.restarts], start=1):
-        x = np.asarray(start, float)
+            x = np.array([math.log(x0 / exact.x0), math.log(exact.x1 / x0)])
+            starts.append((objective(x), x))
+    if not starts:
+        return _calibrated(laplace, evals[0], 0, privacy, goal, estimate)
+    best, x = min(starts, key=lambda start: start[0])
+    restart = 0
+    for run in range(1, spec.restarts + 1):
         simplex = np.array([x, x + (_SIMPLEX_STEP, 0.0), x + (0.0, _SIMPLEX_STEP)])
         result = sp_optimize.minimize(
             objective, x, method="Nelder-Mead",
             options={"maxfev": spec.max_evals, "initial_simplex": simplex,
                      "xatol": 1e-6, "fatol": 1e-12},
         )
-        if result.fun < best:
-            best, law, restart = result.fun, law_at(result.x), run
+        if not result.fun < best:
+            break
+        best, x, restart = result.fun, result.x, run
+    law = law_at(x)
     # the search fits its law to these draws, so a law near Laplace can beat
     # Laplace on them by chance; keep a law only if it wins by more than
     # _SIGNIFICANCE standard errors of the paired difference
-    gain = sign * (estimate.per_trial(*_atoms(laplace)) - estimate.per_trial(*_atoms(law)))
     with np.errstate(invalid="ignore"):
+        gain = sign * (estimate.per_trial(*_atoms(laplace)) - estimate.per_trial(*_atoms(law)))
         if not np.mean(gain) > _SIGNIFICANCE * np.std(gain) / math.sqrt(gain.size):
             law, restart = laplace, 0
     return _calibrated(law, evals[0], restart, privacy, goal, estimate)

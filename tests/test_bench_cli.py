@@ -210,6 +210,20 @@ def test_cli_synth_and_sample(tmp_path, capsys):
     assert cli.main(["sample", "--combo", "1 gamma shape=2 scale=1", "--count", "2"]) == 0
 
 
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--mech", "laplace b=1", "--combo", "1 degenerate value=1"],
+    ["--mech", ""],
+    ["--mech", "laplace"],
+    ["--mech", "staircase"],
+    ["--combo", "1 gamma shape=2"],
+])
+def test_cli_sample_refuses_bad_flags(flags, capsys):
+    # exactly one of --mech and --combo, naming a complete law
+    assert cli.main(["sample", *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_verify(capsys):
     assert cli.main(["verify", "--combo", "1 gamma shape=1 scale=1",
                      "--sensitivity", "1"]) == 0

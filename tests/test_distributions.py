@@ -15,6 +15,7 @@ from dpcalib.distributions import (
     LinearCombo,
     TruncGaussian,
     Uniform,
+    _log_gauss_mass,
     format_combo,
     format_dist,
     parse_combo,
@@ -84,6 +85,22 @@ def test_trunc_gaussian_half_normal_mean():
     draws = d.sample(rng, 1_000_000)
     se = draws.std() / math.sqrt(draws.size)
     assert abs(draws.mean() - d.mean()) < 4 * se
+
+
+def test_log_gauss_mass_matches_mpmath_in_both_tails_and_between():
+    mpmath = pytest.importorskip("mpmath")
+    windows = [(-40.0, -39.0), (-3.0, -1.0), (-2.0, 1.0), (-1.0, 2.0), (0.5, 0.75),
+               (39.0, 40.0), (9.0, math.inf), (-math.inf, -9.0), (-math.inf, math.inf)]
+    lo, hi = np.array(windows).T
+    got = _log_gauss_mass(lo, hi)
+    # the mass of [lo, hi] is that of [-hi, -lo]
+    assert np.array_equal(_log_gauss_mass(-hi, -lo), got)
+    with mpmath.workdps(40):
+        for (a, b), value in zip(windows, got):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            mass = mpmath.ncdf(-a) - mpmath.ncdf(-b) if a > 0 else mpmath.ncdf(b) - mpmath.ncdf(a)
+            assert value == pytest.approx(float(mpmath.log(mass)), rel=1e-14, abs=1e-15)
+            assert float(_log_gauss_mass(float(a), float(b))) == value
 
 
 def test_trunc_gaussian_deep_tail_is_stable():
@@ -373,3 +390,9 @@ def test_parse_errors():
         parse_dist("gamma shape")
     with pytest.raises(ValueError):
         parse_combo("")
+    # a missing or unknown parameter names the family's parameters
+    for text in ("gamma shape=2", "gamma shape=2 scale=1 foo=3", "degenerate"):
+        with pytest.raises(ValueError, match=r"takes \w+"):
+            parse_dist(text)
+    with pytest.raises(ValueError, match="'gamma' takes shape, scale"):
+        parse_combo("1 gamma shape=2")

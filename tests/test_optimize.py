@@ -17,7 +17,7 @@ from dpcalib.optimize import (
     optimize,
     two_atom_optimum,
 )
-from dpcalib.privacy import PrivacySpec, epsilon_of_combo, passes_necessary_condition
+from dpcalib.privacy import PrivacySpec, epsilon_of_combo, passes_necessary_condition, rdp_of
 from dpcalib.utility import (
     Histogram,
     TwoAtomMetric,
@@ -56,10 +56,8 @@ def test_baseline_laplace_is_exact_or_refused():
 def test_search_space_validation():
     with pytest.raises(ValueError):
         SearchSpaceSpec(restarts=0)
-    # restarts picks from six fixed starts; more would run no more
-    assert SearchSpaceSpec(restarts=6).restarts == 6
-    with pytest.raises(ValueError, match="<= 6"):
-        SearchSpaceSpec(restarts=7)
+    # restarts caps a chain of runs, so any positive count is a budget
+    assert SearchSpaceSpec(restarts=7).restarts == 7
     with pytest.raises(ValueError):
         SearchSpaceSpec(max_evals=0)
     with pytest.raises(ValueError):
@@ -214,6 +212,22 @@ def test_tiny_epsilon_returns_the_laplace_law_unscaled(goal, dq):
     # would chase the rounding of epsilon_of_combo instead
     result = optimize(FAST, PrivacySpec(0.01, dq), goal, seed=3)
     assert result.combo == LinearCombo(((1.0, Degenerate(0.01 / dq)),))
+
+
+def test_search_keeps_its_start_law_when_no_run_improves():
+    # at this budget Nelder-Mead ends where it started, and the better exact
+    # law still beats Laplace on the search's draws
+    goal = UtilityGoal("kl", prior=Histogram.uniform(8, total=400.0))
+    privacy = PrivacySpec(8.0, 1.0)
+    spec = SearchSpaceSpec(restarts=2, max_evals=20)
+    result = optimize(spec, privacy, goal, seed=5)
+    assert result.diagnostics.winning_restart == 0
+    assert isinstance(result.combo.terms[0][1], Bernoulli)
+    estimate = TwoAtomMetric(goal, spec.mc_trials, np.random.default_rng(5 ^ 0x5EED))
+    exact = min(estimate(*_atoms(two_atom_optimum(privacy, UtilityGoal(metric))[0]))
+                for metric in ("l1", "l2"))
+    assert result.predicted_utility == pytest.approx(exact, rel=1e-12)
+    assert result.predicted_utility < result.baseline_laplace_utility
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -491,6 +505,41 @@ def test_two_atom_search_deterministic_and_monotone():
                     privacy, goal, seed=21)
     assert more.predicted_utility <= a.predicted_utility
     assert more.diagnostics.evaluations > a.diagnostics.evaluations
+
+
+def test_more_restarts_are_no_worse_on_the_search_estimate():
+    # each run restarts from the last one's end point and is kept only if
+    # it improves, so more runs can only lower the estimate
+    privacy = PrivacySpec(8.0, 1.0)
+    for goal in _RESCORED_GOALS:
+        one = optimize(SearchSpaceSpec(restarts=1, max_evals=40, mc_trials=400), privacy,
+                       goal, seed=13)
+        six = optimize(SearchSpaceSpec(restarts=6, max_evals=40, mc_trials=400), privacy,
+                       goal, seed=13)
+        assert six.predicted_utility <= one.predicted_utility
+        assert six.baseline_laplace_utility == one.baseline_laplace_utility
+        assert six.diagnostics.winning_restart >= one.diagnostics.winning_restart
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("total, eps", [(8.0, 1.0), (4.0, 4.0)])
+def test_search_returns_laplace_when_every_law_scores_inf(total, eps):
+    # with counts of 1-2 the noise clips some count to zero in every law's
+    # draws, so kl is inf: at eps = 1 neither exact law has two atoms, at
+    # eps = 4 Nelder-Mead runs on laws that all score inf
+    goal = UtilityGoal("kl", prior=Histogram(tuple(range(5)), (0.25,) * 4, total))
+    result = optimize(SearchSpaceSpec(2, 20, 400), PrivacySpec(eps, 1.0), goal, seed=1)
+    assert result.combo == laplace_seed(PrivacySpec(eps, 1.0))
+    assert result.predicted_utility == math.inf
+    assert result.diagnostics.winning_restart == 0
+    assert (result.diagnostics.evaluations > 1) == (eps > 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 8.0])
+def test_rdp_of_a_compound_mechanism_is_that_of_its_law(alpha):
+    law = optimize(FAST, PrivacySpec(4.0, 1.0), UtilityGoal("l1"), seed=0).combo
+    assert isinstance(law.terms[0][1], Bernoulli)
+    assert rdp_of(CompoundLaplace(law), alpha) == rdp_of(law, alpha)
 
 
 def test_from_text_reads_records_with_boundary_hit():
