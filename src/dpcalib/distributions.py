@@ -92,7 +92,8 @@ class MgfDist(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw from the distribution using the supplied generator."""
+        """Draw from the distribution using the supplied generator; a batch
+        comes back in a new array that the caller may overwrite."""
 
     def log_mgf(self, t: float) -> float:
         """ln M(t) for a scalar t; families with a closed form override it
@@ -200,9 +201,10 @@ class Bernoulli(MgfDist):
 
     def sample(self, rng, size=None):
         u = rng.random(size)
-        return np.where(u < self.p, self.x0, self.x1) if size is not None else (
-            self.x0 if u < self.p else self.x1
-        )
+        if size is None:
+            return self.x0 if u < self.p else self.x1
+        # np.where on a random mask costs several times this gather
+        return np.take([self.x1, self.x0], (u < self.p).view(np.int8))
 
 
 # rng.gamma returns exact zeros for a visible share of draws below this shape
@@ -299,7 +301,11 @@ class Uniform(MgfDist):
         return 0.5 * (self.lo + self.hi)
 
     def sample(self, rng, size=None):
-        return rng.uniform(self.lo, self.hi, size)
+        # numpy's uniform, lo + (hi - lo) u, without its scalar call's overhead
+        u = rng.random(size)
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
     def tail_power(self) -> float:
         return math.inf if self.lo > 0 else 1.0
@@ -322,7 +328,7 @@ class TruncGaussian(MgfDist):
         alpha = (self.lo - self.mu) / self.sigma
         beta = math.inf if math.isinf(self.hi) else (self.hi - self.mu) / self.sigma
         if alpha < 0.0 < beta:
-            cdf, tail = (special.ndtr(alpha), special.ndtr(beta)), None
+            cdf, tail = (float(special.ndtr(alpha)), float(special.ndtr(beta))), None
         else:
             # Invert the tail holding [alpha, beta] in log space, as
             # _log_gauss_mass does: ndtr rounds to 1 beyond about 8.3, where
@@ -399,7 +405,8 @@ class TruncGaussian(MgfDist):
 
     def sample(self, rng, size=None):
         if self._tail is None:
-            z = special.ndtri(rng.uniform(*self._cdf, size))
+            lo, hi = self._cdf  # the same bits as rng.uniform(lo, hi, size)
+            z = special.ndtri(lo + (hi - lo) * rng.random(size))
         else:
             s, log_near, frac = self._tail
             z = -s * special.ndtri_exp(log_near + np.log1p(-frac * rng.random(size)))
@@ -482,10 +489,14 @@ class LinearCombo:
 
     def sample(self, rng, size=None):
         if size is None:
-            return sum(a * d.sample(rng) for a, d in self._active)
-        out = np.zeros(size)
-        for a, d in self._active:
-            out = out + a * np.asarray(d.sample(rng, size))
+            total = 0.0
+            for a, d in self._active:
+                total += a * d.sample(rng)
+            return total
+        (a, d), *rest = self._active
+        out = a * np.asarray(d.sample(rng, size), float)
+        for a, d in rest:
+            out += a * np.asarray(d.sample(rng, size))
         return out
 
     def mgf_domain_sup(self) -> float:

@@ -20,6 +20,7 @@ from scipy import special
 from .distributions import LinearCombo, MgfDist
 
 _UNDERFLOW = 1e-300
+_REDRAWS = 100
 
 
 class InputDomainError(ValueError):
@@ -123,10 +124,55 @@ def staircase_sample(
     return sign * (k + offset) * sensitivity
 
 
+def standard_laplace(rng: np.random.Generator, size=None):
+    """Unit-scale Laplace noise by the inverse CDF, never zero or infinite.
+
+    With v = 2u for u uniform on [0, 1) and w = min(v, 2 - v), the noise
+    is log(w) negated where v > 1; there 2 - v is exact (Sterbenz).  A u
+    of 0 (log 0) or 1/2 (zero noise) is drawn again, up to ``_REDRAWS``
+    times.  Both paths take numpy's vector log, so a scalar draw and a
+    size-1 batch agree bit for bit; libm's log can differ in the last bit.
+    """
+    if size is None:
+        # straight-line: a loop, min or copysign here costs a release
+        # about as much again as the log
+        v = 2.0 * rng.random()
+        if 0.0 < v < 1.0:
+            return float(np.log(v))
+        if v > 1.0:
+            return -float(np.log(2.0 - v))
+        return float(_laplace_of_doubled(rng, np.array([v]))[0])
+    v = rng.random(size)
+    v += v
+    return _laplace_of_doubled(rng, v)
+
+
+def _laplace_of_doubled(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
+    """Unit Laplace noise from v = 2u, redrawing a u of 0 or 1/2; ``v`` is
+    overwritten.  Whole-array ufuncs only: a random mask (np.where, where=,
+    boolean indexing) costs several times the log, so masks run on
+    redraws alone."""
+    w = np.subtract(2.0, v)
+    np.minimum(w, v, out=w)
+    redraws = 0
+    while not (w.min(initial=1.0) > 0.0 and w.max(initial=0.0) < 1.0):
+        if redraws == _REDRAWS:
+            raise InputDomainError(f"a uniform draw stayed at 0 or 1/2 after {_REDRAWS} redraws")
+        redraws += 1
+        bad = (w == 0.0) | (w == 1.0)
+        v[bad] = 2.0 * rng.random(np.count_nonzero(bad))
+        w[bad] = np.minimum(v[bad], 2.0 - v[bad])
+    np.log(w, out=w)
+    v -= 1.0
+    return np.copysign(w, v, out=w)
+
+
 def sample_noise(mech: NoiseMechanism, rng: np.random.Generator, size=None):
     """Draw additive noise for every mechanism except randomized response."""
     if isinstance(mech, Laplace):
-        return rng.laplace(0.0, mech.b, size)
+        noise = standard_laplace(rng, size)
+        noise *= mech.b  # a float is rebound, an array scaled in place
+        return noise
     if isinstance(mech, Gaussian):
         return rng.normal(0.0, mech.sigma, size)
     if isinstance(mech, Staircase):
@@ -136,22 +182,27 @@ def sample_noise(mech: NoiseMechanism, rng: np.random.Generator, size=None):
         # and an infinite one zero noise: neither is ever released
         if size is None:
             scale = mech.combo.sample(rng)
-            for _ in range(100):
+            for _ in range(_REDRAWS):
                 if not scale < _UNDERFLOW:
                     break
                 scale = mech.combo.sample(rng)
             if not _UNDERFLOW <= scale < math.inf:
                 raise InputDomainError(f"reciprocal scale {scale} is not finite and positive")
-            return float(rng.laplace(0.0, 1.0 / scale))
+            return float((1.0 / scale) * standard_laplace(rng))
         scales = np.asarray(mech.combo.sample(rng, size), float)
-        for _ in range(100):
-            bad = scales < _UNDERFLOW
-            if not bad.any():
-                break
-            scales[bad] = np.asarray(mech.combo.sample(rng, int(bad.sum())), float)
-        if not ((scales >= _UNDERFLOW) & (scales < math.inf)).all():
-            raise InputDomainError("a reciprocal scale is not finite and positive")
-        return rng.laplace(0.0, 1.0 / scales)
+        if not (scales.min(initial=_UNDERFLOW) >= _UNDERFLOW
+                and scales.max(initial=0.0) < math.inf):
+            for _ in range(_REDRAWS):
+                bad = scales < _UNDERFLOW
+                if not bad.any():
+                    break
+                scales[bad] = np.asarray(mech.combo.sample(rng, int(bad.sum())), float)
+            if not ((scales >= _UNDERFLOW) & (scales < math.inf)).all():
+                raise InputDomainError("a reciprocal scale is not finite and positive")
+        # the sampler hands back a new array, so it is inverted in place
+        noise = standard_laplace(rng, size)
+        noise *= np.divide(1.0, scales, out=scales)
+        return noise
     raise InputDomainError(f"{type(mech).__name__} does not produce additive noise")
 
 

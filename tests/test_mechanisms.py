@@ -31,6 +31,7 @@ from dpcalib.mechanisms import (
     staircase_norm,
     staircase_sample,
     staircase_usefulness,
+    standard_laplace,
 )
 from dpcalib.privacy import density_grid_epsilon
 from dpcalib.utility import usefulness_bound
@@ -269,3 +270,89 @@ def test_unusable_reciprocal_scale_raises(draw):
         sample_noise(mech, np.random.default_rng(0), 10)
     with pytest.raises(InputDomainError):
         perturb(mech, 3.0, np.random.default_rng(0))
+
+
+class _ScriptedUniforms:
+    """Stands in for a Generator: ``random`` hands out the scripted values in
+    order, then ``then`` for ever, or seeded draws when ``then`` is None."""
+
+    def __init__(self, script, then=None):
+        self._script = list(script)
+        self._then = then
+        self._rng = np.random.default_rng(0)
+
+    def random(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out = np.empty(n)
+        take = min(n, len(self._script))
+        out[:take] = self._script[:take]
+        del self._script[:take]
+        out[take:] = self._rng.random(n - take) if self._then is None else self._then
+        return float(out[0]) if size is None else out.reshape(size)
+
+
+_ZERO_OR_HALF = [0.0, 0.5, 0.5, 0.0]
+_ON_A_UNIT_COMBO = [Laplace(1.0), CompoundLaplace(singleton(Degenerate(1.0)))]
+
+
+@pytest.mark.parametrize("mech", _ON_A_UNIT_COMBO, ids=lambda m: type(m).__name__)
+def test_uniform_draws_of_zero_or_one_half_are_drawn_again(mech):
+    # u = 0 would give log 0 and u = 1/2 zero noise; both are drawn again,
+    # also when a redraw hits one of them
+    assert standard_laplace(_ScriptedUniforms(_ZERO_OR_HALF + [0.25])) == np.log(0.5)
+    assert sample_noise(mech, _ScriptedUniforms(_ZERO_OR_HALF + [0.75])) == -np.log(0.5)
+    for size in (4, (2, 3)):
+        for draw in (lambda r: standard_laplace(r, size), lambda r: sample_noise(mech, r, size)):
+            noise = draw(_ScriptedUniforms([0.0, 0.3, 0.5, 0.5, 0.0, 0.5, 0.75]))
+            assert noise.shape == np.empty(size).shape
+            assert np.all(np.isfinite(noise)) and np.all(noise != 0.0)
+            # an ordinary draw keeps its place and its value
+            assert noise.flat[1] == np.log(0.6)
+
+
+@pytest.mark.parametrize("mech", _ON_A_UNIT_COMBO, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("stuck", [0.0, 0.5])
+def test_uniform_draws_stuck_at_zero_or_one_half_raise(mech, stuck):
+    with pytest.raises(InputDomainError):
+        standard_laplace(_ScriptedUniforms([], then=stuck))
+    with pytest.raises(InputDomainError):
+        standard_laplace(_ScriptedUniforms([], then=stuck), 10)
+    with pytest.raises(InputDomainError):
+        sample_noise(mech, _ScriptedUniforms([], then=stuck))
+    with pytest.raises(InputDomainError):
+        sample_noise(mech, _ScriptedUniforms([0.3] * 9, then=stuck), 10)
+    with pytest.raises(InputDomainError):
+        perturb(mech, 3.0, _ScriptedUniforms([], then=stuck))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1001])
+def test_laplace_batch_is_its_scalar_draws(n):
+    # lengths around the vector width, so the log's remainder lanes run too
+    rng, rng2 = np.random.default_rng(n), np.random.default_rng(n)
+    scalar = [sample_noise(Laplace(0.7), rng) for _ in range(n)]
+    assert np.array_equal(sample_noise(Laplace(0.7), rng2, n), scalar)
+
+
+def test_standard_laplace_is_the_unit_laplace_law():
+    noise = standard_laplace(np.random.default_rng(11), 400_000)
+    assert stats.kstest(noise[:100_000], stats.laplace.cdf).pvalue > 0.01
+    a = np.abs(noise)
+    # |L| is Exp(1): mean 1 and variance 1
+    assert abs(a.mean() - 1.0) < 4 / math.sqrt(a.size)
+    for t in (0.05, 0.7, 3.0):
+        p = -math.expm1(-t)
+        assert abs(np.mean(a <= t) - p) < 4 * math.sqrt(p * (1 - p) / a.size)
+
+
+@pytest.mark.parametrize(
+    "mech",
+    [Laplace(0.7), Gaussian(1.3), Staircase(1.0, 1.0)]
+    + [CompoundLaplace(singleton(d, 0.8)) for d in _ONE_PER_FAMILY]
+    + [CompoundLaplace(LinearCombo(((0.5, Gamma(2.0, 1.0)), (0.5, Bernoulli(0.3, 0.5, 2.0)),
+                                    (0.5, Uniform(0.2, 4.0)))))],
+    ids=lambda m: type(m).__name__,
+)
+def test_batches_keep_a_tuple_size(mech):
+    noise = sample_noise(mech, np.random.default_rng(5), (40, 3))
+    assert noise.shape == (40, 3)
+    assert np.all(np.isfinite(noise)) and np.all(noise != 0.0)
