@@ -3,9 +3,7 @@
 Grid runs are deterministic: every cell derives its own seed from the
 master seed and the cell index, rows appear in grid-enumeration order,
 and floats are formatted with a fixed precision, so the emitted CSV is
-byte-identical across runs.  The wall_ms column is therefore 0 unless
-timing is explicitly requested (which breaks byte-identity); real
-timings always go to the run summary.
+byte-identical across runs.  It holds no timings.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -131,7 +128,6 @@ class GridRow:
     utility_stderr: float | None
     trials: int
     seed: int
-    wall_ms: int
     error: str = ""
     combo: LinearCombo | None = field(default=None, compare=False)
     draws: int = field(default=0, compare=False)
@@ -147,11 +143,7 @@ def _goal_for(metric: str, mp: float) -> UtilityGoal:
     return UtilityGoal(metric)
 
 
-def run_grid(
-    grid: ExperimentGrid,
-    search: SearchSpaceSpec | None = None,
-    timing: bool = False,
-) -> list[GridRow]:
+def run_grid(grid: ExperimentGrid, search: SearchSpaceSpec | None = None) -> list[GridRow]:
     """One row per (epsilon, sensitivity, metric-param, mechanism) cell.
 
     Per-cell failures are recorded in the row's error column and the run
@@ -164,7 +156,6 @@ def run_grid(
         seeds = np.random.SeedSequence([grid.master_seed & (2**63 - 1), index])
         opt_seed_seq, noise_seed_seq = seeds.spawn(2)
         cell_seed = int(opt_seed_seq.generate_state(1)[0])
-        t0 = time.perf_counter()
         row = GridRow(
             epsilon_target=eps,
             epsilon_achieved=None,
@@ -177,7 +168,6 @@ def run_grid(
             utility_stderr=None,
             trials=grid.trials,
             seed=cell_seed,
-            wall_ms=0,
         )
         try:
             goal = _goal_for(grid.metric, mp)
@@ -201,8 +191,6 @@ def run_grid(
             row.utility_empirical, row.utility_stderr = noise_metric(goal, noise)
         except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
             row.error = f"{type(exc).__name__}: {exc}"
-        if timing:
-            row.wall_ms = int(round((time.perf_counter() - t0) * 1000))
         rows.append(row)
     return rows
 

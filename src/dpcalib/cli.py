@@ -111,7 +111,7 @@ def _cmd_bench(args) -> int:
         # so it is reported in the summary only
         true_value = query.true_value(data)
         print(f"# query true value: {true_value:.6g}", file=sys.stderr)
-    rows = bench_mod.run_grid(grid, search, timing=args.timing)
+    rows = bench_mod.run_grid(grid, search)
     csv_text = bench_mod.rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -189,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ben.add_argument("--config", required=True)
     p_ben.add_argument("--out", default=None)
     p_ben.add_argument("--dataset", default=None, help="CSV with one numeric column")
-    p_ben.add_argument("--timing", action="store_true",
-                       help="record real wall_ms (breaks byte-identical output)")
     p_ben.set_defaults(func=_cmd_bench)
 
     p_syn = sub.add_parser("synth", help="generate synthetic data")

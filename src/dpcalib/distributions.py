@@ -7,8 +7,10 @@ M'(t) = E[X e^{tX}], the mean, and a sampler driven by a caller-owned
 ``numpy.random.Generator``.  All values are immutable after construction
 and every operation is pure.
 
-``mgf``/``mgf_deriv`` accept scalars or numpy arrays and return the same
-shape; scalar inputs come back as plain floats.
+``mgf``, ``mgf_deriv`` and ``mgf_and_deriv`` take a scalar or an array t
+of any shape under one decorator, ``_array_math``: the body gets
+``np.asarray(t, float)`` and is array math only, an array gets values of
+its shape back, and a scalar t a float (a tuple of floats for the pair).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
+from functools import wraps
 
 import numpy as np
 from scipy import special
@@ -25,8 +28,18 @@ class DomainError(ValueError):
     """The MGF (or its derivative) was probed outside its existence domain."""
 
 
-def _ret(x, scalar: bool):
-    return float(x) if scalar else x
+def _array_math(method):
+    """Call ``method`` with ``np.asarray(t, float)``; a scalar t gets a
+    float back, or a tuple of floats from ``mgf_and_deriv``.  Each family
+    keeps its decorated methods in its own class, where perfbench's tracer
+    wraps them."""
+    @wraps(method)
+    def call(self, t):
+        out = method(self, np.asarray(t, float))
+        if np.isscalar(t):
+            return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
+        return out
+    return call
 
 
 def _diff_log(log_hi, log_lo):
@@ -120,12 +133,10 @@ class MgfDist(ABC):
         """The law as a one-term combination, as ``LinearCombo`` reports it."""
         return ((1.0, self),)
 
-    def _check_domain(self, t):
+    def _check_domain(self, t: np.ndarray):
         sup = self.mgf_domain_sup()
-        if np.any(np.asarray(t) >= sup):
-            raise DomainError(
-                f"{type(self).__name__}: MGF does not exist at t >= {sup}"
-            )
+        if np.any(t >= sup):
+            raise DomainError(f"{type(self).__name__}: MGF does not exist at t >= {sup}")
 
     @property
     def family(self) -> str:
@@ -145,13 +156,13 @@ class Degenerate(MgfDist):
         if not (self.value > 0 and math.isfinite(self.value)):
             raise ValueError(f"degenerate value must be finite and > 0, got {self.value}")
 
+    @_array_math
     def mgf(self, t):
-        scalar = np.isscalar(t)
-        return _ret(np.exp(np.asarray(t, float) * self.value), scalar)
+        return np.exp(t * self.value)
 
+    @_array_math
     def mgf_deriv(self, t):
-        scalar = np.isscalar(t)
-        return _ret(self.value * np.exp(np.asarray(t, float) * self.value), scalar)
+        return self.value * np.exp(t * self.value)
 
     def log_mgf(self, t: float) -> float:
         return t * self.value
@@ -179,17 +190,13 @@ class Bernoulli(MgfDist):
         if not (self.x0 > 0 and self.x1 > 0):
             raise ValueError("both outcomes must be > 0")
 
+    @_array_math
     def mgf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
-        out = self.p * np.exp(t * self.x0) + (1 - self.p) * np.exp(t * self.x1)
-        return _ret(out, scalar)
+        return self.p * np.exp(t * self.x0) + (1 - self.p) * np.exp(t * self.x1)
 
+    @_array_math
     def mgf_deriv(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
-        out = self.p * self.x0 * np.exp(t * self.x0) + (1 - self.p) * self.x1 * np.exp(t * self.x1)
-        return _ret(out, scalar)
+        return self.p * self.x0 * np.exp(t * self.x0) + (1 - self.p) * self.x1 * np.exp(t * self.x1)
 
     def log_mgf(self, t: float) -> float:
         atoms = [math.log(w) + t * x
@@ -231,18 +238,15 @@ class Gamma(MgfDist):
     def mgf_domain_sup(self) -> float:
         return 1.0 / self.scale
 
+    @_array_math
     def mgf(self, t):
         self._check_domain(t)
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
-        return _ret((1.0 - self.scale * t) ** (-self.shape), scalar)
+        return (1.0 - self.scale * t) ** (-self.shape)
 
+    @_array_math
     def mgf_deriv(self, t):
         self._check_domain(t)
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
-        out = self.shape * self.scale * (1.0 - self.scale * t) ** (-self.shape - 1.0)
-        return _ret(out, scalar)
+        return self.shape * self.scale * (1.0 - self.scale * t) ** (-self.shape - 1.0)
 
     def mean(self) -> float:
         return self.shape * self.scale
@@ -270,25 +274,20 @@ class Uniform(MgfDist):
         if not (0.0 <= self.lo < self.hi < math.inf):
             raise ValueError(f"need 0 <= lo < hi < inf, got [{self.lo}, {self.hi}]")
 
+    @_array_math
     def mgf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
-        w = self.hi - self.lo
-        out = np.exp(t * self.lo) * _expm1_over(t * w)
-        return _ret(out, scalar)
+        return np.exp(t * self.lo) * _expm1_over(t * (self.hi - self.lo))
 
+    @_array_math
     def mgf_deriv(self, t):
         return self.mgf_and_deriv(t)[1]
 
+    @_array_math
     def mgf_and_deriv(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
         w = self.hi - self.lo
         shift = np.exp(t * self.lo)
         ratio = _expm1_over(t * w)
-        m = shift * ratio
-        d = shift * (self.lo * ratio + w * _expm1_over_deriv(t * w))
-        return _ret(m, scalar), _ret(d, scalar)
+        return shift * ratio, shift * (self.lo * ratio + w * _expm1_over_deriv(t * w))
 
     def log_mgf(self, t: float) -> float:
         # factor out the larger exponential so that nothing overflows
@@ -370,23 +369,22 @@ class TruncGaussian(MgfDist):
                                - 0.5 * math.log(2 * math.pi) - self._log_den, out)
         return out
 
+    @_array_math
     def mgf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
         lo_t, _, log_mass = self._tilted(t)
-        return _ret(np.exp(self._log_mgf(t, lo_t, log_mass)), scalar)
+        return np.exp(self._log_mgf(t, lo_t, log_mass))
 
     def log_mgf(self, t: float) -> float:
         t = np.asarray(t, float)
         lo_t, _, log_mass = self._tilted(t)
         return float(self._log_mgf(t, lo_t, log_mass))
 
+    @_array_math
     def mgf_deriv(self, t):
         return self.mgf_and_deriv(t)[1]
 
+    @_array_math
     def mgf_and_deriv(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, float)
         lo_t, hi_t, log_mass = self._tilted(t)
         with np.errstate(all="ignore"):
             # hazard-style ratios stay bounded where the raw pdf/mass underflow
@@ -398,7 +396,7 @@ class TruncGaussian(MgfDist):
                 tilted_mean = np.where(deep, self.lo + self.sigma / np.maximum(lo_t, 1.0),
                                        tilted_mean)
         m = np.exp(self._log_mgf(t, lo_t, log_mass))
-        return _ret(m, scalar), _ret(m * tilted_mean, scalar)
+        return m, m * tilted_mean
 
     def mean(self) -> float:
         return float(self.mgf_deriv(0.0))
@@ -437,7 +435,8 @@ class LinearCombo:
 
     Represents the reciprocal Laplace scale 1/b.  The combined MGF is the
     product of the member MGFs at the scaled arguments, and the derivative
-    follows the product rule.
+    follows the product rule.  Terms with a zero coefficient are dropped
+    once validated, so ``terms`` is the law.
     """
 
     terms: tuple[tuple[float, MgfDist], ...]
@@ -450,61 +449,60 @@ class LinearCombo:
             raise ValueError("coefficients must be finite and >= 0")
         if not any(a > 0 for a in coeffs):
             raise ValueError("at least one coefficient must be > 0")
-        object.__setattr__(self, "terms", tuple((float(a), d) for a, d in self.terms))
-        object.__setattr__(self, "_active", tuple((a, d) for a, d in self.terms if a > 0))
+        object.__setattr__(self, "terms",
+                           tuple((float(a), d) for a, d in self.terms if a > 0))
 
     def active_terms(self) -> tuple[tuple[float, MgfDist], ...]:
-        return self._active
+        return self.terms
 
+    @_array_math
     def mgf(self, t):
-        scalar = np.isscalar(t)
-        t_arr = np.asarray(t, float)
-        out = np.ones_like(t_arr, dtype=float)
-        for a, d in self._active:
-            out = out * d.mgf(a * t_arr)
-        return _ret(out, scalar)
+        out = np.ones_like(t)
+        for a, d in self.terms:
+            out = out * d.mgf(a * t)
+        return out
 
+    @_array_math
     def mgf_deriv(self, t):
-        scalar = np.isscalar(t)
-        t_arr = np.asarray(t, float)
-        if len(self._active) == 1:  # no other term's M enters the product
-            (a, d), = self._active
-            return _ret(a * d.mgf_deriv(a * t_arr), scalar)
+        if len(self.terms) == 1:  # no other term's M enters the product
+            (a, d), = self.terms
+            return a * d.mgf_deriv(a * t)
         # product rule over one (M, M') pair per term
-        pairs = [d.mgf_and_deriv(a * t_arr) for a, d in self._active]
-        out = np.zeros_like(t_arr, dtype=float)
-        for j, (a, _) in enumerate(self._active):
+        pairs = [d.mgf_and_deriv(a * t) for a, d in self.terms]
+        out = np.zeros_like(t)
+        for j, (a, _) in enumerate(self.terms):
             part = a * pairs[j][1]
             for i, (v, _) in enumerate(pairs):
                 if i != j:
                     part = part * v
             out = out + part
-        return _ret(out, scalar)
+        return out
+
+    mgf_and_deriv = MgfDist.mgf_and_deriv
 
     def log_mgf(self, t: float) -> float:
-        return sum(d.log_mgf(a * t) for a, d in self._active)
+        return sum(d.log_mgf(a * t) for a, d in self.terms)
 
     def mean(self) -> float:
-        return sum(a * d.mean() for a, d in self._active)
+        return sum(a * d.mean() for a, d in self.terms)
 
     def sample(self, rng, size=None):
         if size is None:
             total = 0.0
-            for a, d in self._active:
+            for a, d in self.terms:
                 total += a * d.sample(rng)
             return total
-        (a, d), *rest = self._active
+        (a, d), *rest = self.terms
         out = a * np.asarray(d.sample(rng, size), float)
         for a, d in rest:
             out += a * np.asarray(d.sample(rng, size))
         return out
 
     def mgf_domain_sup(self) -> float:
-        sups = [d.mgf_domain_sup() / a for a, d in self._active]
-        return min(sups) if sups else math.inf
+        return min(d.mgf_domain_sup() / a for a, d in self.terms)
 
     def tail_power(self) -> float:
-        return sum(d.tail_power() for _, d in self._active)
+        return sum(d.tail_power() for _, d in self.terms)
 
 
 def singleton(dist: MgfDist, coeff: float = 1.0) -> LinearCombo:

@@ -254,7 +254,10 @@ def _constraint_slope(privacy: PrivacySpec, x: float) -> float:
     return privacy.sensitivity * x * math.exp(z) - math.expm1(z)
 
 
-_LOG_LAM_REACH = 1500.0  # bracket reach in ln lam; lam = e^(ln lam) underflows past -745
+# bracket reach in ln lam.  Downward lam = e^(ln lam) underflows to 0 past
+# -745, harmlessly, as the peaks compare slopes in log space; upward it
+# overflows past 709.78, and two_atom_optimum raises InfeasibleSpecError
+_LOG_LAM_REACH = 1500.0
 _LOG_X_TOL = 1e-12  # width in ln x at which a peak's bisection stops
 
 
@@ -312,13 +315,13 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     f, log_fprime, _, knee = payoff
     reach = _reach(goal, eps)  # n_hi keeps the lower grid's points per decade
     n_hi = 1 + round((_ATOMS_PER_SIDE - 1) * math.log(reach) / math.log(_SPAN))
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):  # a non-finite table raises below
         sides = [(xs, np.log(xs), f(xs), _constraint(privacy, xs))
                  for xs in (np.geomspace(x0 / _SPAN, x0, _ATOMS_PER_SIDE),
                             np.geomspace(x0, max(x0, knee) * reach, n_hi))]
-    if not all(np.isfinite(gs).all() for *_, gs in sides):
+    if not all(np.isfinite(fs).all() and np.isfinite(gs).all() for *_, fs, gs in sides):
         raise InfeasibleSpecError(
-            f"epsilon {eps!r} is too large at sensitivity {dq!r}: e^(eps - dq x) overflows")
+            f"epsilon {eps!r} is too large at sensitivity {dq!r}: the grid overflows")
     calls = [0]
 
     def dual(log_lam):
@@ -330,30 +333,36 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
         return hi[0] - lo[0]
 
     laplace = laplace_seed(privacy)
-    f0 = float(f(x0))
-    tol = 4.0 * np.finfo(float).eps * (1.0 + abs(f0))
-    # log slope of f against g at x0, where dg/dx = eps
-    t0 = log_fprime(x0) - math.log(eps)
-    below, above = dual(t0)
-    if max(below[0], above[0]) <= f0 + tol:
-        return laplace, calls[0]
-    # bracket the crossing by doubling steps in log lam, then solve it
-    d = above[0] - below[0]
-    step = 1.0 if d > 0 else -1.0
-    a = b = t0
-    while d != 0.0 and (d > 0) == (step > 0):
-        a, b, step = b, b + step, 2.0 * step
-        if abs(b - t0) > _LOG_LAM_REACH:
-            raise InfeasibleSpecError("the dual multiplier could not be bracketed")
-        d = gap(b)
-    root = b if d == 0.0 else sp_optimize.brentq(
-        gap, min(a, b), max(a, b), xtol=1e-13, rtol=4.0 * np.finfo(float).eps
-    )
-    (_, x_lo), (_, x_hi) = dual(root)
-    law = _two_atom_law(privacy, x_lo, x_hi)
-    if _mean_payoff(law, f) <= f0 + tol:
-        return laplace, calls[0]
-    return law, calls[0]
+    # lam g at inf rightly scores -inf; lam or f overflowing leaves the float range
+    try:
+        with np.errstate(over="ignore"):
+            f0 = float(f(x0))
+            tol = 4.0 * np.finfo(float).eps * (1.0 + abs(f0))
+            # log slope of f against g at x0, where dg/dx = eps
+            t0 = log_fprime(x0) - math.log(eps)
+            below, above = dual(t0)
+            if max(below[0], above[0]) <= f0 + tol:
+                return laplace, calls[0]
+            # bracket the crossing by doubling steps in log lam, then solve it
+            d = above[0] - below[0]
+            step = 1.0 if d > 0 else -1.0
+            a = b = t0
+            while d != 0.0 and (d > 0) == (step > 0):
+                a, b, step = b, b + step, 2.0 * step
+                if abs(b - t0) > _LOG_LAM_REACH:
+                    raise InfeasibleSpecError("the dual multiplier could not be bracketed")
+                d = gap(b)
+            root = b if d == 0.0 else sp_optimize.brentq(
+                gap, min(a, b), max(a, b), xtol=1e-13, rtol=4.0 * np.finfo(float).eps
+            )
+            (_, x_lo), (_, x_hi) = dual(root)
+            law = _two_atom_law(privacy, x_lo, x_hi)
+            worse = _mean_payoff(law, f) <= f0 + tol
+    except (OverflowError, ZeroDivisionError):
+        raise InfeasibleSpecError(
+            f"epsilon {eps!r} at sensitivity {dq!r} takes the dual beyond the float range"
+        ) from None
+    return (laplace if worse else law), calls[0]
 
 
 _SIMPLEX_STEP = 0.25

@@ -39,6 +39,12 @@ class GridError(ValueError):
     """The requested verification grid cannot cover enough output mass."""
 
 
+def _require_positive(name: str, value: float) -> None:
+    """``ValueError`` unless ``value`` is finite and > 0 (nan is not)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class PrivacySpec:
     """Privacy budget epsilon and query sensitivity."""
@@ -47,10 +53,8 @@ class PrivacySpec:
     sensitivity: float
 
     def __post_init__(self):
-        if not (0 < self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not (0 < self.sensitivity < math.inf):
-            raise ValueError(f"sensitivity must be finite and > 0, got {self.sensitivity}")
+        _require_positive("epsilon", self.epsilon)
+        _require_positive("sensitivity", self.sensitivity)
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,7 @@ class RdpPoint:
 
 def epsilon_of_combo(combo: LinearCombo | MgfDist, sensitivity: float) -> float:
     """Exact epsilon-DP level of the compound-Laplace mechanism using ``combo``."""
-    if sensitivity <= 0:
-        raise ValueError("sensitivity must be > 0")
+    _require_positive("sensitivity", sensitivity)
     deriv = combo.mgf_deriv(-sensitivity)
     if deriv <= 0.0:  # underflow: the guarantee is effectively unbounded
         return math.inf
@@ -89,9 +92,8 @@ def epsilon_closed_form(dist: MgfDist, sensitivity: float) -> float:
     ``UnsupportedFamilyError``.  Values agree with ``epsilon_of_combo`` on
     the corresponding singleton to floating-point precision.
     """
+    _require_positive("sensitivity", sensitivity)
     dq = sensitivity
-    if dq <= 0:
-        raise ValueError("sensitivity must be > 0")
     if isinstance(dist, Degenerate):
         return dist.value * dq
     if isinstance(dist, Bernoulli):
@@ -260,8 +262,11 @@ def density_grid_epsilon(log_density, shift: float, radius: float, step: float) 
     and holds 0 and shift.  Both sides of every pair (x, x - shift) are
     read from one evaluation per radial point |x| = h*i, i = 0..m+k.
     Raises ``GridError``, before allocating, when m + k + 1 exceeds the
-    point cap (4e6).
+    point cap (4e6), and ``ValueError`` unless shift and step are finite
+    and > 0.
     """
+    _require_positive("shift", shift)
+    _require_positive("step", step)
     k = math.ceil(shift / step)
     h = shift / k
     m = math.ceil(radius / h)
@@ -295,8 +300,8 @@ def verify_epsilon_empirically(
     can exceed ``epsilon_of_combo`` only by floating-point error, and
     matches it at the grid point x = 0.
     """
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be finite and > 0, got {step}")
+    _require_positive("sensitivity", sensitivity)
+    _require_positive("step", step)
     radius = _auto_radius(combo, step, sensitivity)
 
     def log_density(xs):

@@ -110,7 +110,7 @@ def test_run_grid_single_laplace_cell():
     assert row.draws == grid.trials
 
 
-def test_run_grid_deterministic_and_wall_ms_zero():
+def test_run_grid_deterministic():
     grid = ExperimentGrid(
         epsilons=(1.0, 2.0), sensitivities=(1.0,), metric_params=(0.4,),
         mechanisms=("compound", "laplace", "staircase"), trials=500, master_seed=3,
@@ -118,7 +118,6 @@ def test_run_grid_deterministic_and_wall_ms_zero():
     a = rows_to_csv(run_grid(grid, TINY_SEARCH))
     b = rows_to_csv(run_grid(grid, TINY_SEARCH))
     assert a == b
-    assert all(r.wall_ms == 0 for r in run_grid(grid, TINY_SEARCH))
 
 
 def test_run_grid_compound_dominates_laplace_rowwise():
@@ -163,7 +162,7 @@ def test_csv_columns_fixed_order(tmp_path):
     assert tuple(parsed[0].keys()) == CSV_COLUMNS == (
         "epsilon_target", "epsilon_achieved", "sensitivity", "metric", "metric_param",
         "mechanism", "utility_analytic", "utility_empirical", "utility_stderr", "trials",
-        "seed", "wall_ms", "error")
+        "seed", "error")
 
 
 def test_load_config(tmp_path):
@@ -236,6 +235,13 @@ def test_cli_verify(capsys):
     assert "step must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sensitivity", ["0", "inf", "nan", "-1"])
+def test_cli_verify_refuses_a_bad_sensitivity(sensitivity, capsys):
+    assert cli.main(["verify", "--combo", "1 gamma shape=2 scale=1",
+                     "--sensitivity", sensitivity]) == 1
+    assert "error: sensitivity must be finite and > 0" in capsys.readouterr().err
+
+
 def test_cli_verify_fails_closed(monkeypatch, capsys):
     combo = "1 gamma shape=1 scale=1"
     closed = 2 * math.log(2)
@@ -269,6 +275,16 @@ def test_cli_optimize_large_epsilon(tmp_path):
 
     assert abs(CalibratedMechanism.from_text(out.read_text()).achieved_epsilon - 300.0) <= 1e-9
     assert cli.main(["optimize", "--epsilon", "720", "--metric", "l2"]) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("metric, sensitivity", [("l2", "1e104"), ("l1", "1e156"),
+                                                 ("l2", "1e-300"), ("l2", "1e-200")])
+def test_cli_optimize_refuses_a_sensitivity_beyond_the_float_range(metric, sensitivity, capsys):
+    # exit 2 with an infeasible: line, not an OverflowError or a warning
+    assert cli.main(["optimize", "--epsilon", "5", "--sensitivity", sensitivity,
+                     "--metric", metric]) == 2
+    assert "infeasible:" in capsys.readouterr().err
 
 
 def test_cli_optimize_prior_metric_record_round_trips(tmp_path, capsys):

@@ -321,6 +321,67 @@ def test_combo_deriv_matches_product_rule(combo):
                                                   rel=1e-14, abs=0.0)
 
 
+_ZERO_TERM_COMBO = LinearCombo(((0.5, Gamma(2.0, 1.0)), (0.0, TruncGaussian(0.5, 1.0, 0.0)),
+                                 (1.5, Uniform(0.25, 3.0))))
+_CONTRACT_LAWS = [
+    Degenerate(1.5), Bernoulli(0.3, 0.5, 2.0), Gamma(2.0, 1.0), Uniform(0.25, 3.0),
+    TruncGaussian(0.5, 1.0, 0.0), TruncGaussian(1e-4, 1e-4, 1e4),
+    singleton(Bernoulli(0.3, 0.5, 2.0), 2.0), _ZERO_TERM_COMBO,
+]
+
+
+def _contract_id(law):
+    return "combo-" + "-".join(d.family for _, d in law.terms) if isinstance(
+        law, LinearCombo) else law.family
+
+
+@pytest.mark.parametrize("method", ["mgf", "mgf_deriv", "mgf_and_deriv"])
+@pytest.mark.parametrize("law", _CONTRACT_LAWS, ids=_contract_id)
+def test_mgf_methods_take_scalars_and_arrays_of_any_shape(law, method):
+    # A float or numpy scalar gives a float (a tuple of floats for the
+    # pair); a 0-d array gives the scalar call's bits.  1-d and 2-d arrays
+    # keep their shape and their bits under reshaping; against scalar calls
+    # they may differ by an ulp where numpy's vector pow differs from its
+    # scalar one, as Gamma(2, 1)'s M' at t = 0.2 does: 0x1.f3ffffffffffep+1
+    # in an array of six, 0x1.f3fffffffffffp+1 alone.
+    call = getattr(law, method)
+    pair = method == "mgf_and_deriv"
+    ts = np.array([[-3.0, -0.5, 0.0], [-1e-3, 0.02, -40.0]])
+    for t in (0.02, np.float64(-0.5), -3):
+        out = call(t)
+        if pair:
+            assert type(out) is tuple and [type(v) for v in out] == [float, float]
+        else:
+            assert type(out) is float
+    zero_d = call(np.asarray(-0.5))
+    assert np.shape(zero_d) == ((2,) if pair else ())
+    assert _bits(zero_d).tolist() == _bits(call(-0.5)).tolist()
+    flat = call(ts.ravel())
+    for t in (ts[0], ts):
+        out = call(t)
+        parts, flat_parts = (out, flat) if pair else ((out,), (flat,))
+        scalar = np.array([call(float(x)) for x in t.ravel()]).reshape(t.size, -1)
+        for k, (part, whole) in enumerate(zip(parts, flat_parts)):
+            assert isinstance(part, np.ndarray) and part.shape == t.shape
+            assert _bits(part.ravel()).tolist() == _bits(whole[:t.size]).tolist()
+            np.testing.assert_array_max_ulp(part.ravel(), scalar[:, k], maxulp=1)
+    pole = law.mgf_domain_sup()  # Gamma's: 1 alone, 2 in the combination
+    if math.isfinite(pole):
+        for t in (pole, np.float64(pole + 1.0), np.asarray(pole), np.array([[0.0], [pole]])):
+            with pytest.raises(DomainError):
+                call(t)
+
+
+def test_zero_coefficient_terms_are_dropped():
+    assert _ZERO_TERM_COMBO.terms == ((0.5, Gamma(2.0, 1.0)), (1.5, Uniform(0.25, 3.0)))
+    assert _ZERO_TERM_COMBO.active_terms() == _ZERO_TERM_COMBO.terms
+    assert "trunc_gaussian" not in format_combo(_ZERO_TERM_COMBO)
+    assert _ZERO_TERM_COMBO == LinearCombo(((0.5, Gamma(2.0, 1.0)), (1.5, Uniform(0.25, 3.0))))
+    assert parse_combo(format_combo(_ZERO_TERM_COMBO)) == _ZERO_TERM_COMBO
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        LinearCombo(((0.0, Gamma(2.0, 1.0)),))
+
+
 def test_combo_of_point_masses_is_point_mass():
     c = LinearCombo(((1.0, Degenerate(1.0)), (1.0, Degenerate(2.0))))
     for t in (-3.0, -0.5, 0.0, 1.0):

@@ -240,6 +240,20 @@ def test_two_atom_optimum_meets_epsilon_without_rescaling(goal, eps, dq):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dq", [1e-300, 1e-200, 1e-156, 1e-152, 1e100, 1e104, 1e150, 1e156,
+                                1e200, 1e300])
+@pytest.mark.parametrize("goal", LINEAR_GOALS, ids=lambda goal: goal.metric)
+def test_two_atom_optimum_solves_or_refuses_at_the_float_range(goal, dq):
+    # where lam, f or e^(eps - dq x) leaves the float range the spec is
+    # refused, with no warning on the way; every law returned is exact
+    try:
+        law, _ = two_atom_optimum(PrivacySpec(5.0, dq), goal)
+    except InfeasibleSpecError:
+        return
+    assert abs(epsilon_of_combo(law, dq) - 5.0) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("eps", [710.0, 1000.0])
 @pytest.mark.parametrize("goal", LINEAR_GOALS, ids=lambda goal: goal.metric)
 def test_two_atom_optimum_refuses_an_overflowing_epsilon(goal, eps):

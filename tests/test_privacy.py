@@ -296,6 +296,18 @@ def test_verify_rejects_a_step_that_is_not_finite_and_positive(step):
         verify_epsilon_empirically(Degenerate(1.0), 1.0, step=step)
 
 
+@pytest.mark.parametrize("value", [0.0, math.inf, math.nan, -1.0])
+def test_every_epsilon_route_refuses_a_size_that_is_not_finite_and_positive(value):
+    # inf would halve an infinite radius forever, and 0 divide by zero
+    for route in (epsilon_of_combo, epsilon_closed_form, verify_epsilon_empirically):
+        with pytest.raises(ValueError, match="sensitivity must be finite and > 0"):
+            route(Gamma(2.0, 1.0), value)
+    with pytest.raises(ValueError, match="shift must be finite and > 0"):
+        density_grid_epsilon(np.negative, value, 5.0, 1e-3)
+    with pytest.raises(ValueError, match="step must be finite and > 0"):
+        density_grid_epsilon(np.negative, 1.0, 5.0, value)
+
+
 def test_density_grid_error_when_the_ratio_is_nowhere_finite():
     with pytest.raises(GridError, match="nowhere finite"):
         density_grid_epsilon(lambda xs: np.full(np.shape(xs), np.nan), 1.0, 5.0, 1e-3)
