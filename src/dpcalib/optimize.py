@@ -319,9 +319,13 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
         sides = [(xs, np.log(xs), f(xs), _constraint(privacy, xs))
                  for xs in (np.geomspace(x0 / _SPAN, x0, _ATOMS_PER_SIDE),
                             np.geomspace(x0, max(x0, knee) * reach, n_hi))]
-    if not all(np.isfinite(fs).all() and np.isfinite(gs).all() for *_, fs, gs in sides):
+    if not all(np.isfinite(xs).all() and np.isfinite(fs).all() for xs, _, fs, _ in sides):
         raise InfeasibleSpecError(
-            f"epsilon {eps!r} is too large at sensitivity {dq!r}: the grid overflows")
+            f"epsilon/sensitivity = {eps:g}/{dq:g} = {x0:g} is too "
+            f"{'large' if x0 > 1.0 else 'small'}: the grid around it leaves the float range")
+    if not all(np.isfinite(gs).all() for *_, gs in sides):
+        raise InfeasibleSpecError(f"epsilon {eps!r} is too large at sensitivity {dq!r}: "
+                                  "x e^(epsilon - sensitivity x) overflows on the grid")
     calls = [0]
 
     def dual(log_lam):

@@ -66,10 +66,12 @@ class RdpPoint:
 def epsilon_of_combo(combo: LinearCombo | MgfDist, sensitivity: float) -> float:
     """Exact epsilon-DP level of the compound-Laplace mechanism using ``combo``."""
     _require_positive("sensitivity", sensitivity)
-    deriv = combo.mgf_deriv(-sensitivity)
-    if deriv <= 0.0:  # underflow: the guarantee is effectively unbounded
+    deriv, mean = combo.mgf_deriv(-sensitivity), combo.mean()
+    # underflow, or nan where a family cannot resolve the law: no finite
+    # guarantee is certified
+    if not (deriv > 0.0 and mean > 0.0):
         return math.inf
-    return math.log(combo.mean()) - math.log(deriv)
+    return math.log(mean) - math.log(deriv)
 
 
 def _epsilon_uniform(lo: float, hi: float, sensitivity: float) -> float:
@@ -218,6 +220,10 @@ _MAX_POINTS = 4e6
 _SHRINK_STEPS = 6
 
 
+# halvings of the start radius tried per M call
+_HALVINGS = 64
+
+
 def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) -> float:
     # Total output mass beyond distance R from the center is M(-R).  For
     # power-law MGF tails the mass target can be unreachable; the log-ratio
@@ -226,31 +232,55 @@ def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) 
     # The doubling budget still counts the signed grid, (2R + sensitivity)
     # / step, not the m + k + 1 radial points the grid evaluates: a tighter
     # count would let laws that take the fallback today double instead.
-    fallback = 8.0 * sensitivity + 16.0 / max(combo.mean(), 1e-9)
-    fallback = min(fallback, _MAX_POINTS * step / 2.0)
-    # Halve the start radius while its half still meets the tail mass, or
-    # double it until it does: then M(-r/2) > tail mass >= M(-r) for every
-    # law that does not take the fallback, however small its radius.
-    r = max(1.0, 2.0 * sensitivity)
-    uncovered = combo.mgf(-r) > _TAIL_MASS
-    while not uncovered and combo.mgf(-r / 2.0) <= _TAIL_MASS:
-        r /= 2.0
-    while uncovered:
-        r *= 2.0
-        if r > _MAX_RADIUS or (2.0 * r + sensitivity) / step > _MAX_POINTS:
-            return fallback
-        uncovered = combo.mgf(-r) > _TAIL_MASS
+    #
+    # Halve the start radius r0 while its half still meets the tail mass,
+    # or double it until it does: then M(-r/2) > tail mass >= M(-r) for
+    # every law that does not take the fallback, however small its radius.
+    # The rungs r0 2^j this walk can visit, up to the caps, are read from
+    # one M call, and more halvings from one more per _HALVINGS of them.
+    r0 = max(1.0, 2.0 * sensitivity)
+    doublings = 0
+    while ((r := r0 * 2.0 ** (doublings + 1)) <= _MAX_RADIUS
+           and (2.0 * r + sensitivity) / step <= _MAX_POINTS):
+        doublings += 1
+    rungs = np.ldexp(r0, np.arange(-_HALVINGS, doublings + 1))
+    covered = combo.mgf(-rungs) <= _TAIL_MASS
+    i = _HALVINGS
+    if covered[i]:
+        while covered[i - 1]:
+            i -= 1
+            if i == 0:  # halved past the rungs read: read the next ones down
+                rungs = np.ldexp(rungs[0], np.arange(-_HALVINGS, 1))
+                covered = combo.mgf(-rungs) <= _TAIL_MASS
+                i = _HALVINGS
+    else:
+        above = np.flatnonzero(covered[i:])
+        if above.size == 0:
+            # doubling would pass a cap: the fallback leaves more than the
+            # tail mass uncovered, and is returned as it is; a nan mean
+            # (a law its family cannot resolve) takes the point cap
+            return min(8.0 * sensitivity + 16.0 / max(1e-9, combo.mean()),
+                       _MAX_POINTS * step / 2.0)
+        i += above[0]
     # M(-R) decreases in R, so bisect on (r/2, r] and keep the upper end,
-    # which always meets the tail mass.  The fallback above is returned as
-    # it is: it already leaves more than the tail mass uncovered.
-    lo = r / 2.0
+    # which always meets the tail mass.  The 2^steps - 1 midpoints the
+    # bisection can visit are built as it builds them, and read from one
+    # M call.
+    ends = np.array([rungs[i] / 2.0, rungs[i]])
     for _ in range(_SHRINK_STEPS):
-        mid = 0.5 * (lo + r)
-        if combo.mgf(-mid) > _TAIL_MASS:
-            lo = mid
+        grown = np.empty(2 * ends.size - 1)
+        grown[::2] = ends
+        grown[1::2] = 0.5 * (ends[:-1] + ends[1:])
+        ends = grown
+    covered = combo.mgf(-ends[1:-1]) <= _TAIL_MASS
+    lo, hi = 0, ends.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if covered[mid - 1]:
+            hi = mid
         else:
-            r = mid
-    return r
+            lo = mid
+    return float(ends[hi])
 
 
 def density_grid_epsilon(log_density, shift: float, radius: float, step: float) -> float:
@@ -277,11 +307,19 @@ def density_grid_epsilon(log_density, shift: float, radius: float, step: float) 
         )
     ld = log_density(h * np.arange(m + k + 1))
     # x <= 0 (its mirror x >= shift gives the negated pairs), then 0 <= x <= shift
-    diff = np.concatenate([ld[:m + 1] - ld[k:], ld[:k + 1] - ld[k::-1]])
-    diff = diff[np.isfinite(diff)]
-    if diff.size == 0:
+    sup = max(_finite_abs_max(ld[:m + 1] - ld[k:]), _finite_abs_max(ld[:k + 1] - ld[k::-1]))
+    if sup < 0.0:
         raise GridError("log-density ratio is nowhere finite on the grid")
-    return float(np.max(np.abs(diff)))
+    return sup
+
+
+def _finite_abs_max(diff: np.ndarray) -> float:
+    """max |diff| over the finite entries of a fresh array, -1 if none."""
+    np.abs(diff, out=diff)
+    top = float(diff.max())  # nan or inf if any entry is not finite
+    if math.isfinite(top):
+        return top
+    return float(np.max(diff, where=np.isfinite(diff), initial=-1.0))
 
 
 def verify_epsilon_empirically(
@@ -304,8 +342,8 @@ def verify_epsilon_empirically(
     _require_positive("step", step)
     radius = _auto_radius(combo, step, sensitivity)
 
-    def log_density(xs):
+    def log_density(xs):  # the grid's radial points are >= 0
         with np.errstate(divide="ignore"):
-            return np.log(combo.mgf_deriv(-np.abs(xs)))
+            return np.log(combo.mgf_deriv(-xs))
 
     return density_grid_epsilon(log_density, sensitivity, radius, step)

@@ -302,6 +302,64 @@ def test_mgf_and_deriv_is_bitwise_mgf_and_mgf_deriv(dist):
                                                    dist.mgf_deriv(float(t))]).tolist()
 
 
+def _quadrature_log_mass_and_mean(dist, t, mpmath):
+    """ln of the mass of a TruncGaussian's density tilted by e^{tx}, and its
+    mean, by quadrature at the working precision.  The tilted density is
+    e^{tx - (x - mu)^2 / (2 sigma^2)} on [lo, hi]; in u = (x - mu -
+    sigma^2 t)/sigma it is a standard normal on [a, b].  A window off to
+    one side is integrated from its end nearest the tilted mean, in steps
+    of 1/distance, so that every integrand is O(1) and x is never formed
+    by cancellation."""
+    mp = mpmath
+    mu, s, lo, t = mp.mpf(dist.mu), mp.mpf(dist.sigma), mp.mpf(dist.lo), mp.mpf(t)
+    hi = mp.inf if math.isinf(dist.hi) else mp.mpf(dist.hi)
+    m_t = mu + s * s * t
+    a, b = (lo - m_t) / s, (hi - m_t) / s
+    if a >= 0 or b <= 0:
+        sign, near, end = (1, a, lo) if a >= 0 else (-1, -b, hi)
+        scale = max(near, 1)
+        reach = (b - a) * scale
+
+        def density(w):
+            return mp.exp(-(near / scale) * w - (w / scale) ** 2 / 2)
+
+        cuts = [0, reach] if reach <= 40 else [0, 40, reach]
+        mass = mp.quad(density, cuts)
+        moment = mp.quad(lambda w: (end + sign * s * w / scale) * density(w), cuts)
+        log_front = mu * t + s * s * t * t / 2 - near * near / 2 - mp.log(scale)
+    else:
+        cuts = [a, 0, b]
+        mass = mp.quad(lambda u: mp.exp(-u * u / 2), cuts)
+        moment = mp.quad(lambda u: (m_t + s * u) * mp.exp(-u * u / 2), cuts)
+        log_front = mu * t + s * s * t * t / 2
+    return log_front + mp.log(mass), moment / mass
+
+
+@pytest.mark.parametrize("dist", [d for d in _PAIR_LAWS if isinstance(d, TruncGaussian)],
+                         ids=lambda d: f"{d.mu:g},{d.sigma:g},{d.lo:g},{d.hi:g}")
+def test_trunc_gaussian_mgf_pair_matches_quadrature(dist):
+    # 40-digit quadrature at t = 0 and 11 points out to -300, wherever M'
+    # is a normal float: within 3e-14, plus the ulp of ln M that exp
+    # turns into a relative error of M
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    with mpmath.workdps(40):
+        log_norm, _ = _quadrature_log_mass_and_mean(dist, 0.0, mpmath)
+        for t in [0.0, *(-np.geomspace(1e-3, 300.0, 11))]:
+            m, d = dist.mgf_and_deriv(float(t))
+            if d < np.finfo(float).tiny:
+                continue
+            log_mass, mean = _quadrature_log_mass_and_mean(dist, float(t), mpmath)
+            log_m = log_mass - log_norm
+            ref_m = mpmath.exp(log_m)
+            ref_d = ref_m * mean
+            bound = 3e-14 + 2.2e-16 * abs(float(log_m))
+            assert abs(m - ref_m) <= bound * ref_m, t
+            assert abs(d - ref_d) <= bound * ref_d, t
+            checked += 1
+    assert checked >= 5
+
+
 @pytest.mark.parametrize("combo", [
     singleton(TruncGaussian(0.0, 0.1, 1.0)),
     LinearCombo(((0.0, Gamma(2.0, 1.0)), (3.5, Uniform(0.25, 60.0)))),

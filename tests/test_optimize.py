@@ -262,6 +262,14 @@ def test_two_atom_optimum_refuses_an_overflowing_epsilon(goal, eps):
         two_atom_optimum(PrivacySpec(eps, 1.0), goal)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dq, word", [(1e-300, "large"), (1e150, "small")])
+def test_two_atom_optimum_blames_the_ratio_when_its_grid_leaves_the_float_range(dq, word):
+    # epsilon = 5 is fine; it is x0 = epsilon/sensitivity that the grid cannot span
+    with pytest.raises(InfeasibleSpecError, match=f"epsilon/sensitivity = .* is too {word}"):
+        two_atom_optimum(PrivacySpec(5.0, dq), UtilityGoal("l2"))
+
+
 def _reference_payoff(goal):
     """f(x) of each linear metric, written apart from the optimizer's table."""
     if goal.metric == "usefulness":

@@ -478,6 +478,55 @@ def test_large_point_mass_verifies_at_small_sensitivity(value, dq):
     assert abs(got - 1.0) <= 1e-9
 
 
+def test_deep_tail_epsilon_matches_mpmath():
+    # perfbench's deep_tail law, TruncGaussian(0, 0.1, 1) at sensitivity 1:
+    # 40-digit mpmath gives epsilon = 1.0098550563442927, and the general
+    # and density-grid routes both land within 1e-15 of it
+    law = committed_compound_laws()["deep_tail"]
+    for eps in (epsilon_of_combo(law, 1.0), verify_epsilon_empirically(law, 1.0)):
+        assert abs(eps - 1.0098550563442927) <= 1e-15
+
+
+@pytest.mark.parametrize("law", [
+    TruncGaussian(-143668.88420564317, 32918.30615103151, 1.352114344842097e-07, 1.508136386835856e-07),
+    TruncGaussian(-143668.88, 32918.30, 1.352e-07, 1.508e-07),
+], ids=["unrounded", "rounded"])
+def test_narrow_tail_window_is_refused_not_understated(law):
+    # 5e-13 sigma wide and 4.4 sigma into a tail, this window is beyond
+    # the truncated Gaussian's kernel.  Any law on [lo, hi] has epsilon in
+    # [lo, hi] at sensitivity 1, so a finite value must lie there
+    eps = epsilon_of_combo(law, 1.0)
+    assert eps == math.inf or law.lo <= eps <= law.hi
+    assert math.isnan(law.mean()) or law.lo <= law.mean() <= law.hi
+
+
+@pytest.mark.parametrize("near", [0.0, 2.0, 20.0])
+@pytest.mark.parametrize("width", [1e-3, 1e-5, 1e-7])
+def test_narrow_trunc_gaussian_epsilon_is_accurate_or_refused(near, width):
+    # a window `width` sigma wide on [1, 2], its near end `near` sigma
+    # above mu: epsilon is within 1e-7 of the closed form at 60 digits,
+    # or inf where the kernel cannot resolve it
+    mpmath = pytest.importorskip("mpmath")
+    sigma = 1.0 / width
+    law = TruncGaussian(1.0 - near * sigma, sigma, 1.0, 2.0)
+    with mpmath.workdps(60):
+        mu, s = mpmath.mpf(law.mu), mpmath.mpf(law.sigma)
+
+        def mass_and_mean(t):
+            a, b = (law.lo - mu) / s - s * t, (law.hi - mu) / s - s * t
+            mass = mpmath.ncdf(-a) - mpmath.ncdf(-b) if a >= 0 else mpmath.ncdf(b) - mpmath.ncdf(a)
+            shift = mpmath.exp(mu * t + s * s * t * t / 2)
+            return shift * mass, mu + s * s * t + s * (mpmath.npdf(a) - mpmath.npdf(b)) / mass
+
+        z, mean = mass_and_mean(0)
+        m, tilted_mean = mass_and_mean(-1)
+        want = float(mpmath.log(mean) - mpmath.log(m / z * tilted_mean))
+    eps = epsilon_of_combo(law, 1.0)
+    assert eps == math.inf or abs(eps - want) <= 1e-7 * want
+    if width >= 1e-3:
+        assert eps < math.inf
+
+
 def test_auto_radius_keeps_the_fallback_law():
     # doubling would need more than 4e6 points for this law, so the
     # bounded radius is kept
