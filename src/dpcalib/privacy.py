@@ -215,29 +215,29 @@ _MAX_RADIUS = 1e7
 _MAX_POINTS = 4e6
 
 
-# bisection steps that shrink a bracketing radius: the result is at most
-# (1 + 2^-steps) times the smallest radius that meets the tail mass
+# levels of midpoints that split (r/2, r]: the radius is at most
+# (1 + 2^-steps) times the smallest one that meets the tail mass
 _SHRINK_STEPS = 6
 
 
-# halvings of the start radius tried per M call
+# halvings of the start radius read per M call
 _HALVINGS = 64
 
 
 def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) -> float:
-    # Total output mass beyond distance R from the center is M(-R).  For
-    # power-law MGF tails the mass target can be unreachable; the log-ratio
-    # is monotone beyond the two centers (log-convexity of M'), so its sup
-    # lies inside [0, sensitivity] and a bounded radius loses nothing.
-    # The doubling budget still counts the signed grid, (2R + sensitivity)
-    # / step, not the m + k + 1 radial points the grid evaluates: a tighter
-    # count would let laws that take the fallback today double instead.
-    #
-    # Halve the start radius r0 while its half still meets the tail mass,
-    # or double it until it does: then M(-r/2) > tail mass >= M(-r) for
-    # every law that does not take the fallback, however small its radius.
-    # The rungs r0 2^j this walk can visit, up to the caps, are read from
-    # one M call, and more halvings from one more per _HALVINGS of them.
+    # Total output mass beyond distance R from the center is M(-R), which
+    # decreases in R: the radius is the first covered point of two scans,
+    # one M call each.  The rungs r0 2^j run from _HALVINGS halvings of r0
+    # (re-read below while the lowest is covered) up to the last doubling
+    # the caps allow; then the 2^steps - 1 midpoints of (r/2, r] under the
+    # first covered rung r, built as bisection builds them.  The doubling
+    # budget counts the signed grid, (2R + sensitivity) / step, not the
+    # m + k + 1 radial points: a tighter count would let laws that take
+    # the fallback today double instead.  The fallback, where no rung is
+    # covered, leaves more than the tail mass uncovered: for power-law MGF
+    # tails the target can be unreachable, but the log-ratio is monotone
+    # beyond the two centers (log-convexity of M'), so its sup lies inside
+    # [0, sensitivity] and a bounded radius loses nothing.
     r0 = max(1.0, 2.0 * sensitivity)
     doublings = 0
     while ((r := r0 * 2.0 ** (doublings + 1)) <= _MAX_RADIUS
@@ -245,27 +245,12 @@ def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) 
         doublings += 1
     rungs = np.ldexp(r0, np.arange(-_HALVINGS, doublings + 1))
     covered = combo.mgf(-rungs) <= _TAIL_MASS
-    i = _HALVINGS
-    if covered[i]:
-        while covered[i - 1]:
-            i -= 1
-            if i == 0:  # halved past the rungs read: read the next ones down
-                rungs = np.ldexp(rungs[0], np.arange(-_HALVINGS, 1))
-                covered = combo.mgf(-rungs) <= _TAIL_MASS
-                i = _HALVINGS
-    else:
-        above = np.flatnonzero(covered[i:])
-        if above.size == 0:
-            # doubling would pass a cap: the fallback leaves more than the
-            # tail mass uncovered, and is returned as it is; a nan mean
-            # (a law its family cannot resolve) takes the point cap
-            return min(8.0 * sensitivity + 16.0 / max(1e-9, combo.mean()),
-                       _MAX_POINTS * step / 2.0)
-        i += above[0]
-    # M(-R) decreases in R, so bisect on (r/2, r] and keep the upper end,
-    # which always meets the tail mass.  The 2^steps - 1 midpoints the
-    # bisection can visit are built as it builds them, and read from one
-    # M call.
+    while covered[0]:
+        rungs = np.ldexp(rungs[0], np.arange(-_HALVINGS, 1))
+        covered = combo.mgf(-rungs) <= _TAIL_MASS
+    i = covered.argmax()
+    if not covered[i]:
+        return min(8.0 * sensitivity + 16.0 / combo.mean(), _MAX_POINTS * step / 2.0)
     ends = np.array([rungs[i] / 2.0, rungs[i]])
     for _ in range(_SHRINK_STEPS):
         grown = np.empty(2 * ends.size - 1)
@@ -273,14 +258,8 @@ def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) 
         grown[1::2] = 0.5 * (ends[:-1] + ends[1:])
         ends = grown
     covered = combo.mgf(-ends[1:-1]) <= _TAIL_MASS
-    lo, hi = 0, ends.size - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if covered[mid - 1]:
-            hi = mid
-        else:
-            lo = mid
-    return float(ends[hi])
+    i = covered.argmax()
+    return float(ends[i + 1] if covered[i] else ends[-1])
 
 
 def density_grid_epsilon(log_density, shift: float, radius: float, step: float) -> float:
@@ -333,13 +312,19 @@ def verify_epsilon_empirically(
     point (see ``density_grid_epsilon``).  The radius is the smallest one,
     to within 1/64 however small or large, that leaves at most 1e-9 of the
     output mass outside; where doubling toward it would pass the caps, a
-    bounded fallback radius is used (see ``_auto_radius``).  A grid of
-    more than 4e6 radial points raises ``GridError``.  The returned value
-    can exceed ``epsilon_of_combo`` only by floating-point error, and
-    matches it at the grid point x = 0.
+    bounded fallback radius is used (see ``_auto_radius``).  A law whose
+    mean is not finite and > 0 (nan where its family cannot resolve it)
+    raises ``GridError`` before any grid work, and so does a grid of more
+    than 4e6 radial points.  The returned value can exceed
+    ``epsilon_of_combo`` only by floating-point error, and matches it at
+    the grid point x = 0.
     """
     _require_positive("sensitivity", sensitivity)
     _require_positive("step", step)
+    mean = combo.mean()
+    if not 0.0 < mean < math.inf:
+        raise GridError(f"the law's mean is {mean}, not finite and > 0: "
+                        f"no grid can audit it")
     radius = _auto_radius(combo, step, sensitivity)
 
     def log_density(xs):  # the grid's radial points are >= 0

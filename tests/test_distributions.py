@@ -15,7 +15,6 @@ from dpcalib.distributions import (
     LinearCombo,
     TruncGaussian,
     Uniform,
-    _log_gauss_mass,
     format_combo,
     format_dist,
     parse_combo,
@@ -87,20 +86,44 @@ def test_trunc_gaussian_half_normal_mean():
     assert abs(draws.mean() - d.mean()) < 4 * se
 
 
-def test_log_gauss_mass_matches_mpmath_in_both_tails_and_between():
+def test_trunc_gaussian_log_mgf_matches_mpmath_in_both_tails_and_between():
+    # TruncGaussian(mu, 1, lo, hi) tilted by t holds the standard window
+    # [alpha - t, beta - t], here [a, b], and
+    # ln M(t) = mu t + t^2/2 + ln P(alpha - t, beta - t) - ln P(alpha, beta),
+    # P the standard normal mass of a window
     mpmath = pytest.importorskip("mpmath")
     windows = [(-40.0, -39.0), (-3.0, -1.0), (-2.0, 1.0), (-1.0, 2.0), (0.5, 0.75),
-               (39.0, 40.0), (9.0, math.inf), (-math.inf, -9.0), (-math.inf, math.inf)]
-    lo, hi = np.array(windows).T
-    got = _log_gauss_mass(lo, hi)
-    # the mass of [lo, hi] is that of [-hi, -lo]
-    assert np.array_equal(_log_gauss_mass(-hi, -lo), got)
+               (39.0, 40.0), (9.0, math.inf), (-3.0, math.inf), (-40.0, math.inf)]
+    mu, lo = 0.3, 1.0
+
+    def log_mass(x, y):
+        mass = mpmath.ncdf(-x) - mpmath.ncdf(-y) if x > 0 else mpmath.ncdf(y) - mpmath.ncdf(x)
+        return mpmath.log(mass)
+
     with mpmath.workdps(40):
-        for (a, b), value in zip(windows, got):
-            a, b = mpmath.mpf(a), mpmath.mpf(b)
-            mass = mpmath.ncdf(-a) - mpmath.ncdf(-b) if a > 0 else mpmath.ncdf(b) - mpmath.ncdf(a)
-            assert value == pytest.approx(float(mpmath.log(mass)), rel=1e-14, abs=1e-15)
-            assert float(_log_gauss_mass(float(a), float(b))) == value
+        for a, b in windows:
+            law = TruncGaussian(mu, 1.0, lo, lo + (b - a))
+            t = (lo - mu) - a
+            m, s = mpmath.mpf(mu), mpmath.mpf(t)
+            alpha = mpmath.mpf(law.lo) - m
+            beta = mpmath.mpf(law.hi) - m if math.isfinite(law.hi) else mpmath.inf
+            want = m * s + s * s / 2 + log_mass(alpha - s, beta - s) - log_mass(alpha, beta)
+            assert law.log_mgf(t) == pytest.approx(float(want), rel=1e-14, abs=1e-15), (a, b)
+
+
+def test_uniform_mgf_deriv_matches_mpmath_near_zero():
+    # Uniform(0, 1) has M'(s) = d/ds [expm1(s)/s], whose direct form
+    # (s e^s - expm1(s))/s^2 cancels about 1/s-fold near 0: 600 points on
+    # both sides of the switch to its series at |s| = 2e-2
+    mpmath = pytest.importorskip("mpmath")
+    mag = np.geomspace(1e-6, 1.0, 300)
+    s = np.concatenate([-mag[::-1], mag])
+    got = Uniform(0.0, 1.0).mgf_deriv(s)
+    with mpmath.workdps(40):
+        for x, value in zip(s, got):
+            x = mpmath.mpf(float(x))
+            want = (x * mpmath.exp(x) - mpmath.expm1(x)) / (x * x)
+            assert value == pytest.approx(float(want), rel=5e-14, abs=0.0)
 
 
 def test_trunc_gaussian_deep_tail_is_stable():

@@ -27,6 +27,7 @@ from dpcalib.mechanisms import (
     Staircase,
     staircase_log_density,
 )
+from dpcalib import privacy
 from dpcalib.optimize import SearchSpaceSpec, optimize
 from dpcalib.privacy import (
     GridError,
@@ -461,6 +462,19 @@ def test_auto_radius_is_near_the_smallest_covering_radius(combo, dq):
     assert got <= old
 
 
+@pytest.mark.parametrize("combo, dq", AUDITED_LAWS + _criterion5_laws() + [
+    (singleton(Degenerate(1e300)), 1.0),  # covered below every rung read first
+    (singleton(Degenerate(1e6)), 1e-6),
+])
+def test_auto_radius_is_the_first_covered_point_of_its_scan(combo, dq):
+    # R covers the tail mass and R(1 - 2^-6) does not: M(-R) decreases in
+    # R, and R(1 - 2^-6) lies at or below the scan's point before R
+    if _power_of_two_radius(combo, 1e-3, dq)[1]:
+        return  # a fallback leaves more than the tail mass uncovered
+    got = _auto_radius(combo, 1e-3, dq)
+    assert combo.mgf(-got) <= 1e-9 < combo.mgf(-got * (1.0 - 2.0 ** -6))
+
+
 def test_auto_radius_shrinks_below_its_start_radius():
     # the start radius max(1, 2 dq) is 4.9x the smallest covering radius
     # ln(1e9)/100 of this law
@@ -487,10 +501,13 @@ def test_deep_tail_epsilon_matches_mpmath():
         assert abs(eps - 1.0098550563442927) <= 1e-15
 
 
-@pytest.mark.parametrize("law", [
+NARROW_TAIL_LAWS = pytest.mark.parametrize("law", [
     TruncGaussian(-143668.88420564317, 32918.30615103151, 1.352114344842097e-07, 1.508136386835856e-07),
     TruncGaussian(-143668.88, 32918.30, 1.352e-07, 1.508e-07),
 ], ids=["unrounded", "rounded"])
+
+
+@NARROW_TAIL_LAWS
 def test_narrow_tail_window_is_refused_not_understated(law):
     # 5e-13 sigma wide and 4.4 sigma into a tail, this window is beyond
     # the truncated Gaussian's kernel.  Any law on [lo, hi] has epsilon in
@@ -498,6 +515,19 @@ def test_narrow_tail_window_is_refused_not_understated(law):
     eps = epsilon_of_combo(law, 1.0)
     assert eps == math.inf or law.lo <= eps <= law.hi
     assert math.isnan(law.mean()) or law.lo <= law.mean() <= law.hi
+
+
+@NARROW_TAIL_LAWS
+def test_unresolvable_law_is_refused_before_the_grid(law, monkeypatch):
+    # the kernel reads this law's mean as nan, so no grid can audit it:
+    # verify refuses it without searching a radius or building a grid
+    def no_grid(*args):
+        raise AssertionError("the density grid was built")
+
+    monkeypatch.setattr(privacy, "_auto_radius", no_grid)
+    monkeypatch.setattr(privacy, "density_grid_epsilon", no_grid)
+    with pytest.raises(GridError, match="mean is nan"):
+        verify_epsilon_empirically(law, 1.0)
 
 
 @pytest.mark.parametrize("near", [0.0, 2.0, 20.0])
