@@ -55,6 +55,15 @@ def _build_goal(args) -> UtilityGoal:
     )
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_optimize(args) -> int:
     spec = SearchSpaceSpec(restarts=args.restarts, max_evals=args.max_evals)
     privacy = PrivacySpec(args.epsilon, args.sensitivity)
@@ -79,12 +88,7 @@ def _cmd_sample(args) -> int:
     else:
         mech = parse_spec(args.mech, MECHANISMS, "mechanism")
     draws = np.atleast_1d(sample_noise(mech, rng, args.count))
-    lines = "\n".join(format(x, ".12g") for x in draws)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(lines + "\n")
-    else:
-        print(lines)
+    _emit("\n".join(format(x, ".12g") for x in draws) + "\n", args.out)
     return 0
 
 
@@ -112,12 +116,7 @@ def _cmd_bench(args) -> int:
         true_value = query.true_value(data)
         print(f"# query true value: {true_value:.6g}", file=sys.stderr)
     rows = bench_mod.run_grid(grid, search)
-    csv_text = bench_mod.rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        print(csv_text, end="")
+    _emit(bench_mod.rows_to_csv(rows), args.out)
     failures = sum(1 for r in rows if r.error)
     draws = sum(r.draws for r in rows)
     print(
@@ -131,12 +130,7 @@ def _cmd_synth(args) -> int:
     data = bench_mod.generate_synthetic(
         args.kind, args.n, args.seed, rate=args.rate, value=args.value, shape=args.shape
     )
-    lines = "\n".join(format(x, ".12g") for x in np.atleast_1d(data))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(lines + "\n")
-    else:
-        print(lines)
+    _emit("\n".join(format(x, ".12g") for x in np.atleast_1d(data)) + "\n", args.out)
     return 0
 
 

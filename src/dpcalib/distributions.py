@@ -234,8 +234,8 @@ class Bernoulli(MgfDist):
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not (self.x0 > 0 and self.x1 > 0):
-            raise ValueError("both outcomes must be > 0")
+        if not (0 < self.x0 < math.inf and 0 < self.x1 < math.inf):
+            raise ValueError("both outcomes must be finite and > 0")
 
     @_array_math
     def mgf(self, t):
@@ -274,8 +274,8 @@ class Gamma(MgfDist):
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("shape and scale must be > 0")
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
+            raise ValueError("shape and scale must be finite and > 0")
         if self.shape < _MIN_GAMMA_SHAPE:
             raise ValueError(
                 f"gamma shape must be >= {_MIN_GAMMA_SHAPE}, got {self.shape}: below it "
@@ -399,12 +399,12 @@ class TruncGaussian(MgfDist):
     hi: float = math.inf
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not (0 < self.sigma < math.inf and math.isfinite(self.mu)):
+            raise ValueError("sigma must be finite and > 0, and mu finite")
         if not (0.0 <= self.lo < self.hi):
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
         alpha = (self.lo - self.mu) / self.sigma
-        beta = math.inf if math.isinf(self.hi) else (self.hi - self.mu) / self.sigma
+        beta = (self.hi - self.mu) / self.sigma
         if alpha < 0.0 < beta:
             cdf, tail = (float(special.ndtr(alpha)), float(special.ndtr(beta))), None
         else:
@@ -519,9 +519,8 @@ class TruncGaussian(MgfDist):
             s, log_near, frac = self._tail
             z = -s * special.ndtri_exp(log_near + np.log1p(-frac * rng.random(size)))
         x = self.mu + self.sigma * z
-        hi = self.hi if not math.isinf(self.hi) else np.inf
-        return np.clip(x, self.lo, hi) if size is not None else float(
-            min(max(x, self.lo), hi)
+        return np.clip(x, self.lo, self.hi) if size is not None else float(
+            min(max(x, self.lo), self.hi)
         )
 
     def tail_power(self) -> float:

@@ -78,7 +78,6 @@ class SolverDiagnostics:
     law, or a metric solved exactly."""
 
     evaluations: int
-    constraint_residual: float
     winning_restart: int
 
 
@@ -102,7 +101,6 @@ class CalibratedMechanism:
             f"baseline_laplace_utility = {self.baseline_laplace_utility!r}",
             f"staircase_utility = {self.staircase_utility!r}",
             f"evaluations = {self.diagnostics.evaluations}",
-            f"constraint_residual = {self.diagnostics.constraint_residual!r}",
             f"winning_restart = {self.diagnostics.winning_restart}",
             "combo:",
         ]
@@ -112,7 +110,8 @@ class CalibratedMechanism:
     @classmethod
     def from_text(cls, text: str) -> "CalibratedMechanism":
         """Parse a record; keys it does not know (such as the
-        ``boundary_hit`` of older records) are ignored."""
+        ``boundary_hit`` and ``constraint_residual`` of older records)
+        are ignored."""
         meta: dict[str, str] = {}
         combo_lines: list[str] = []
         in_combo = False
@@ -138,7 +137,6 @@ class CalibratedMechanism:
             staircase_utility=None if stair == "None" else float(stair),
             diagnostics=SolverDiagnostics(
                 evaluations=int(meta.get("evaluations", 0)),
-                constraint_residual=float(meta.get("constraint_residual", 0.0)),
                 winning_restart=int(meta.get("winning_restart", 0)),
             ),
         )
@@ -470,11 +468,7 @@ def _calibrated(combo, evaluations, restart, privacy, goal, estimate):
         predicted_utility=_analytic_utility(combo, goal, estimate),
         baseline_laplace_utility=_analytic_utility(laplace_seed(privacy), goal, estimate),
         staircase_utility=baseline_staircase(privacy, goal),
-        diagnostics=SolverDiagnostics(
-            evaluations=evaluations,
-            constraint_residual=abs(achieved - privacy.epsilon),
-            winning_restart=restart,
-        ),
+        diagnostics=SolverDiagnostics(evaluations=evaluations, winning_restart=restart),
     )
 
 

@@ -9,7 +9,8 @@ p(x) = M'(-|x - q(d)|) / 2, and its exact epsilon-DP level is
 Per-family algebraic simplifications of that quantity live in
 ``epsilon_closed_form`` and must agree with the general route to within
 floating-point error; the density-grid verifier provides a third,
-independent route.
+independent route.  ``passes_necessary_condition`` is the filter
+e^eps < M(sensitivity) that a law must pass to beat Laplace.
 """
 
 from __future__ import annotations
@@ -114,38 +115,21 @@ def epsilon_closed_form(dist: MgfDist, sensitivity: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class NecessaryConditionReport:
-    passes: bool
-    epsilon: float
-    log_mgf_at_sensitivity: float | None
-    note: str = ""
+def passes_necessary_condition(combo: LinearCombo | MgfDist, sensitivity: float) -> bool:
+    """The utility-improvement filter e^eps < M(sensitivity), strict.
 
-
-def necessary_condition_report(
-    combo: LinearCombo | MgfDist, sensitivity: float
-) -> NecessaryConditionReport:
-    """Evaluate the utility-improvement filter e^eps < M(sensitivity).
-
-    A combination failing the strict inequality cannot beat the Laplace
-    mechanism of the same epsilon on any utility metric.  Combinations
-    made purely of point masses *are* that Laplace mechanism (equality
-    holds identically) and are reported as passing so seeds survive.
+    A law failing it cannot beat the Laplace mechanism of the same
+    epsilon on any utility metric.  A point mass *is* that Laplace
+    mechanism (equality holds identically) and passes; a law whose MGF
+    does not exist at +sensitivity fails.
     """
     eps = epsilon_of_combo(combo, sensitivity)
     if all(isinstance(d, Degenerate) for _, d in combo.active_terms()):
-        return NecessaryConditionReport(True, eps, eps, "degenerate: equals the Laplace baseline")
+        return True
     if combo.mgf_domain_sup() <= sensitivity:
-        return NecessaryConditionReport(
-            False, eps, None, "MGF does not exist at +sensitivity; bound is vacuous"
-        )
+        return False
     m = combo.mgf(sensitivity)
-    log_m = math.log(m) if m > 0 else -math.inf
-    return NecessaryConditionReport(log_m > eps, eps, log_m)
-
-
-def passes_necessary_condition(combo: LinearCombo | MgfDist, sensitivity: float) -> bool:
-    return necessary_condition_report(combo, sensitivity).passes
+    return m > 0.0 and math.log(m) > eps
 
 
 def _randomized_response_rdp(p: float, alpha: float) -> float:
@@ -215,8 +199,8 @@ _MAX_RADIUS = 1e7
 _MAX_POINTS = 4e6
 
 
-# levels of midpoints that split (r/2, r]: the radius is at most
-# (1 + 2^-steps) times the smallest one that meets the tail mass
+# the radius scan splits (r/2, r] into 2^steps equal parts: the radius is
+# at most (1 + 2^-steps) times the smallest one that meets the tail mass
 _SHRINK_STEPS = 6
 
 
@@ -229,8 +213,10 @@ def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) 
     # decreases in R: the radius is the first covered point of two scans,
     # one M call each.  The rungs r0 2^j run from _HALVINGS halvings of r0
     # (re-read below while the lowest is covered) up to the last doubling
-    # the caps allow; then the 2^steps - 1 midpoints of (r/2, r] under the
-    # first covered rung r, built as bisection builds them.  The doubling
+    # the caps allow; then 2^steps evenly spaced points of (r/2, r] under
+    # the first covered rung r.  Their spacing, r / 2^(steps+1), is at most
+    # 2^-steps of any radius in (r/2, r], so one vector M call bounds the
+    # relative excess of the radius however large r is.  The doubling
     # budget counts the signed grid, (2R + sensitivity) / step, not the
     # m + k + 1 radial points: a tighter count would let laws that take
     # the fallback today double instead.  The fallback, where no rung is
@@ -251,15 +237,10 @@ def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) 
     i = covered.argmax()
     if not covered[i]:
         return min(8.0 * sensitivity + 16.0 / combo.mean(), _MAX_POINTS * step / 2.0)
-    ends = np.array([rungs[i] / 2.0, rungs[i]])
-    for _ in range(_SHRINK_STEPS):
-        grown = np.empty(2 * ends.size - 1)
-        grown[::2] = ends
-        grown[1::2] = 0.5 * (ends[:-1] + ends[1:])
-        ends = grown
-    covered = combo.mgf(-ends[1:-1]) <= _TAIL_MASS
+    points = np.linspace(rungs[i] / 2.0, rungs[i], 2 ** _SHRINK_STEPS + 1)
+    covered = combo.mgf(-points[1:-1]) <= _TAIL_MASS
     i = covered.argmax()
-    return float(ends[i + 1] if covered[i] else ends[-1])
+    return float(points[i + 1] if covered[i] else points[-1])
 
 
 def density_grid_epsilon(log_density, shift: float, radius: float, step: float) -> float:

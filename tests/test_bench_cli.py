@@ -209,6 +209,25 @@ def test_cli_synth_and_sample(tmp_path, capsys):
     assert cli.main(["sample", "--combo", "1 gamma shape=2 scale=1", "--count", "2"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--mech", "laplace b=1", "--count", "5", "--seed", "3"],
+    ["sample", "--combo", "1 gamma shape=2 scale=1", "--count", "0"],
+    ["synth", "--kind", "poisson", "--n", "6", "--seed", "2"],
+    ["bench", "--config", "{cfg}"],
+], ids=["sample-mech", "sample-no-draws", "synth", "bench"])
+def test_cli_writes_the_same_bytes_to_out_as_to_stdout(argv, tmp_path, capsys):
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text("[grid]\nepsilons = 1\nsensitivities = 1\nmetric_params = 0.4\n"
+                   "mechanisms = laplace\ntrials = 50\nseed = 4\n")
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    out = tmp_path / "out.txt"
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 @pytest.mark.parametrize("flags", [
     [],
     ["--mech", "laplace b=1", "--combo", "1 degenerate value=1"],

@@ -160,12 +160,36 @@ def test_parameter_validation():
         Uniform(-0.5, 2.0)
     with pytest.raises(ValueError):
         TruncGaussian(0.0, -1.0, 0.0)
+    assert TruncGaussian(0.5, 1.0, 0.0, math.inf).mean() > 0.0  # hi may be inf
     with pytest.raises(ValueError):
         LinearCombo(((-0.5, Degenerate(1.0)),))
     with pytest.raises(ValueError):
         LinearCombo(((0.0, Degenerate(1.0)),))
     with pytest.raises(ValueError):
         LinearCombo(())
+
+
+_VALID_PARAMS = [
+    (Degenerate, (2.0,)),
+    (Bernoulli, (0.5, 1.0, 3.0)),
+    (Gamma, (2.0, 1.0)),
+    (Uniform, (0.5, 3.0)),
+    (TruncGaussian, (0.5, 1.0, 0.0, 5.0)),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family, params, i, bad", [
+    (family, params, i, bad)
+    for family, params in _VALID_PARAMS
+    for i in range(len(params))
+    for bad in (math.inf, -math.inf, math.nan)
+    if not (family is TruncGaussian and i == 3 and bad == math.inf)
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_families_refuse_non_finite_parameters(family, params, i, bad):
+    # refused when built, not when verified or sampled later
+    with pytest.raises(ValueError):
+        family(*params[:i], bad, *params[i + 1:])
 
 
 def test_degenerate_sampler_is_constant():

@@ -37,7 +37,6 @@ from dpcalib.privacy import (
     density_grid_epsilon,
     epsilon_closed_form,
     epsilon_of_combo,
-    necessary_condition_report,
     passes_necessary_condition,
     rdp_of,
     verify_epsilon_empirically,
@@ -173,24 +172,28 @@ def test_necessary_condition_uniform_witness():
 
 def test_necessary_condition_trunc_gaussian_witness():
     dist = TruncGaussian(0.5223, 1.5454, 0.5223, math.inf)
-    report = necessary_condition_report(dist, 0.6)
-    assert report.passes
-    assert report.log_mgf_at_sensitivity == pytest.approx(1.2417, abs=1e-3)
-    assert report.log_mgf_at_sensitivity > 1.1703
-    assert report.log_mgf_at_sensitivity > report.epsilon
+    log_m = math.log(dist.mgf(0.6))
+    assert passes_necessary_condition(dist, 0.6)
+    assert log_m == pytest.approx(1.2417, abs=1e-3)
+    assert log_m > 1.1703
+    assert log_m > epsilon_of_combo(dist, 0.6)
 
 
 def test_necessary_condition_divergent_moment_is_false():
     # gamma scale 2 has no MGF at +1, so the bound is vacuous
-    report = necessary_condition_report(Gamma(2.0, 2.0), 1.0)
-    assert not report.passes
-    assert report.log_mgf_at_sensitivity is None
-    assert "vacuous" in report.note
+    assert not passes_necessary_condition(Gamma(2.0, 2.0), 1.0)
 
 
 def test_necessary_condition_degenerate_bypass():
-    report = necessary_condition_report(Degenerate(2.0), 1.0)
-    assert report.passes and "Laplace" in report.note
+    # a point mass is the Laplace mechanism, where equality holds
+    assert passes_necessary_condition(Degenerate(2.0), 1.0)
+
+
+@pytest.mark.parametrize("sensitivity", [0.0, -1.0, math.nan, math.inf])
+def test_necessary_condition_refuses_a_bad_sensitivity(sensitivity):
+    # epsilon is computed first, so even a point mass is checked
+    with pytest.raises(ValueError, match="sensitivity must be finite and > 0"):
+        passes_necessary_condition(Degenerate(2.0), sensitivity)
 
 
 def test_rdp_laplace_values():
@@ -475,6 +478,36 @@ def test_auto_radius_is_the_first_covered_point_of_its_scan(combo, dq):
     assert combo.mgf(-got) <= 1e-9 < combo.mgf(-got * (1.0 - 2.0 ** -6))
 
 
+def _bisection_radius(combo, step, dq):
+    # the radius as a step-by-step search finds it: the first covered rung
+    # r0 2^j, then six bisections of (r/2, r] keeping the covered end
+    def covered(r):
+        return combo.mgf(-r) <= 1e-9
+
+    hi, fell_back = _power_of_two_radius(combo, step, dq)
+    if fell_back:
+        return hi
+    while covered(hi / 2.0):
+        hi /= 2.0
+    lo = hi / 2.0
+    for _ in range(6):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if covered(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("dq", [0.5, 1.0, 3.0, 300.0])  # r0 = 1, 2, 6, 600
+@pytest.mark.parametrize("combo", [combo for combo, _ in AUDITED_LAWS]
+                         + [singleton(Degenerate(1e300))])
+def test_auto_radius_matches_a_bisection_search(combo, dq):
+    # where r0 has a short mantissa, the evenly spaced points of (r/2, r]
+    # are exactly the midpoints bisection builds
+    got = _auto_radius(combo, 1e-3, dq)
+    assert got.hex() == _bisection_radius(combo, 1e-3, dq).hex()
+    if not _power_of_two_radius(combo, 1e-3, dq)[1]:
+        assert combo.mgf(-got) <= 1e-9 < combo.mgf(-got * (1.0 - 2.0 ** -6))
+
+
 def test_auto_radius_shrinks_below_its_start_radius():
     # the start radius max(1, 2 dq) is 4.9x the smallest covering radius
     # ln(1e9)/100 of this law
@@ -608,7 +641,7 @@ def _bits(value):
 _KL_GOAL = UtilityGoal("kl", prior=Histogram((0, 1, 2, 3, 4), (0.4, 0.3, 0.2, 0.1), 50.0))
 ENTRY_POINTS = {
     "epsilon_of_combo": lambda law: epsilon_of_combo(law, 0.7),
-    "necessary_condition_report": lambda law: necessary_condition_report(law, 0.7),
+    "necessary_condition_report": lambda law: passes_necessary_condition(law, 0.7),
     "rdp_of": lambda law: (rdp_of(law, 1.0), rdp_of(law, 2.0, sensitivity=0.5)),
     "verify_epsilon_empirically": lambda law: verify_epsilon_empirically(law, 0.7),
     "usefulness_bound": lambda law: usefulness_bound(law, 0.4),
