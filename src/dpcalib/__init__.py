@@ -56,7 +56,6 @@ from .utility import (
     l2_bound,
     mallows_distance,
     renyi_divergence,
-    transform_error_bound,
     usefulness_bound,
 )
 

@@ -82,6 +82,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
     rng = np.random.default_rng(args.seed)
     if args.combo is not None:
         mech = CompoundLaplace(parse_combo(args.combo))

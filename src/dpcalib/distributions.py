@@ -324,8 +324,7 @@ class Uniform(MgfDist):
 
     @_array_math
     def mgf(self, t):
-        s = t * (self.hi - self.lo)
-        return np.exp(t * self.lo) * _expm1_over(s, np.expm1(s))
+        return self.mgf_and_deriv(t)[0]
 
     @_array_math
     def mgf_deriv(self, t):

@@ -43,7 +43,7 @@ class CompoundLaplace:
     combo: LinearCombo | MgfDist
 
     def __post_init__(self):
-        if self.combo.mean() <= 0:
+        if not self.combo.mean() > 0:  # nan where the law's family cannot resolve it
             raise ValueError("the reciprocal-scale combination must have positive mean")
 
 

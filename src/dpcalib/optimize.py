@@ -28,7 +28,7 @@ the paired difference, else the Laplace law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import optimize as sp_optimize
@@ -81,6 +81,11 @@ class SolverDiagnostics:
     winning_restart: int
 
 
+# the record's float keys, in the order written; the last may be None
+_RECORD_FLOATS = ("target_epsilon", "achieved_epsilon", "predicted_utility",
+                  "baseline_laplace_utility", "staircase_utility")
+
+
 @dataclass(frozen=True)
 class CalibratedMechanism:
     """Optimizer output: the chosen combination plus audit numbers."""
@@ -94,52 +99,28 @@ class CalibratedMechanism:
     diagnostics: SolverDiagnostics
 
     def to_text(self) -> str:
-        lines = [
-            f"target_epsilon = {self.target_epsilon!r}",
-            f"achieved_epsilon = {self.achieved_epsilon!r}",
-            f"predicted_utility = {self.predicted_utility!r}",
-            f"baseline_laplace_utility = {self.baseline_laplace_utility!r}",
-            f"staircase_utility = {self.staircase_utility!r}",
-            f"evaluations = {self.diagnostics.evaluations}",
-            f"winning_restart = {self.diagnostics.winning_restart}",
-            "combo:",
-        ]
-        lines += ["  " + line for line in format_combo(self.combo).splitlines()]
+        lines = [f"{key} = {getattr(self, key)!r}" for key in _RECORD_FLOATS]
+        lines += [f"{f.name} = {getattr(self.diagnostics, f.name)}" for f in fields(SolverDiagnostics)]
+        lines += ["combo:"] + ["  " + line for line in format_combo(self.combo).splitlines()]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "CalibratedMechanism":
-        """Parse a record; keys it does not know (such as the
-        ``boundary_hit`` and ``constraint_residual`` of older records)
-        are ignored."""
-        meta: dict[str, str] = {}
-        combo_lines: list[str] = []
-        in_combo = False
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line == "combo:":
-                in_combo = True
-                continue
-            if in_combo:
-                combo_lines.append(line)
-            else:
-                key, _, val = line.partition("=")
-                meta[key.strip()] = val.strip()
-        stair = meta.get("staircase_utility", "None")
-        return cls(
-            combo=parse_combo("\n".join(combo_lines)),
-            achieved_epsilon=float(meta["achieved_epsilon"]),
-            target_epsilon=float(meta["target_epsilon"]),
-            predicted_utility=float(meta["predicted_utility"]),
-            baseline_laplace_utility=float(meta["baseline_laplace_utility"]),
-            staircase_utility=None if stair == "None" else float(stair),
-            diagnostics=SolverDiagnostics(
-                evaluations=int(meta.get("evaluations", 0)),
-                winning_restart=int(meta.get("winning_restart", 0)),
-            ),
-        )
+        """Parse a record.  An absent staircase baseline reads None, absent
+        diagnostics read 0, and any other absent float raises ``ValueError``;
+        unknown keys (``boundary_hit``, ``constraint_residual``) are ignored."""
+        lines = [line.strip() for line in text.splitlines()]
+        cut = lines.index("combo:") if "combo:" in lines else len(lines)
+        meta = {key.strip(): val.strip()
+                for key, _, val in (line.partition("=") for line in lines[:cut] if line)}
+        *required, stair = _RECORD_FLOATS
+        if missing := [key for key in required if key not in meta]:
+            raise ValueError(f"the record has no {', '.join(missing)}")
+        values = {key: float(meta[key]) for key in required}
+        values[stair] = None if meta.get(stair, "None") == "None" else float(meta[stair])
+        diagnostics = {f.name: int(meta.get(f.name, 0)) for f in fields(SolverDiagnostics)}
+        return cls(combo=parse_combo("\n".join(lines[cut + 1:])),
+                   diagnostics=SolverDiagnostics(**diagnostics), **values)
 
 
 def laplace_seed(privacy: PrivacySpec) -> LinearCombo:

@@ -7,9 +7,8 @@ p int_0^inf x^(p-1) M(-x) dx.  At p = 2 that integral is the nested tail
 integral of M(-x) (Fubini).  It is taken by one trapezoid rule in ln x
 whose tails are closed by exact power-law remainders.  Prior-dependent
 metrics (Mallows, KL, Renyi) are estimated by Monte Carlo over the
-two-fold noise, which is also how arbitrary per-scale error bounds are
-lifted to the compound mechanism; ``noise_metric`` scores usefulness, l1
-and l2 on noise draws.  ``TwoAtomMetric`` is the smooth estimate of the
+two-fold noise; ``noise_metric`` scores usefulness, l1 and l2 on noise
+draws.  ``TwoAtomMetric`` is the smooth estimate of the
 prior-dependent metrics that the two-atom search optimizes.
 """
 
@@ -34,10 +33,6 @@ class LengthMismatchError(ValueError):
 
 
 class BinMismatchError(ValueError):
-    pass
-
-
-class NonFiniteError(ArithmeticError):
     pass
 
 
@@ -460,19 +455,3 @@ def expected_metric_empirical(
     vals = _kl(masses, q) if goal.metric == "kl" else _renyi(masses, q, goal.alpha)
     return float(np.mean(np.where(totals > 0, vals, math.inf)))
 
-
-def transform_error_bound(
-    base_bound,
-    combo: LinearCombo | MgfDist,
-    trials: int = 100_000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Lift a per-scale Laplace error bound b -> e_L(b) to the compound
-    mechanism by averaging over the distribution of b = 1/(combined RV)."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    scales = np.asarray(combo.sample(rng, trials), float)
-    vals = np.asarray([base_bound(1.0 / s) for s in scales], float)
-    est = float(np.mean(vals))
-    if not math.isfinite(est):
-        raise NonFiniteError("Monte-Carlo estimate of the transformed bound diverged")
-    return est

@@ -211,10 +211,9 @@ def test_cli_synth_and_sample(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["sample", "--mech", "laplace b=1", "--count", "5", "--seed", "3"],
-    ["sample", "--combo", "1 gamma shape=2 scale=1", "--count", "0"],
     ["synth", "--kind", "poisson", "--n", "6", "--seed", "2"],
     ["bench", "--config", "{cfg}"],
-], ids=["sample-mech", "sample-no-draws", "synth", "bench"])
+], ids=["sample-mech", "synth", "bench"])
 def test_cli_writes_the_same_bytes_to_out_as_to_stdout(argv, tmp_path, capsys):
     cfg = tmp_path / "bench.ini"
     cfg.write_text("[grid]\nepsilons = 1\nsensitivities = 1\nmetric_params = 0.4\n"
@@ -240,6 +239,24 @@ def test_cli_sample_refuses_bad_flags(flags, capsys):
     # exactly one of --mech and --combo, naming a complete law
     assert cli.main(["sample", *flags]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--combo", "1 gamma shape=2 scale=1", "--count", "0"], "error: count must be >= 1"),
+    (["--combo", "1 gamma shape=2 scale=1", "--count", "-1"], "error: count must be >= 1"),
+    # a law whose family cannot resolve it reads mean nan, and releases nothing
+    (["--combo", "1 trunc_gaussian mu=-143668.88420564317 sigma=32918.30615103151 "
+                 "lo=1.352114344842097e-07 hi=1.508136386835856e-07"],
+     "error: the reciprocal-scale combination must have positive mean"),
+], ids=["count-0", "count-negative", "mean-nan"])
+def test_cli_sample_refuses_and_writes_nothing(flags, message, tmp_path, capsys):
+    out = tmp_path / "noise.txt"
+    assert cli.main(["sample", *flags]) == 1
+    assert cli.main(["sample", *flags, "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.splitlines() == [message, message]
+    assert not out.exists()
 
 
 def test_cli_verify(capsys):

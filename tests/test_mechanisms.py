@@ -48,6 +48,12 @@ def test_mechanism_validation():
         Staircase(0.0, 1.0)
     with pytest.raises(ValueError):
         Staircase(1.0, 1.0, gamma_s=1.5)
+    # the kernel cannot resolve this narrow window, so its mean reads nan
+    narrow = TruncGaussian(-143668.88420564317, 32918.30615103151, 1.352114344842097e-07,
+                           1.508136386835856e-07)
+    for combo in (narrow, singleton(narrow)):
+        with pytest.raises(ValueError, match="positive mean"):
+            CompoundLaplace(combo)
 
 
 def test_staircase_default_width():

@@ -11,6 +11,7 @@ from dpcalib.optimize import (
     CalibratedMechanism,
     InfeasibleSpecError,
     SearchSpaceSpec,
+    SolverDiagnostics,
     baseline_laplace,
     calibrate_scale,
     laplace_seed,
@@ -560,6 +561,54 @@ def test_rdp_of_a_compound_mechanism_is_that_of_its_law(alpha):
     law = optimize(FAST, PrivacySpec(4.0, 1.0), UtilityGoal("l1"), seed=0).combo
     assert isinstance(law.terms[0][1], Bernoulli)
     assert rdp_of(CompoundLaplace(law), alpha) == rdp_of(law, alpha)
+
+
+# literal floats, so that the record's bits do not depend on the host's
+# SIMD routines
+_GOLDEN = CalibratedMechanism(
+    combo=LinearCombo(((1.0, Bernoulli(0.043239438163539055, 2.223766739243321, 32.31496372301115)),)),
+    achieved_epsilon=8.0,
+    target_epsilon=8.0,
+    predicted_utility=0.07743468188665405,
+    baseline_laplace_utility=0.16316900671274037,
+    staircase_utility=None,
+    diagnostics=SolverDiagnostics(evaluations=43, winning_restart=2),
+)
+_GOLDEN_TEXT = (
+    "target_epsilon = 8.0\n"
+    "achieved_epsilon = 8.0\n"
+    "predicted_utility = 0.07743468188665405\n"
+    "baseline_laplace_utility = 0.16316900671274037\n"
+    "staircase_utility = None\n"
+    "evaluations = 43\n"
+    "winning_restart = 2\n"
+    "combo:\n"
+    "  1.0 bernoulli p=0.043239438163539055 x0=2.223766739243321 x1=32.31496372301115\n"
+)
+
+
+def test_record_text_is_golden_and_reads_back():
+    assert _GOLDEN.to_text() == _GOLDEN_TEXT
+    assert CalibratedMechanism.from_text(_GOLDEN_TEXT) == _GOLDEN
+
+
+def test_from_text_fills_in_what_a_record_may_omit():
+    # no staircase baseline and no diagnostics
+    text = "".join(line + "\n" for line in _GOLDEN_TEXT.splitlines()
+                   if not line.startswith(("staircase_utility", "evaluations", "winning_restart")))
+    record = CalibratedMechanism.from_text(text)
+    assert record.staircase_utility is None
+    assert record.diagnostics == SolverDiagnostics(evaluations=0, winning_restart=0)
+    assert record.combo == _GOLDEN.combo
+
+
+@pytest.mark.parametrize("key", ["target_epsilon", "achieved_epsilon", "predicted_utility",
+                                 "baseline_laplace_utility"])
+def test_from_text_refuses_a_record_without_a_required_float(key):
+    text = "".join(line + "\n" for line in _GOLDEN_TEXT.splitlines()
+                   if not line.startswith(key))
+    with pytest.raises(ValueError, match=f"no {key}$"):
+        CalibratedMechanism.from_text(text)
 
 
 def test_from_text_reads_records_with_boundary_hit():

@@ -47,7 +47,6 @@ from dpcalib.utility import (
     expected_metric_empirical,
     l1_bound,
     l2_bound,
-    transform_error_bound,
     usefulness_bound,
 )
 from strategies import (
@@ -650,8 +649,6 @@ ENTRY_POINTS = {
     "expected_metric_empirical": lambda law: tuple(
         expected_metric_empirical(law, goal, trials=300, rng=np.random.default_rng(8))
         for goal in (UtilityGoal("usefulness", gamma=0.4), _KL_GOAL)),
-    "transform_error_bound": lambda law: transform_error_bound(
-        lambda b: b * b, law, trials=300, rng=np.random.default_rng(9)),
 }
 
 

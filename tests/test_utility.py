@@ -22,7 +22,6 @@ from dpcalib.utility import (
     DivergentIntegralError,
     Histogram,
     LengthMismatchError,
-    NonFiniteError,
     TwoAtomMetric,
     UtilityGoal,
     _kl,
@@ -35,7 +34,6 @@ from dpcalib.utility import (
     mallows_distance,
     norm_power,
     renyi_divergence,
-    transform_error_bound,
     usefulness_bound,
 )
 
@@ -166,6 +164,11 @@ def test_moment_bounds_against_closed_forms(law, order, rel):
         assert l2_bound(law) == pytest.approx(math.sqrt(2.0 * _inverse_moment(law, 2)), rel=rel)
 
 
+def test_l1_bound_of_a_point_mass_is_its_scale():
+    # E|noise| = E[b], and b = 1/2 for X = 2
+    assert l1_bound(singleton(Degenerate(2.0))) == 0.5
+
+
 def test_quadrature_against_scipy_oracle():
     ensemble = LinearCombo((
         (0.11006938022104956, Gamma(4.0, 0.22140275816016983)),
@@ -263,6 +266,11 @@ def test_empirical_usefulness_matches_bound():
     bound = usefulness_bound(combo, 0.7)
     se = math.sqrt(bound * (1 - bound) / 400_000)
     assert abs(est - bound) < 4 * se
+    # over a Gamma scale law, 1 - usefulness is E[e^(-gamma X)] = M(-gamma)
+    combo = singleton(Gamma(2.0, 1.0))
+    est = expected_metric_empirical(combo, UtilityGoal("usefulness", gamma=0.8),
+                                    trials=200_000, rng=np.random.default_rng(5))
+    assert abs(est - usefulness_bound(combo, 0.8)) < 0.003
 
 
 def test_empirical_mallows_vanishes_without_noise():
@@ -340,30 +348,6 @@ def test_divergence_estimate_matches_the_per_trial_loop(law, prior, metric, alph
     else:
         # only the order of the row sums differs
         assert abs(got - ref) <= max(1e-15, 1e-12 * abs(ref))
-
-
-def test_transform_error_bound_identities():
-    assert transform_error_bound(lambda b: b, singleton(Degenerate(2.0)), trials=10) == 0.5
-    # E[e^{-gamma/b}] over the scale distribution is the mgf at -gamma
-    combo = singleton(Gamma(2.0, 1.0))
-    rng = np.random.default_rng(5)
-    est = transform_error_bound(lambda b: math.exp(-0.8 / b), combo, trials=200_000, rng=rng)
-    target = 1.0 - usefulness_bound(combo, 0.8)
-    assert abs(est - target) < 0.003
-    with pytest.raises(NonFiniteError):
-        transform_error_bound(lambda b: math.inf, combo, trials=10)
-
-
-def test_transform_error_bound_inverse_gamma_moment():
-    combo = singleton(Gamma(3.0, 1.0))
-    rng = np.random.default_rng(11)
-    scales = combo.sample(rng, 200_000)
-    vals = (1.0 / scales) ** 2
-    se = vals.std() / math.sqrt(vals.size)
-    est = transform_error_bound(
-        lambda b: b * b, combo, trials=200_000, rng=np.random.default_rng(11)
-    )
-    assert abs(est - 0.5) < 3 * se  # E[(1/X)^2] = 1/((k-1)(k-2))
 
 
 def test_utility_goal_validation():
