@@ -10,7 +10,11 @@ repeats per row:
 - `_auto_radius`, `verify_epsilon_empirically` and `epsilon_of_combo` for
   each compound law of perfbench/mechanisms.ini, at sensitivity 1;
 - `np.exp` ns/point for results that are normal, subnormal and zero, which
-  shows whether the host's exp has a slow path.
+  shows whether the host's exp has a slow path;
+- `two_atom_optimum` us for usefulness at (epsilon, gamma) = (1, 0.4),
+  which returns Laplace, and (5, 0.1), and for l1 and l2 at epsilon 8;
+- `run_grid` ms on one usefulness cell (5, 0.1) at the benchmark's budget:
+  the compound, Laplace and staircase mechanisms, 2000 trials each.
 
     python scripts/layer_bench.py > BENCH.json
     python scripts/layer_bench.py --before ../parent/src > BENCH.json
@@ -52,6 +56,13 @@ PROCESS_ENV = {
 SENSITIVITY = 1.0
 GRID_STEP = 1e-3
 GRID_POINTS = 245_001  # the ensemble's radial audit grid at sensitivity 1
+# (row label, epsilon, metric, gamma) of the linear-metric optimizer rows
+LINEAR_GOALS = (("usefulness_gamma0.4_eps1", 1.0, "usefulness", 0.4),
+                ("usefulness_gamma0.1_eps5", 5.0, "usefulness", 0.1),
+                ("l1_eps8", 8.0, "l1", None),
+                ("l2_eps8", 8.0, "l2", None))
+GRID_CELL = {"epsilon": 5.0, "gamma": 0.1, "trials": 2000, "seed": 11,
+             "restarts": 6, "max_evals": 150}
 # (timeit repeats per row, seconds of calls per repeat)
 FULL = (21, 0.01)
 QUICK = (3, 0.001)
@@ -104,6 +115,19 @@ def rows(dpcalib, laws: dict[str, str]):
                     lambda c=c: privacy.verify_epsilon_empirically(c, SENSITIVITY)))
         out.append((f"epsilon_of_combo.{name}", "us", 1e6,
                     lambda c=c: privacy.epsilon_of_combo(c, SENSITIVITY)))
+    optimize = importlib.import_module(f"{dpcalib.__name__}.optimize")
+    bench = importlib.import_module(f"{dpcalib.__name__}.bench")
+    for label, eps, metric, gamma in LINEAR_GOALS:
+        out.append((f"two_atom_optimum.{label}", "us", 1e6,
+                    lambda p=privacy.PrivacySpec(eps, SENSITIVITY),
+                    g=dpcalib.UtilityGoal(metric, gamma=gamma): optimize.two_atom_optimum(p, g)))
+    grid = bench.ExperimentGrid(
+        epsilons=(GRID_CELL["epsilon"],), sensitivities=(SENSITIVITY,), metric="usefulness",
+        metric_params=(GRID_CELL["gamma"],), mechanisms=("compound", "laplace", "staircase"),
+        trials=GRID_CELL["trials"], master_seed=GRID_CELL["seed"])
+    search = optimize.SearchSpaceSpec(GRID_CELL["restarts"], GRID_CELL["max_evals"])
+    out.append(("run_grid.usefulness_gamma0.1_eps5", "ms", 1e3,
+                lambda: bench.run_grid(grid, search)))
     for label, lo, hi in (("normal", -700.0, -1.0), ("subnormal", -744.0, -709.0),
                           ("zero", -2000.0, -746.0)):
         x = np.linspace(lo, hi, GRID_POINTS)
@@ -167,7 +191,8 @@ def main() -> int:
         "method": (f"median of {repeats} timeit repeats per row and side, each at least "
                    f"{target_s} s of calls, the sides alternating first within a repeat"),
         "inputs": {"sensitivity": SENSITIVITY, "grid_step": GRID_STEP,
-                   "grid_points": GRID_POINTS, "laws": laws},
+                   "grid_points": GRID_POINTS, "laws": laws,
+                   "linear_goals": LINEAR_GOALS, "grid_cell": GRID_CELL},
         "rows": time_rows(sides, laws, repeats, target_s),
     }
     print(json.dumps(report, indent=1))

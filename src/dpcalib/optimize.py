@@ -11,7 +11,9 @@ law here has one or two atoms.
 For usefulness and the noise norms (l1, l2, and mallows at p = 1, which
 is l1 for any prior) the objective is linear in the law of X too, so the
 optimum over every law has at most two atoms, and a 1-D dual over the
-multiplier of the constraint finds it (``two_atom_optimum``).
+multiplier of the constraint finds it (``two_atom_optimum``): each side's
+peak comes from a log-spaced table refined by Brent's method, and the
+multiplier from Newton steps whose slope the two atoms give.
 
 The other metrics (mallows at p != 1, kl, renyi) have no known optimal
 law.  For them a 2-D Nelder-Mead searches the two-atom laws with atoms
@@ -194,6 +196,10 @@ def _mean_payoff(combo: LinearCombo, f) -> float:
 
 _ATOMS_PER_SIDE = 2001
 _SPAN = 1e8  # each side's grid spans at least 8 decades beyond its natural scale
+# ln(x/x0) on the lower table: 8 decades up to exactly 0
+_UNIT_LOG_GRID = np.linspace(-math.log(_SPAN), 0.0, _ATOMS_PER_SIDE)
+_FLOAT_EPS = float(np.finfo(float).eps)
+_LEAST_FLOAT = math.ulp(0.0)
 
 
 def _payoff(goal: UtilityGoal):
@@ -227,42 +233,43 @@ def _constraint(privacy: PrivacySpec, x):
     return -x * np.expm1(privacy.epsilon - privacy.sensitivity * x)
 
 
-def _constraint_slope(privacy: PrivacySpec, x: float) -> float:
-    """g'(x) at a float x."""
-    z = privacy.epsilon - privacy.sensitivity * x
-    return privacy.sensitivity * x * math.exp(z) - math.expm1(z)
-
-
 # bracket reach in ln lam.  Downward lam = e^(ln lam) underflows to 0 past
 # -745, harmlessly, as the peaks compare slopes in log space; upward it
 # overflows past 709.78, and two_atom_optimum raises InfeasibleSpecError
 _LOG_LAM_REACH = 1500.0
-_LOG_X_TOL = 1e-12  # width in ln x at which a peak's bisection stops
+_LOG_X_TOL = 1e-12  # width in ln x to which a peak is refined
+_LOG_LAM_TOL = 1e-13  # Newton step or bracket width in ln lam at which the multiplier is solved
 
 
 def _peak(privacy: PrivacySpec, f, log_fprime, side, log_lam: float) -> tuple[float, float]:
     """(max, argmax) of h = f - lam g, lam = e^log_lam, over one side's
-    table (xs, ln xs, f(xs), g(xs)): the best grid point, or the point
-    that bisecting the sign of dh/dx finds between its neighbours if h is
-    higher there."""
+    table (xs, ln xs, f(xs), g(xs)): the best grid point, or the root of
+    dh/dx between its two neighbours if h is higher there.  The root is
+    found by Brent's method in ln x, to _LOG_X_TOL, on the closed form of
+    dh/dx; where dh/dx does not fall through 0 between the neighbours, the
+    best grid point is the peak."""
     xs, ts, fs, gs = side
     lam = math.exp(log_lam)
     h = fs - lam * gs
-    i = int(np.argmax(h))
+    i = int(h.argmax())
+    best = float(h[i]), float(xs[i])
+    eps, dq = privacy.epsilon, privacy.sensitivity
+
+    def rise(t):
+        # ln f' - ln(lam g'), > 0 where h rises; in log space, as f' and lam
+        # may underflow.  f' > 0 always, so h rises where g' <= 0: such a
+        # slope counts as the least positive float
+        x = math.exp(t)
+        z = eps - dq * x
+        slope = dq * x * math.exp(z) - math.expm1(z)  # g'(x)
+        return log_fprime(x) - log_lam - math.log(max(slope, _LEAST_FLOAT))
+
     lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, xs.size - 1)])
-    while hi - lo > _LOG_X_TOL:
-        # h rises where f' > lam g', in log space as f' and lam may
-        # underflow; f' > 0 always
-        mid = 0.5 * (lo + hi)
-        x = math.exp(mid)
-        slope = _constraint_slope(privacy, x)
-        if slope <= 0.0 or log_fprime(x) > log_lam + math.log(slope):
-            lo = mid
-        else:
-            hi = mid
-    x = math.exp(0.5 * (lo + hi))
+    if not rise(lo) > 0.0 > rise(hi):
+        return best
+    x = math.exp(sp_optimize.brentq(rise, lo, hi, xtol=_LOG_X_TOL))
     value = float(f(x) - lam * _constraint(privacy, x))
-    return (value, x) if value > h[i] else (float(h[i]), float(xs[i]))
+    return (value, x) if value > best[0] else best
 
 
 def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCombo, int]:
@@ -274,10 +281,24 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     H_lo(lam) = max over x <= x0 of h = f - lam g (increasing in lam) and
     H_hi(lam), the same over x >= x0 (decreasing).  Its minimum is where
     the two cross; each side's maximizer there is an atom, weighted so
-    that E g(X) = 0.  Each side's maximum is taken on a log-spaced grid,
-    whose f and g are tabled once per call, and refined from the closed
-    form of dh/dx (``_peak``).  For the norms at large epsilon the upper
-    grid reaches further (``_reach``), at the same points per decade.
+    that E g(X) = 0.
+
+    Each side's maximum is taken on a log-spaced table of f and g, built
+    once per call from one unit grid in ln x with x0 exactly at the shared
+    end of the two tables, and refined by Brent's method on the closed form
+    of dh/dx (``_peak``).  For the norms at large epsilon the upper table
+    reaches further (``_reach``), at the same points per decade.
+
+    The crossing is solved in s = ln lam.  By the envelope theorem
+    dH/dlam = -g(x*), so the gap H_hi - H_lo falls strictly in lam with
+    slope g(x_lo) - g(x_hi), read off the two atoms; Newton's step in lam
+    goes to the slope of the chord through the atoms' points (g, f), and
+    is taken in s.  Until the gap has been seen on both sides of 0 a step
+    is capped at a doubling step from the tangent at x0; after that, a
+    step that leaves the bracket is replaced by bisection.  The solve
+    stops once a step is under 1e-13 and keeps the better of the laws on
+    the atoms at the bracket's two ends: where a side's maximum jumps
+    between two peaks the gap has no root.
 
     Returns the law, ``Degenerate(x0)`` (exactly Laplace) when the line
     tangent to (g, f) at x0 already supports the curve or no two-atom law
@@ -294,10 +315,14 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     f, log_fprime, _, knee = payoff
     reach = _reach(goal, eps)  # n_hi keeps the lower grid's points per decade
     n_hi = 1 + round((_ATOMS_PER_SIDE - 1) * math.log(reach) / math.log(_SPAN))
+    log_x0 = math.log(x0)
+    sides = []
     with np.errstate(all="ignore"):  # a non-finite table raises below
-        sides = [(xs, np.log(xs), f(xs), _constraint(privacy, xs))
-                 for xs in (np.geomspace(x0 / _SPAN, x0, _ATOMS_PER_SIDE),
-                            np.geomspace(x0, max(x0, knee) * reach, n_hi))]
+        for ts in (_UNIT_LOG_GRID + log_x0,
+                   np.linspace(log_x0, math.log(max(x0, knee)) + math.log(reach), n_hi)):
+            xs = np.exp(ts)
+            xs[0 if sides else -1] = x0  # the shared end, so that h(x0) = f(x0) on both
+            sides.append((xs, ts, f(xs), _constraint(privacy, xs)))
     if not all(np.isfinite(xs).all() and np.isfinite(fs).all() for xs, _, fs, _ in sides):
         raise InfeasibleSpecError(
             f"epsilon/sensitivity = {eps:g}/{dq:g} = {x0:g} is too "
@@ -305,47 +330,68 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     if not all(np.isfinite(gs).all() for *_, gs in sides):
         raise InfeasibleSpecError(f"epsilon {eps!r} is too large at sensitivity {dq!r}: "
                                   "x e^(epsilon - sensitivity x) overflows on the grid")
-    calls = [0]
+    calls = 0
 
     def dual(log_lam):
-        calls[0] += 1
+        """((H_lo, x_lo), (H_hi, x_hi)) at lam = e^log_lam."""
+        nonlocal calls
+        calls += 1
         return [_peak(privacy, f, log_fprime, side, log_lam) for side in sides]
-
-    def gap(log_lam):
-        lo, hi = dual(log_lam)
-        return hi[0] - lo[0]
 
     laplace = laplace_seed(privacy)
     # lam g at inf rightly scores -inf; lam or f overflowing leaves the float range
     try:
         with np.errstate(over="ignore"):
             f0 = float(f(x0))
-            tol = 4.0 * np.finfo(float).eps * (1.0 + abs(f0))
+            tol = 4.0 * _FLOAT_EPS * (1.0 + abs(f0))
             # log slope of f against g at x0, where dg/dx = eps
-            t0 = log_fprime(x0) - math.log(eps)
-            below, above = dual(t0)
-            if max(below[0], above[0]) <= f0 + tol:
-                return laplace, calls[0]
-            # bracket the crossing by doubling steps in log lam, then solve it
-            d = above[0] - below[0]
-            step = 1.0 if d > 0 else -1.0
-            a = b = t0
-            while d != 0.0 and (d > 0) == (step > 0):
-                a, b, step = b, b + step, 2.0 * step
-                if abs(b - t0) > _LOG_LAM_REACH:
-                    raise InfeasibleSpecError("the dual multiplier could not be bracketed")
-                d = gap(b)
-            root = b if d == 0.0 else sp_optimize.brentq(
-                gap, min(a, b), max(a, b), xtol=1e-13, rtol=4.0 * np.finfo(float).eps
-            )
-            (_, x_lo), (_, x_hi) = dual(root)
-            law = _two_atom_law(privacy, x_lo, x_hi)
+            s = s0 = log_fprime(x0) - math.log(eps)
+            (below, x_lo), (above, x_hi) = dual(s)
+            if max(below, above) <= f0 + tol:
+                return laplace, calls
+            # the gap H_hi - H_lo falls in s.  ends[gap > 0] keeps the last s
+            # on each side of its root, with that s's atoms.  Each step is
+            # Newton's: capped at a doubling step until both sides are seen,
+            # then replaced by bisection where it leaves the bracket
+            step = 1.0 if above > below else -1.0
+            ends = {}
+            while True:
+                d = above - below
+                ends[d > 0.0] = s, x_lo, x_hi
+                if d == 0.0:
+                    break
+                # Newton's step in lam, lam' = lam + gap / (g(x_hi) - g(x_lo)),
+                # taken in s: where the gap grows like e^s, a step in s
+                # would move s by about 1 at a time
+                scale = math.exp(s) * float(_constraint(privacy, x_hi) - _constraint(privacy, x_lo))
+                ratio = d / scale if 0.0 < scale < math.inf else math.inf
+                newton = math.log1p(ratio) if ratio > -1.0 else math.inf
+                if abs(newton) < max(_LOG_LAM_TOL, math.ulp(s)):
+                    break
+                if len(ends) == 1:
+                    s += newton if abs(newton) <= abs(step) else step
+                    step *= 2.0
+                    if abs(s - s0) > _LOG_LAM_REACH:
+                        raise InfeasibleSpecError("the dual multiplier could not be bracketed")
+                else:
+                    lo, hi = sorted((ends[True][0], ends[False][0]))
+                    if lo < s + newton < hi:
+                        s += newton
+                    elif hi - lo > _LOG_LAM_TOL and lo < 0.5 * (lo + hi) < hi:
+                        s = 0.5 * (lo + hi)
+                    else:
+                        break
+                (below, x_lo), (above, x_hi) = dual(s)
+            # where a side's maximum jumps between two peaks the gap has no
+            # root, and each end's atoms make a law that meets epsilon
+            law = max((_two_atom_law(privacy, x_lo, x_hi) for _, x_lo, x_hi in ends.values()),
+                      key=lambda law: _mean_payoff(law, f))
             worse = _mean_payoff(law, f) <= f0 + tol
     except (OverflowError, ZeroDivisionError):
         raise InfeasibleSpecError(
             f"epsilon {eps!r} at sensitivity {dq!r} takes the dual beyond the float range"
         ) from None
-    return (laplace if worse else law), calls[0]
+    return (laplace if worse else law), calls
 
 
 _SIMPLEX_STEP = 0.25

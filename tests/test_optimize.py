@@ -381,6 +381,81 @@ def test_predicted_utility_matches_the_mgf_quadrature(eps, dq, goal):
         _BOUNDS[goal.metric](laplace_seed(PrivacySpec(eps, dq)), goal), rel=1e-12)
 
 
+def test_linear_cells_take_few_dual_evaluations():
+    # Newton steps on the multiplier: at most 12 evaluations a cell and 200
+    # in all on the 60 cells, where a doubling bracket and brentq on the
+    # gap took up to 17 and 261
+    calls = [two_atom_optimum(PrivacySpec(eps, dq), goal)[1] for eps, dq, goal in LINEAR_CELLS]
+    assert max(calls) <= 12 and sum(calls) <= 200
+
+
+def _decimal_law(law, dq, goal):
+    """(epsilon, E f(X)) of a one-term Degenerate or Bernoulli law in
+    50-digit decimal."""
+    w, x_lo, x_hi = _atoms(law)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        atoms = [(Decimal(w), x_lo), (1 - Decimal(w), x_hi)]
+        mean = sum(p * Decimal(x) for p, x in atoms)
+        slope = sum(p * Decimal(x) * (-Decimal(dq) * Decimal(x)).exp() for p, x in atoms)
+        payoff = sum(p * _decimal_h(goal, 0.0, dq, 0.0, x) for p, x in atoms)
+        return (mean / slope).ln(), payoff
+
+
+@pytest.mark.parametrize("eps, before", [(200.0, 80), (260.0, 86)])
+def test_large_epsilon_usefulness_is_solved_in_fewer_evaluations(eps, before):
+    # a dual evaluation refines only the best grid point's neighbourhood, so
+    # here the lower side's peak jumps between x0 and a peak near 1.1 and
+    # the gap has no root; the law on the atoms at the bracket's two ends
+    # that scores better is kept.  It is no worse than Laplace, and its
+    # epsilon meets the target, both checked in 50-digit decimal
+    privacy, goal = PrivacySpec(eps, 1.0), UtilityGoal("usefulness", gamma=0.1)
+    law, calls = two_atom_optimum(privacy, goal)
+    assert calls < before
+    epsilon, payoff = _decimal_law(law, 1.0, goal)
+    assert abs(float(epsilon) - eps) <= 1e-9
+    assert abs(epsilon_of_combo(law, 1.0) - eps) <= 1e-9
+    assert payoff >= _decimal_law(laplace_seed(privacy), 1.0, goal)[1]
+
+
+# the evaluations each cell took with a doubling bracket and brentq on the gap
+LARGE_EPSILON_NORM_CALLS = {("l1", 200.0): 30, ("l1", 260.0): 39, ("l1", 400.0): 41,
+                            ("l2", 200.0): 39, ("l2", 260.0): 49, ("l2", 400.0): 45}
+
+
+@pytest.mark.parametrize("dq", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("metric, eps", sorted(LARGE_EPSILON_NORM_CALLS))
+def test_large_epsilon_norms_take_no_more_evaluations(metric, eps, dq):
+    # where the gap grows like e^(ln lam), a Newton step in ln lam moves by
+    # about 1; the step is taken in lam instead
+    law, calls = two_atom_optimum(PrivacySpec(eps, dq), UtilityGoal(metric))
+    assert calls <= LARGE_EPSILON_NORM_CALLS[metric, eps]
+    assert isinstance(law.terms[0][1], Bernoulli)
+    assert abs(epsilon_of_combo(law, dq) - eps) <= 1e-12 * eps
+
+
+@pytest.mark.parametrize("goal", LINEAR_GOALS, ids=lambda goal: goal.metric)
+@pytest.mark.parametrize("x0", [1e-3, 0.0123, 0.3, 1.0, 7.77, 42.0, 300.0])
+def test_tables_share_x0_exactly(x0, goal, monkeypatch):
+    # both tables are shifts of one unit grid in ln x, and e^(ln x0) may miss
+    # x0 by an ulp: the shared end is pinned, so h(x0) = f(x0) on both sides
+    optimize_module = importlib.import_module("dpcalib.optimize")
+    peak = optimize_module._peak
+    seen = []
+
+    def recording(privacy, f, log_fprime, side, log_lam):
+        seen.append(side[0])
+        return peak(privacy, f, log_fprime, side, log_lam)
+
+    monkeypatch.setattr(optimize_module, "_peak", recording)
+    for dq in (0.5, 1.0):
+        privacy = PrivacySpec(x0 * dq, dq)
+        two_atom_optimum(privacy, goal)
+        lower, upper = seen[:2]
+        assert lower[-1] == upper[0] == privacy.epsilon / privacy.sensitivity
+        seen.clear()
+
+
 @pytest.mark.parametrize("goal", [UtilityGoal("l2"), UtilityGoal("mallows", p=2.0, prior=PRIOR)],
                          ids=lambda goal: goal.metric)
 def test_optimize_fails_closed_off_the_epsilon_target(goal, monkeypatch):
