@@ -14,7 +14,10 @@ repeats per row:
 - `two_atom_optimum` us for usefulness at (epsilon, gamma) = (1, 0.4),
   which returns Laplace, and (5, 0.1), and for l1 and l2 at epsilon 8;
 - `run_grid` ms on one usefulness cell (5, 0.1) at the benchmark's budget:
-  the compound, Laplace and staircase mechanisms, 2000 trials each.
+  the compound, Laplace and staircase mechanisms, 2000 trials each;
+- `perturb` us per release and `sample_noise` ns/draw in 200,000-draw
+  batches, for each mechanism of perfbench/mechanisms.ini, a compound
+  point mass and CI's two-atom law (randomized response: `perturb` only).
 
     python scripts/layer_bench.py > BENCH.json
     python scripts/layer_bench.py --before ../parent/src > BENCH.json
@@ -63,6 +66,14 @@ LINEAR_GOALS = (("usefulness_gamma0.4_eps1", 1.0, "usefulness", 0.4),
                 ("l2_eps8", 8.0, "l2", None))
 GRID_CELL = {"epsilon": 5.0, "gamma": 0.1, "trials": 2000, "seed": 11,
              "restarts": 6, "max_evals": 150}
+# the plain mechanisms of perfbench/mechanisms.ini as `sample --mech` specs,
+# and compound laws that the file lacks: a point mass and CI's two-atom law
+PLAIN_MECHANISMS = {"laplace": "laplace b=1.0", "staircase": "staircase epsilon=1.0",
+                    "gaussian": "gaussian sigma=4.379070281321586",
+                    "randomized_response": "randomized_response p=0.7310585786300049"}
+EXTRA_LAWS = {"compound_point_mass": "1 degenerate value=2",
+              "compound_two_atom_ci": "1.0 bernoulli p=0.3 x0=2.5 x1=40"}
+BATCH = 200_000
 # (timeit repeats per row, seconds of calls per repeat)
 FULL = (21, 0.01)
 QUICK = (3, 0.001)
@@ -128,6 +139,20 @@ def rows(dpcalib, laws: dict[str, str]):
     search = optimize.SearchSpaceSpec(GRID_CELL["restarts"], GRID_CELL["max_evals"])
     out.append(("run_grid.usefulness_gamma0.1_eps5", "ms", 1e3,
                 lambda: bench.run_grid(grid, search)))
+    cli = importlib.import_module(f"{dpcalib.__name__}.cli")
+    mechanisms = dpcalib.mechanisms
+    mechs = {name: distributions.parse_spec(spec, cli.MECHANISMS, "mechanism")
+             for name, spec in PLAIN_MECHANISMS.items()}
+    mechs |= {name: mechanisms.CompoundLaplace(distributions.parse_combo(text))
+              for name, text in {**laws, **EXTRA_LAWS}.items()}
+    for name, mech in mechs.items():
+        rng = np.random.default_rng(0)
+        binary = isinstance(mech, mechanisms.RandomizedResponse)
+        out.append((f"perturb.{name}", "us", 1e6,
+                    lambda m=mech, r=rng, v=1 if binary else 3.0: mechanisms.perturb(m, v, r)))
+        if not binary:
+            out.append((f"sample_noise.{name}", "ns/draw", 1e9 / BATCH,
+                        lambda m=mech, r=rng: mechanisms.sample_noise(m, r, BATCH)))
     for label, lo, hi in (("normal", -700.0, -1.0), ("subnormal", -744.0, -709.0),
                           ("zero", -2000.0, -746.0)):
         x = np.linspace(lo, hi, GRID_POINTS)
@@ -192,7 +217,9 @@ def main() -> int:
                    f"{target_s} s of calls, the sides alternating first within a repeat"),
         "inputs": {"sensitivity": SENSITIVITY, "grid_step": GRID_STEP,
                    "grid_points": GRID_POINTS, "laws": laws,
-                   "linear_goals": LINEAR_GOALS, "grid_cell": GRID_CELL},
+                   "linear_goals": LINEAR_GOALS, "grid_cell": GRID_CELL,
+                   "plain_mechanisms": PLAIN_MECHANISMS, "extra_laws": EXTRA_LAWS,
+                   "batch": BATCH},
         "rows": time_rows(sides, laws, repeats, target_s),
     }
     print(json.dumps(report, indent=1))

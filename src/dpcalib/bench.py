@@ -153,8 +153,11 @@ def run_grid(grid: ExperimentGrid, search: SearchSpaceSpec | None = None) -> lis
     search = search or SearchSpaceSpec()
     rows: list[GridRow] = []
     for index, eps, dq, mp, mech_name in grid.cells():
-        seeds = np.random.SeedSequence([grid.master_seed & (2**63 - 1), index])
-        opt_seed_seq, noise_seed_seq = seeds.spawn(2)
+        # the two children SeedSequence([master, index]).spawn(2) would
+        # return, built without the parent
+        entropy = [grid.master_seed & (2**63 - 1), index]
+        opt_seed_seq, noise_seed_seq = (np.random.SeedSequence(entropy, spawn_key=(i,))
+                                        for i in range(2))
         cell_seed = int(opt_seed_seq.generate_state(1)[0])
         row = GridRow(
             epsilon_target=eps,

@@ -1,7 +1,11 @@
 """Executable noise mechanisms and their analytic baselines.
 
 The compound-Laplace mechanism draws a reciprocal scale from its
-second-fold combination, then adds Laplace noise at that scale.  The
+second-fold combination, then adds Laplace noise at that scale.  A law
+of one or two atoms (a one-term ``Degenerate`` or ``Bernoulli``, the
+laws the linear metrics' optimum takes) has its Laplace scales computed
+once, when the mechanism is built, and a release picks one of them: the
+same generator calls and the same bits as drawing the scale.  The
 staircase baseline is the geometric mixture of uniform bands: band k
 (width = sensitivity) carries geometric mass with ratio e^-eps, and
 within a band the upper sub-band's density is e^-eps times the lower's.
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import LinearCombo, MgfDist
+from .distributions import Bernoulli, Degenerate, LinearCombo, MgfDist
 
 _UNDERFLOW = 1e-300
 _REDRAWS = 100
@@ -45,6 +49,47 @@ class CompoundLaplace:
     def __post_init__(self):
         if not self.combo.mean() > 0:  # nan where the law's family cannot resolve it
             raise ValueError("the reciprocal-scale combination must have positive mean")
+        # per-law constant, not a field: repr, equality and the record ignore it
+        object.__setattr__(self, "_atoms", _atom_scales(self.combo))
+
+
+def _atom_scales(combo: LinearCombo | MgfDist):
+    """(p, b0, b1, table) for a law of one or two atoms, else None.
+
+    The law is a one-term ``Degenerate`` or ``Bernoulli``, by exact type:
+    a subclass may sample otherwise.  b0 and b1 are the Laplace scales
+    1/(0 + a x) of the atoms x0 and x1, as the general path computes them
+    from a draw; p is None for a point mass, and ``table`` is [b1, b0],
+    indexed by u < p as ``Bernoulli.sample`` indexes its atoms.  An atom
+    that can be drawn must give 0 + a x in [1e-300, inf): the general path
+    would draw again, releasing the law conditioned on the other atom, or
+    raise.
+    """
+    terms = combo.active_terms()
+    if len(terms) != 1:
+        return None
+    (a, d), = terms
+    if type(d) is Degenerate:
+        p, x0, x1 = None, d.value, d.value
+    elif type(d) is Bernoulli:
+        p, x0, x1 = float(d.p), d.x0, d.x1
+        # an atom of weight 0 is never drawn, so it takes the other's place
+        if p == 0.0:
+            x0 = x1
+        elif p == 1.0:
+            x1 = x0
+    else:
+        return None
+    b0, b1 = (_release_scale(a, x) for x in (x0, x1))
+    return p, b0, b1, np.array([b1, b0])
+
+
+def _release_scale(a: float, x: float) -> float:
+    s = 0.0 + a * x
+    if not _UNDERFLOW <= s < math.inf:
+        raise ValueError(f"the reciprocal scale {a!r} * {x!r} = {s!r} lies outside "
+                         f"[{_UNDERFLOW}, inf), so it cannot be released")
+    return float(1.0 / s)
 
 
 @dataclass(frozen=True)
@@ -169,6 +214,19 @@ def _laplace_of_doubled(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
 
 def sample_noise(mech: NoiseMechanism, rng: np.random.Generator, size=None):
     """Draw additive noise for every mechanism except randomized response."""
+    if type(mech) is CompoundLaplace and mech._atoms is not None:
+        # one uniform picks a two-atom law's scale, as its sampler would
+        p, b0, b1, table = mech._atoms
+        if size is None:
+            return (b0 if p is None or rng.random() < p else b1) * standard_laplace(rng)
+        if p is None:
+            noise = standard_laplace(rng, size)
+            noise *= b0
+            return noise
+        pick = (rng.random(size) < p).view(np.int8)
+        noise = standard_laplace(rng, size)
+        noise *= table[pick]
+        return noise
     if isinstance(mech, Laplace):
         noise = standard_laplace(rng, size)
         noise *= mech.b  # a float is rebound, an array scaled in place

@@ -362,3 +362,85 @@ def test_batches_keep_a_tuple_size(mech):
     noise = sample_noise(mech, np.random.default_rng(5), (40, 3))
     assert noise.shape == (40, 3)
     assert np.all(np.isfinite(noise)) and np.all(noise != 0.0)
+
+
+class _GeneralPath(CompoundLaplace):
+    """Releases through the general compound path, which draws the scale:
+    the atom path matches ``CompoundLaplace`` by exact type."""
+
+
+# point masses and two-atom laws, bare and as singletons; for most of the
+# coefficients a and atoms x, 1/(a x) and 1/a/x differ in the last bit, so
+# a scale computed in another order shows.  The last law is the usefulness
+# optimum at epsilon 200, sensitivity 1 and gamma 0.1
+_ATOM_LAWS = (
+    Degenerate(2.0),
+    singleton(Degenerate(3.7), 0.8),
+    singleton(Degenerate(2.5), 1.3e5),
+    Bernoulli(0.3, 0.5, 2.0),
+    singleton(Bernoulli(0.3, 2.5, 40.0), 0.6395754189465028),
+    singleton(Bernoulli(0.4, 0.1, 22.609896714152573), 0.8),
+    # an atom of weight 0 is never drawn, so it may lie below 1e-300
+    singleton(Bernoulli(0.0, 1e-310, 2.0), 0.7),
+    singleton(Bernoulli(1.0, 0.5, 1e-310), 0.7),
+    singleton(Bernoulli(1.4286489991713187e-84, 1.1111109382809299, 377.5982698192585)),
+)
+
+
+@pytest.mark.parametrize("law", _ATOM_LAWS, ids=repr)
+def test_atom_laws_release_as_the_general_path_does(law):
+    atoms, general = CompoundLaplace(law), _GeneralPath(law)
+    assert atoms._atoms is not None and atoms == CompoundLaplace(law)
+    assert repr(atoms) == f"CompoundLaplace(combo={law!r})"
+
+    def releases(mech):
+        rng = np.random.default_rng(23)
+        scalar = [sample_noise(mech, rng) for _ in range(500)]
+        batches = [sample_noise(mech, rng, size) for size in (1, 1, 7, (4, 3), 1000)]
+        released = [perturb(mech, 3.0, rng) for _ in range(200)]
+        return scalar, batches, released, rng.bit_generator.state
+
+    scalar, batches, released, state = releases(atoms)
+    scalar0, batches0, released0, state0 = releases(general)
+    assert all(type(x) is float for x in scalar + released)
+    assert np.array_equal(scalar, scalar0) and np.array_equal(released, released0)
+    for batch, batch0 in zip(batches, batches0):
+        assert batch.shape == batch0.shape and np.array_equal(batch, batch0)
+        assert np.all(np.isfinite(batch)) and np.all(batch != 0.0)
+    assert state == state0
+
+
+@pytest.mark.parametrize("law", [Degenerate(1.0), singleton(Bernoulli(0.4, 0.5, 2.0), 0.8)],
+                         ids=repr)
+def test_atom_laws_redraw_zero_or_one_half_as_the_general_path_does(law):
+    # a two-atom law takes its first uniforms to pick atoms, so one script
+    # puts a 0 or 1/2 in the Laplace draws of each kind of law
+    for script in ([0.0, 0.5, 0.5, 0.0, 0.75, 0.3, 0.5, 0.25],
+                   [0.3, 0.0, 0.5, 0.6, 0.0, 0.5, 0.75, 0.25]):
+        for draw in [lambda m, size=size: sample_noise(m, _ScriptedUniforms(script), size)
+                     for size in (None, 1, 4, (2, 3))] + [
+                         lambda m: perturb(m, 3.0, _ScriptedUniforms(script))]:
+            out, out0 = draw(CompoundLaplace(law)), draw(_GeneralPath(law))
+            assert np.array_equal(out, out0)
+            assert np.all(np.isfinite(out)) and np.all(out != 0.0)
+
+
+@pytest.mark.parametrize("law", [
+    Degenerate(1e-310),
+    singleton(Bernoulli(0.5, 1e-310, 2.0)),
+    singleton(Bernoulli(0.0, 2.0, 1e-310)),
+    singleton(Degenerate(1e-200), 1e-101),
+    singleton(Degenerate(1e300), 1e10),
+    singleton(Bernoulli(0.5, 2.0, 1e300), 1e10),
+], ids=repr)
+def test_atoms_that_cannot_be_released_are_refused(law):
+    # the general path would release a two-atom law conditioned on its other
+    # atom, and redraw a tiny point mass 100 times before it raised
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for release in (lambda: sample_noise(CompoundLaplace(law), rng),
+                    lambda: sample_noise(CompoundLaplace(law), rng, 10),
+                    lambda: perturb(CompoundLaplace(law), 3.0, rng)):
+        with pytest.raises(ValueError, match="cannot be released"):
+            release()
+    assert rng.bit_generator.state == state
