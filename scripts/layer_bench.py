@@ -17,7 +17,10 @@ repeats per row:
   the compound, Laplace and staircase mechanisms, 2000 trials each;
 - `perturb` us per release and `sample_noise` ns/draw in 200,000-draw
   batches, for each mechanism of perfbench/mechanisms.ini, a compound
-  point mass and CI's two-atom law (randomized response: `perturb` only).
+  point mass and CI's two-atom law (randomized response: `perturb` only);
+- `startup` s of a fresh interpreter, run as a subprocess with that
+  side's src on PYTHONPATH: `import dpcalib`, and the CLI's usefulness
+  `optimize`, a two-atom `verify` and a TruncGaussian `verify`.
 
     python scripts/layer_bench.py > BENCH.json
     python scripts/layer_bench.py --before ../parent/src > BENCH.json
@@ -42,6 +45,7 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import timeit
 from pathlib import Path
@@ -74,6 +78,17 @@ PLAIN_MECHANISMS = {"laplace": "laplace b=1.0", "staircase": "staircase epsilon=
 EXTRA_LAWS = {"compound_point_mass": "1 degenerate value=2",
               "compound_two_atom_ci": "1.0 bernoulli p=0.3 x0=2.5 x1=40"}
 BATCH = 200_000
+# fresh-interpreter rows: Python code for `python -c`
+CLI_CALL = "import sys; from dpcalib.cli import main; sys.exit(main({!r}))"
+STARTUP = {
+    "import_dpcalib": "import dpcalib",
+    "optimize_usefulness": CLI_CALL.format(
+        ["optimize", "--epsilon", "5", "--metric", "usefulness", "--gamma", "0.1"]),
+    "verify_bernoulli": CLI_CALL.format(["verify", "--combo", EXTRA_LAWS["compound_two_atom_ci"]]),
+    "verify_trunc_gaussian": CLI_CALL.format(
+        ["verify", "--combo", "3.5257263661613147 trunc_gaussian mu=0.07901397154795174 "
+         "sigma=9.229205844534695 lo=0.0017380827164959 hi=5.057402201497467"]),
+}
 # (timeit repeats per row, seconds of calls per repeat)
 FULL = (21, 0.01)
 QUICK = (3, 0.001)
@@ -157,6 +172,11 @@ def rows(dpcalib, laws: dict[str, str]):
                           ("zero", -2000.0, -746.0)):
         x = np.linspace(lo, hi, GRID_POINTS)
         out.append((f"np_exp.{label}", "ns/point", 1e9 / GRID_POINTS, lambda x=x: np.exp(x)))
+    env = {**os.environ, "PYTHONPATH": str(Path(dpcalib.__file__).resolve().parent.parent)}
+    for label, code in STARTUP.items():
+        out.append((f"startup.{label}", "s", 1.0,
+                    lambda cmd=[sys.executable, "-c", code]: subprocess.run(
+                        cmd, env=env, check=True, stdout=subprocess.DEVNULL)))
     return out
 
 
@@ -219,7 +239,7 @@ def main() -> int:
                    "grid_points": GRID_POINTS, "laws": laws,
                    "linear_goals": LINEAR_GOALS, "grid_cell": GRID_CELL,
                    "plain_mechanisms": PLAIN_MECHANISMS, "extra_laws": EXTRA_LAWS,
-                   "batch": BATCH},
+                   "batch": BATCH, "startup": STARTUP},
         "rows": time_rows(sides, laws, repeats, target_s),
     }
     print(json.dumps(report, indent=1))

@@ -65,12 +65,22 @@ class QuerySpec:
                 )
 
     def true_value(self, dataset: np.ndarray) -> float:
+        """The statistic on ``dataset``.  A moving average over n < window
+        records averages those n, so one record moves it by up to scale/n:
+        a declared sensitivity below that raises ``ValueError``."""
         data = np.asarray(dataset, float)
         if data.size == 0:
             raise EmptyDatasetError("dataset is empty")
         if self.kind == "count":
             return float(data.size)
         window = data[-self.window:]
+        # on a full window this is the constructor's check
+        if self.declared_sensitivity < self.scale / window.size - 1e-12:
+            raise ValueError(
+                f"declared sensitivity {self.declared_sensitivity!r} is below the true bound "
+                f"scale/n = {self.scale / window.size!r} on a dataset of n = {window.size} "
+                f"records, fewer than the window of {self.window}"
+            )
         return float(self.scale * (window.sum() / window.size))
 
 

@@ -21,7 +21,10 @@ from dataclasses import dataclass, fields
 from functools import wraps
 
 import numpy as np
-from scipy import special
+
+from ._lazy import lazy_import
+
+special = lazy_import("scipy.special")  # TruncGaussian only
 
 
 class DomainError(ValueError):

@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._lazy import lazy_import
 from .distributions import Bernoulli, Degenerate, LinearCombo, MgfDist
+
+special = lazy_import("scipy.special")  # gaussian_sigma only
 
 _UNDERFLOW = 1e-300
 _REDRAWS = 100

@@ -13,7 +13,11 @@ is l1 for any prior) the objective is linear in the law of X too, so the
 optimum over every law has at most two atoms, and a 1-D dual over the
 multiplier of the constraint finds it (``two_atom_optimum``): each side's
 peak comes from a log-spaced table refined by Brent's method, and the
-multiplier from Newton steps whose slope the two atoms give.
+multiplier from Newton steps whose slope the two atoms give.  Brent's
+method is ``_brentq``, an in-module port of scipy's ``brentq`` that gives
+its roots to the bit: this path, and ``calibrate_scale``, run on numpy
+alone, and a process that calls only them never imports scipy, whose
+``optimize`` module loads on first use by the search below.
 
 The other metrics (mallows at p != 1, kl, renyi) have no known optimal
 law.  For them a 2-D Nelder-Mead searches the two-atom laws with atoms
@@ -33,8 +37,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
+from ._lazy import lazy_import
 from .distributions import (
     Bernoulli,
     Degenerate,
@@ -46,6 +50,8 @@ from .distributions import (
 from .mechanisms import staircase_norm, staircase_usefulness
 from .privacy import PrivacySpec, epsilon_of_combo
 from .utility import NORM_POWERS, TwoAtomMetric, UtilityGoal, norm_power
+
+sp_optimize = lazy_import("scipy.optimize")  # the Nelder-Mead search only
 
 
 class InfeasibleSpecError(RuntimeError):
@@ -134,6 +140,62 @@ def _rescale(combo: LinearCombo, c: float) -> LinearCombo:
     return LinearCombo(tuple((a * c, d) for a, d in combo.terms))
 
 
+def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4.0 * np.finfo(float).eps,
+            maxiter: int = 100) -> float:
+    """A root of f between a and b, where f changes sign: scipy's
+    ``optimize.brentq`` (the C loop of its ``Zeros/brentq.c``) step for
+    step, so each root is scipy's to the bit, without importing scipy.
+    Raises ``ValueError`` on a nan value or a bracket without a sign
+    change, and ``RuntimeError`` when maxiter iterations do not converge.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless a good short step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then inf or nan, which bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def calibrate_scale(combo: LinearCombo, privacy: PrivacySpec) -> LinearCombo:
     """Rescale all coefficients so the achieved epsilon hits the target.
 
@@ -164,7 +226,7 @@ def calibrate_scale(combo: LinearCombo, privacy: PrivacySpec) -> LinearCombo:
             hi += step
             if hi > 60:
                 raise InfeasibleSpecError("scale calibration failed to bracket the target")
-    log_c = sp_optimize.brentq(resid, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    log_c = _brentq(resid, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     return _rescale(combo, math.exp(log_c))
 
 
@@ -247,7 +309,9 @@ def _peak(privacy: PrivacySpec, f, log_fprime, side, log_lam: float) -> tuple[fl
     dh/dx between its two neighbours if h is higher there.  The root is
     found by Brent's method in ln x, to _LOG_X_TOL, on the closed form of
     dh/dx; where dh/dx does not fall through 0 between the neighbours, the
-    best grid point is the peak."""
+    best grid point is the peak.  Brent's method is ``_brentq``, scipy's
+    ``brentq`` ported step for step, so that the linear metrics need no
+    scipy import (about 0.5 s) and keep scipy's roots to the bit."""
     xs, ts, fs, gs = side
     lam = math.exp(log_lam)
     h = fs - lam * gs
@@ -267,7 +331,7 @@ def _peak(privacy: PrivacySpec, f, log_fprime, side, log_lam: float) -> tuple[fl
     lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, xs.size - 1)])
     if not rise(lo) > 0.0 > rise(hi):
         return best
-    x = math.exp(sp_optimize.brentq(rise, lo, hi, xtol=_LOG_X_TOL))
+    x = math.exp(_brentq(rise, lo, hi, xtol=_LOG_X_TOL))
     value = float(f(x) - lam * _constraint(privacy, x))
     return (value, x) if value > best[0] else best
 

@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
+from ._lazy import lazy_import
 from .distributions import LinearCombo, MgfDist
 from .mechanisms import CompoundLaplace, sample_noise
+
+special = lazy_import("scipy.special")  # TwoAtomMetric only
 
 
 class DivergentIntegralError(ArithmeticError):

@@ -61,6 +61,39 @@ def test_run_query_is_true_value_plus_noise():
     assert released == pytest.approx(100.0 + noise)
 
 
+def test_moving_average_on_fewer_records_than_its_window_checks_the_sensitivity():
+    # on n < window records one record moves the average by up to scale/n:
+    # here 0.5 on [0, 1] against 0 on [0, 0], 15x the declared 1/30
+    q = QuerySpec("moving_average", window=30, scale=1.0, declared_sensitivity=1.0 / 30)
+    for data in (np.array([0.0, 1.0]), np.ones(29)):
+        with pytest.raises(ValueError, match="below the true bound"):
+            q.true_value(data)
+        with pytest.raises(ValueError, match="below the true bound"):
+            run_query(data, q, Laplace(1.0), np.random.default_rng(0))
+    assert q.true_value(np.ones(30)) == 1.0
+    # a declared bound that covers scale/n is kept, within the constructor's slack
+    assert QuerySpec("moving_average", window=30, scale=1.0,
+                     declared_sensitivity=0.5 - 1e-13).true_value(np.array([0.0, 1.0])) == 0.5
+    with pytest.raises(ValueError, match="below the true bound"):
+        QuerySpec("moving_average", window=30, scale=1.0,
+                  declared_sensitivity=0.5 - 1e-11).true_value(np.array([0.0, 1.0]))
+
+
+def test_cli_bench_refuses_a_dataset_shorter_than_the_window(tmp_path, capsys):
+    config = tmp_path / "grid.ini"
+    config.write_text("[grid]\nepsilons = 1\nsensitivities = 1\nmetric_params = 0.4\n"
+                      "mechanisms = laplace\ntrials = 20\nseed = 4\n"
+                      "[query]\nkind = moving_average\nwindow = 30\nscale = 1.0\n"
+                      f"declared_sensitivity = {1.0 / 30!r}\n")
+    dataset = tmp_path / "data.csv"
+    dataset.write_text("0\n1\n")
+    assert cli.main(["bench", "--config", str(config), "--dataset", str(dataset)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: declared sensitivity") and "Traceback" not in err
+    dataset.write_text("1\n" * 30)
+    assert cli.main(["bench", "--config", str(config), "--dataset", str(dataset)]) == 0
+
+
 def test_generate_synthetic():
     const = generate_synthetic("constant", 10, seed=0, value=2.5)
     assert np.all(const == 2.5) and const.size == 10

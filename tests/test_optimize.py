@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from dpcalib.distributions import Bernoulli, Degenerate, Gamma, LinearCombo, Uniform, singleton
 from dpcalib.mechanisms import CompoundLaplace, sample_noise, staircase_norm
@@ -432,6 +433,116 @@ def test_large_epsilon_norms_take_no_more_evaluations(metric, eps, dq):
     assert calls <= LARGE_EPSILON_NORM_CALLS[metric, eps]
     assert isinstance(law.terms[0][1], Bernoulli)
     assert abs(epsilon_of_combo(law, dq) - eps) <= 1e-12 * eps
+
+
+def _replay_through_scipy(monkeypatch, run):
+    """Run ``run`` with every call of the in-module Brent recorded, then
+    replay each through scipy's brentq; returns the number of calls."""
+    optimize_module = importlib.import_module("dpcalib.optimize")
+    port = optimize_module._brentq
+    calls = []
+
+    def recording(f, a, b, **options):
+        root = port(f, a, b, **options)
+        calls.append((f, a, b, options, root))
+        return root
+
+    monkeypatch.setattr(optimize_module, "_brentq", recording)
+    run()
+    for f, a, b, options, root in calls:
+        assert brentq(f, a, b, **options) == root, (a, b, options)
+    return len(calls)
+
+
+_LARGE_EPSILON_CELLS = [(eps, 1.0, UtilityGoal("usefulness", gamma=0.1)) for eps in (200.0, 260.0)] + [
+    (eps, 1.0, UtilityGoal(metric)) for metric in ("l1", "l2") for eps in (200.0, 260.0, 400.0)]
+
+
+def test_every_refined_peak_is_scipys_brentq_root(monkeypatch):
+    # the in-module Brent is scipy's C loop step for step: each root that
+    # _peak takes on the 60 linear cells and at large epsilon is scipy's
+    def run():
+        for eps, dq, goal in LINEAR_CELLS + _LARGE_EPSILON_CELLS:
+            two_atom_optimum(PrivacySpec(eps, dq), goal)
+
+    assert _replay_through_scipy(monkeypatch, run) > 400
+
+
+def test_calibrate_scale_roots_are_scipys_brentq_roots(monkeypatch):
+    laws = [(PrivacySpec(2.0, 1.0), singleton(Gamma(3.0, 1.0))),
+            (PrivacySpec(2.0, 1.0), LinearCombo(((0.5, Gamma(2.0, 1.0)), (0.5, Uniform(0.1, 3.0)))))]
+    rng = np.random.default_rng(42)  # the filter test's laws
+    laws += [(PrivacySpec(1.5, 1.0), singleton(Gamma(float(rng.uniform(0.1, 3.0)),
+                                                     float(rng.uniform(0.05, 5.0)))))
+             for _ in range(40)]
+
+    def run():
+        for privacy, combo in laws:
+            calibrate_scale(combo, privacy)
+
+    assert _replay_through_scipy(monkeypatch, run) == len(laws)
+
+
+def _sweep_functions(count):
+    """(f, a, b, options) over smooth, flat, stepped and subnormal-valued
+    functions: every branch of Brent's loop, division by zero included."""
+    rng = np.random.default_rng(2024)
+    for i in range(count):
+        c = [float(v) for v in rng.normal(size=4)]
+        f = (lambda x, c=c: c[0] * x ** 3 + c[1] * x ** 2 + c[2] * x + c[3],
+             lambda x, c=c: math.tanh(c[0] * x + c[1]) + 0.3 * c[2],
+             lambda x, c=c: (x - c[0]) ** 3 * 1e-300,
+             lambda x, c=c: -1.0 if x < c[0] else (1e-320 if x < c[0] + abs(c[1]) else 1.0),
+             lambda x, c=c: math.floor(4.0 * (x - c[0])) * 1e-310)[i % 5]
+        a, b = sorted(float(v) for v in rng.normal(scale=3.0, size=2))
+        options = {"xtol": float(10.0 ** rng.uniform(-300, -1))}
+        if i % 3 == 0:
+            options["rtol"] = float(10.0 ** rng.uniform(-15.05, -3))
+        if i % 4 == 1:
+            options["maxiter"] = int(rng.integers(0, 30))
+        yield f, a, b, options
+
+
+def _outcome(solver, f, a, b, options):
+    try:
+        return solver(f, a, b, **options)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_brentq_port_matches_scipy_on_a_sweep():
+    port = importlib.import_module("dpcalib.optimize")._brentq
+    converged = 0
+    for f, a, b, options in _sweep_functions(1500):
+        ours = _outcome(port, f, a, b, options)
+        assert ours == _outcome(brentq, f, a, b, options), (f, a, b, options)
+        converged += isinstance(ours, float)
+    assert converged > 300
+
+
+def test_brentq_port_edge_cases_are_scipys():
+    port = importlib.import_module("dpcalib.optimize")._brentq
+    cases = [
+        (lambda x: x - 0.25, 0.25, 3.0, {}),  # f(a) = 0 returns a
+        (lambda x: x - 3.0, 0.25, 3.0, {}),  # f(b) = 0 returns b
+        (lambda x: -0.0 if x == 0.0 else 1.0, 0.0, 1.0, {}),
+        (lambda x: x * x + 1.0, -1.0, 2.0, {}),  # no sign change
+        (lambda x: 1e-200, 0.0, 1.0, {}),  # a sign test by product would underflow
+        (lambda x: math.nan, 0.0, 1.0, {}),
+        (lambda x: 1.0 if x > 0.5 else math.nan, 0.0, 1.0, {}),
+        (lambda x: -1.0 if x < 0.123456789 else 1.0, 0.0, 1.0, {"maxiter": 3}),
+        (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": 0}),
+    ]
+    for f, a, b, options in cases:
+        assert _outcome(port, f, a, b, options) == _outcome(brentq, f, a, b, options)
+    assert port(lambda x: x - 0.25, 0.25, 3.0) == 0.25
+    with pytest.raises(ValueError, match="different signs"):
+        port(lambda x: x * x + 1.0, -1.0, 2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        port(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="converge"):
+        port(lambda x: -1.0 if x < 0.123456789 else 1.0, 0.0, 1.0, maxiter=3)
 
 
 @pytest.mark.parametrize("goal", LINEAR_GOALS, ids=lambda goal: goal.metric)
