@@ -12,7 +12,8 @@ repeats per row:
 - `np.exp` ns/point for results that are normal, subnormal and zero, which
   shows whether the host's exp has a slow path;
 - `two_atom_optimum` us for usefulness at (epsilon, gamma) = (1, 0.4),
-  which returns Laplace, and (5, 0.1), and for l1 and l2 at epsilon 8;
+  which returns Laplace, (5, 0.1) and (200, 0.1), where the lower side's
+  maximum sits on two peaks, for l1 and l2 at epsilon 8, and for l2 at 300;
 - `run_grid` ms on one usefulness cell (5, 0.1) at the benchmark's budget:
   the compound, Laplace and staircase mechanisms, 2000 trials each;
 - `perturb` us per release and `sample_noise` ns/draw in 200,000-draw
@@ -67,7 +68,9 @@ GRID_POINTS = 245_001  # the ensemble's radial audit grid at sensitivity 1
 LINEAR_GOALS = (("usefulness_gamma0.4_eps1", 1.0, "usefulness", 0.4),
                 ("usefulness_gamma0.1_eps5", 5.0, "usefulness", 0.1),
                 ("l1_eps8", 8.0, "l1", None),
-                ("l2_eps8", 8.0, "l2", None))
+                ("l2_eps8", 8.0, "l2", None),
+                ("usefulness_gamma0.1_eps200", 200.0, "usefulness", 0.1),
+                ("l2_eps300", 300.0, "l2", None))
 GRID_CELL = {"epsilon": 5.0, "gamma": 0.1, "trials": 2000, "seed": 11,
              "restarts": 6, "max_evals": 150}
 # the plain mechanisms of perfbench/mechanisms.ini as `sample --mech` specs,

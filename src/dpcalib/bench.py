@@ -52,8 +52,10 @@ class QuerySpec:
     def __post_init__(self):
         if self.kind not in ("count", "moving_average"):
             raise ValueError(f"unknown query kind {self.kind!r}")
-        if self.declared_sensitivity <= 0:
-            raise ValueError("declared_sensitivity must be > 0")
+        if not 0 < self.declared_sensitivity < math.inf:
+            raise ValueError("declared_sensitivity must be finite and > 0")
+        if not math.isfinite(self.scale):
+            raise ValueError("scale must be finite")
         if self.kind == "count" and self.declared_sensitivity != 1.0:
             raise ValueError("count queries have sensitivity exactly 1")
         if self.kind == "moving_average":
@@ -106,8 +108,11 @@ class ExperimentGrid:
             raise ValueError("grid axes must be non-empty")
         if self.metric not in LINEAR_METRICS:
             raise ValueError("grid metrics are usefulness, l1 or l2")
-        if self.metric == "usefulness" and not self.metric_params:
-            raise ValueError("usefulness grids need at least one gamma")
+        if self.metric == "usefulness":
+            if not self.metric_params:
+                raise ValueError("usefulness grids need at least one gamma")
+            for gamma in self.metric_params:
+                _goal_for(self.metric, gamma)  # refuses a gamma that is not finite and > 0
         unknown = [m for m in self.mechanisms if m not in MECHANISM_NAMES]
         if unknown:
             raise ValueError(f"unknown mechanisms {unknown}")

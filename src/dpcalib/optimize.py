@@ -10,10 +10,11 @@ law here has one or two atoms.
 
 For usefulness and the noise norms (l1, l2, and mallows at p = 1, which
 is l1 for any prior) the objective is linear in the law of X too, so the
-optimum over every law has at most two atoms, and a 1-D dual over the
-multiplier of the constraint finds it (``two_atom_optimum``): each side's
-peak comes from a log-spaced table refined by Brent's method, and the
-multiplier from Newton steps whose slope the two atoms give.  Brent's
+optimum over every law has at most two atoms: the ends of the chord that
+supports the curve (g, f) on both sides of x0 (``two_atom_optimum``).
+The chord is found on log-spaced tables of f and g, then refined by
+Newton steps on its slope, the constraint's multiplier, each of which
+takes each side's peak refined by Brent's method.  Brent's
 method is ``_brentq``, an in-module port of scipy's ``brentq`` that gives
 its roots to the bit: this path, and ``calibrate_scale``, run on numpy
 alone, and a process that calls only them never imports scipy, whose
@@ -295,12 +296,9 @@ def _constraint(privacy: PrivacySpec, x):
     return -x * np.expm1(privacy.epsilon - privacy.sensitivity * x)
 
 
-# bracket reach in ln lam.  Downward lam = e^(ln lam) underflows to 0 past
-# -745, harmlessly, as the peaks compare slopes in log space; upward it
-# overflows past 709.78, and two_atom_optimum raises InfeasibleSpecError
-_LOG_LAM_REACH = 1500.0
 _LOG_X_TOL = 1e-12  # width in ln x to which a peak is refined
-_LOG_LAM_TOL = 1e-13  # Newton step or bracket width in ln lam at which the multiplier is solved
+_LOG_LAM_TOL = 1e-13  # Newton step in ln lam at which the multiplier is solved
+_MAX_STEPS = 20  # guards each of two_atom_optimum's loops; neither has needed more than 7 passes
 
 
 def _peak(privacy: PrivacySpec, f, log_fprime, side, log_lam: float) -> tuple[float, float]:
@@ -340,36 +338,29 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
     """The law of X that is best for a linear metric over *every* law.
 
     Maximizes E f(X) subject to E g(X) <= 0, g(x) = x (1 - e^(eps - dq x)),
-    which is the epsilon constraint.  g < 0 below x0 = eps/dq and g > 0
-    above it.  For a multiplier lam >= 0 the dual is the larger of
-    H_lo(lam) = max over x <= x0 of h = f - lam g (increasing in lam) and
-    H_hi(lam), the same over x >= x0 (decreasing).  Its minimum is where
-    the two cross; each side's maximizer there is an atom, weighted so
-    that E g(X) = 0.
+    the epsilon constraint; g < 0 below x0 = eps/dq and g > 0 above it.
+    The optimum is the point at g = 0 of the chord that supports the curve
+    (g, f) on both sides of x0: its ends are the atoms, weighted so that
+    E g(X) = 0, and its slope lam is the dual multiplier.
 
-    Each side's maximum is taken on a log-spaced table of f and g, built
-    once per call from one unit grid in ln x with x0 exactly at the shared
-    end of the two tables, and refined by Brent's method on the closed form
-    of dh/dx (``_peak``).  For the norms at large epsilon the upper table
-    reaches further (``_reach``), at the same points per decade.
+    f and g are tabled once per call on each side, from one unit grid in
+    ln x with x0 exactly at the tables' shared end; for the norms at large
+    epsilon the upper table reaches further (``_reach``).  Unless the
+    tangent at x0 supports both tables (Laplace), two loops find the
+    chord, one dual evaluation a pass.  On the tables without x0, the
+    least steep chord to the upper point and the steepest chord from the
+    lower point alternate until the upper point repeats.  Then Newton
+    steps on lam take each side's peak of f - lam g at the last chord's
+    slope (``_peak``) as the next atoms, until a step is under 1e-13 in
+    ln lam or no shorter than the last (the first is taken from the
+    tangent's slope), or the atoms no longer straddle x0.  The best law on
+    the pairs visited is kept.
 
-    The crossing is solved in s = ln lam.  By the envelope theorem
-    dH/dlam = -g(x*), so the gap H_hi - H_lo falls strictly in lam with
-    slope g(x_lo) - g(x_hi), read off the two atoms; Newton's step in lam
-    goes to the slope of the chord through the atoms' points (g, f), and
-    is taken in s.  Until the gap has been seen on both sides of 0 a step
-    is capped at a doubling step from the tangent at x0; after that, a
-    step that leaves the bracket is replaced by bisection.  The solve
-    stops once a step is under 1e-13 and keeps the better of the laws on
-    the atoms at the bracket's two ends: where a side's maximum jumps
-    between two peaks the gap has no root.
-
-    Returns the law, ``Degenerate(x0)`` (exactly Laplace) when the line
-    tangent to (g, f) at x0 already supports the curve or no two-atom law
-    beats it, else a ``Bernoulli``, and the number of dual evaluations.
-    Usefulness, l1, l2 and mallows at p = 1 only, else ``ValueError``.
-    Raises ``InfeasibleSpecError`` when g overflows on the grid (epsilon
-    near 710 and above) or the multiplier cannot be bracketed.
+    Returns the law, ``Degenerate(x0)`` (exactly Laplace) when no two-atom
+    law beats it, else a ``Bernoulli``, and the number of dual
+    evaluations.  Usefulness, l1, l2 and mallows at p = 1 only, else
+    ``ValueError``.  Raises ``InfeasibleSpecError`` when g overflows on the
+    grid (epsilon near 710 and above) or the dual leaves the float range.
     """
     payoff = _payoff(goal)
     if payoff is None:
@@ -409,53 +400,44 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
             f0 = float(f(x0))
             tol = 4.0 * _FLOAT_EPS * (1.0 + abs(f0))
             # log slope of f against g at x0, where dg/dx = eps
-            s = s0 = log_fprime(x0) - math.log(eps)
-            (below, x_lo), (above, x_hi) = dual(s)
+            s = log_fprime(x0) - math.log(eps)
+            (below, _), (above, _) = dual(s)
             if max(below, above) <= f0 + tol:
                 return laplace, calls
-            # the gap H_hi - H_lo falls in s.  ends[gap > 0] keeps the last s
-            # on each side of its root, with that s's atoms.  Each step is
-            # Newton's: capped at a doubling step until both sides are seen,
-            # then replaced by bisection where it leaves the bracket
-            step = 1.0 if above > below else -1.0
-            ends = {}
-            while True:
-                d = above - below
-                ends[d > 0.0] = s, x_lo, x_hi
-                if d == 0.0:
+            # slopes, not values at g = 0: a lower atom's weight can fall below their ulp
+            (xs_lo, _, fs_lo, gs_lo), (xs_hi, _, fs_hi, gs_hi) = (
+                [column[:-1] for column in sides[0]], [column[1:] for column in sides[1]])
+            j = int((fs_hi - math.exp(s) * gs_hi).argmax())
+            seen = set()
+            for _ in range(_MAX_STEPS):
+                calls += 1
+                seen.add(j)
+                i = int(((fs_hi[j] - fs_lo) / (gs_hi[j] - gs_lo)).argmin())
+                k = int(((fs_hi - fs_lo[i]) / (gs_hi - gs_lo[i])).argmax())
+                if k in seen:  # exactly only j can repeat; ties of rounded slopes can cycle
                     break
-                # Newton's step in lam, lam' = lam + gap / (g(x_hi) - g(x_lo)),
-                # taken in s: where the gap grows like e^s, a step in s
-                # would move s by about 1 at a time
-                scale = math.exp(s) * float(_constraint(privacy, x_hi) - _constraint(privacy, x_lo))
-                ratio = d / scale if 0.0 < scale < math.inf else math.inf
-                newton = math.log1p(ratio) if ratio > -1.0 else math.inf
-                if abs(newton) < max(_LOG_LAM_TOL, math.ulp(s)):
+                j = k
+            # Newton's step on lam, lam + gap / (g_hi - g_lo), is the last chord's slope
+            pair, best, step = (float(xs_lo[i]), float(xs_hi[j])), (f0 + tol, None), math.inf
+            for _ in range(_MAX_STEPS):
+                (f_lo, g_lo), (f_hi, g_hi) = ((float(f(x)), float(_constraint(privacy, x))) for x in pair)
+                if not (f_hi > f_lo and g_lo < 0.0 < g_hi):
                     break
-                if len(ends) == 1:
-                    s += newton if abs(newton) <= abs(step) else step
-                    step *= 2.0
-                    if abs(s - s0) > _LOG_LAM_REACH:
-                        raise InfeasibleSpecError("the dual multiplier could not be bracketed")
-                else:
-                    lo, hi = sorted((ends[True][0], ends[False][0]))
-                    if lo < s + newton < hi:
-                        s += newton
-                    elif hi - lo > _LOG_LAM_TOL and lo < 0.5 * (lo + hi) < hi:
-                        s = 0.5 * (lo + hi)
-                    else:
-                        break
-                (below, x_lo), (above, x_hi) = dual(s)
-            # where a side's maximum jumps between two peaks the gap has no
-            # root, and each end's atoms make a law that meets epsilon
-            law = max((_two_atom_law(privacy, x_lo, x_hi) for _, x_lo, x_hi in ends.values()),
-                      key=lambda law: _mean_payoff(law, f))
-            worse = _mean_payoff(law, f) <= f0 + tol
+                w = g_hi / (g_hi - g_lo)  # the weight _two_atom_law puts on x_lo
+                value = w * f_lo + (1.0 - w) * f_hi  # _mean_payoff of that law
+                if value > best[0]:
+                    best = value, pair
+                s, last = math.log(f_hi - f_lo) - math.log(g_hi - g_lo), s
+                if not _LOG_LAM_TOL <= abs(s - last) < step:
+                    break
+                step = abs(s - last)
+                (_, x_lo), (_, x_hi) = dual(s)
+                pair = (x_lo, x_hi)
     except (OverflowError, ZeroDivisionError):
         raise InfeasibleSpecError(
             f"epsilon {eps!r} at sensitivity {dq!r} takes the dual beyond the float range"
         ) from None
-    return (laplace if worse else law), calls
+    return (laplace if best[1] is None else _two_atom_law(privacy, *best[1])), calls
 
 
 _SIMPLEX_STEP = 0.25
@@ -490,8 +472,8 @@ def optimize(
 
     Every law returned meets epsilon by construction, with no rescaling.
     Deterministic for fixed (spec, privacy, goal, seed).  Raises
-    ``InfeasibleSpecError`` if the dual multiplier cannot be bracketed or
-    the law's epsilon is off the target by more than 1e-9.
+    ``InfeasibleSpecError`` if the dual leaves the float range or the
+    law's epsilon is off the target by more than 1e-9.
     """
     if _payoff(goal) is not None:
         law, calls = two_atom_optimum(privacy, goal)

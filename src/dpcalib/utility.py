@@ -111,9 +111,9 @@ class UtilityGoal:
     """A metric identifier plus its parameters.
 
     metric      one of "usefulness", "l1", "l2", "mallows", "kl", "renyi"
-    gamma       error bound for usefulness (> 0)
-    p           norm index for mallows (>= 1)
-    alpha       Renyi order (> 0, != 1)
+    gamma       error bound for usefulness (finite, > 0)
+    p           norm index for mallows (finite, >= 1)
+    alpha       Renyi order (finite, > 0, != 1)
     prior       real vector (mallows) or Histogram (kl / renyi)
     """
 
@@ -126,13 +126,13 @@ class UtilityGoal:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; known: {METRICS}")
-        if self.metric == "usefulness" and not (self.gamma and self.gamma > 0):
-            raise ValueError("usefulness needs gamma > 0")
-        if self.metric == "mallows" and not (self.p and self.p >= 1):
-            raise ValueError("mallows needs p >= 1")
+        if self.metric == "usefulness" and not (self.gamma and 0 < self.gamma < math.inf):
+            raise ValueError("usefulness needs a finite gamma > 0")
+        if self.metric == "mallows" and not (self.p and 1 <= self.p < math.inf):
+            raise ValueError("mallows needs a finite p >= 1")
         if self.metric == "renyi":
-            if self.alpha is None or self.alpha <= 0 or self.alpha == 1.0:
-                raise ValueError("renyi needs alpha > 0, alpha != 1")
+            if self.alpha is None or not 0 < self.alpha < math.inf or self.alpha == 1.0:
+                raise ValueError("renyi needs a finite alpha > 0, alpha != 1")
 
     @property
     def higher_is_better(self) -> bool:

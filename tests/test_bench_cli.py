@@ -39,6 +39,32 @@ def test_query_spec_validation():
         QuerySpec("median")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"scale": math.nan}, {"scale": math.inf}, {"declared_sensitivity": math.nan},
+    {"declared_sensitivity": math.inf}, {"scale": math.inf, "declared_sensitivity": math.inf},
+])
+@pytest.mark.parametrize("kind", ["count", "moving_average"])
+def test_query_spec_refuses_a_non_finite_scale_or_sensitivity(kind, kwargs):
+    # a nan sensitivity passed the window check, as nan compares false, and
+    # at inf/inf the moving average answered inf
+    with pytest.raises(ValueError, match="must be finite"):
+        QuerySpec(kind, **{"window": 3, "scale": 1.0, "declared_sensitivity": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("key, value", [("scale", "nan"), ("scale", "inf"),
+                                        ("declared_sensitivity", "nan")])
+def test_cli_bench_refuses_a_non_finite_query(key, value, tmp_path, capsys):
+    query = {"kind": "moving_average", "window": "3", "scale": "1.0", "declared_sensitivity": "1.0"}
+    query[key] = value
+    config = tmp_path / "grid.ini"
+    config.write_text("[grid]\nepsilons = 1\nsensitivities = 1\nmetric_params = 0.4\n"
+                      "mechanisms = laplace\ntrials = 20\nseed = 4\n[query]\n"
+                      + "".join(f"{k} = {v}\n" for k, v in query.items()))
+    assert cli.main(["bench", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "must be finite" in err
+
+
 def test_query_true_values():
     data = np.ones(100)
     assert QuerySpec("count").true_value(data) == 100.0
@@ -126,6 +152,8 @@ def test_grid_validation():
         ExperimentGrid(epsilons=(1.0,), sensitivities=(1.0,), mechanisms=("nope",))
     with pytest.raises(ValueError):
         ExperimentGrid(epsilons=(1.0,), sensitivities=(1.0,), trials=0)
+    with pytest.raises(ValueError, match="finite gamma"):
+        ExperimentGrid(epsilons=(1.0,), sensitivities=(1.0,), metric_params=(0.4, math.inf))
 
 
 def test_run_grid_single_laplace_cell():
@@ -354,6 +382,28 @@ def test_cli_optimize_refuses_a_sensitivity_beyond_the_float_range(metric, sensi
     assert cli.main(["optimize", "--epsilon", "5", "--sensitivity", sensitivity,
                      "--metric", metric]) == 2
     assert "infeasible:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--metric", "usefulness", "--gamma", "inf"],
+    ["--metric", "usefulness", "--gamma", "nan"],
+    ["--metric", "mallows", "--p", "inf"],
+    ["--metric", "renyi", "--alpha", "inf"],
+])
+def test_cli_optimize_refuses_a_non_finite_metric_parameter(argv, capsys):
+    # --gamma inf never returned; --p inf and --alpha inf scored degenerate metrics
+    assert cli.main(["optimize", "--epsilon", "5", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "needs a finite" in err
+
+
+def test_cli_bench_refuses_a_non_finite_gamma(tmp_path, capsys):
+    config = tmp_path / "grid.ini"
+    config.write_text("[grid]\nepsilons = 1\nsensitivities = 1\nmetric_params = 0.4 inf\n"
+                      "mechanisms = compound\ntrials = 20\nseed = 4\n")
+    assert cli.main(["bench", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "finite gamma" in err
 
 
 def test_cli_optimize_prior_metric_record_round_trips(tmp_path, capsys):

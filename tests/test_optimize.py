@@ -245,12 +245,15 @@ def test_two_atom_optimum_meets_epsilon_without_rescaling(goal, eps, dq):
 @pytest.mark.parametrize("goal", LINEAR_GOALS, ids=lambda goal: goal.metric)
 def test_two_atom_optimum_solves_or_refuses_at_the_float_range(goal, dq):
     # where lam, f or e^(eps - dq x) leaves the float range the spec is
-    # refused, with no warning on the way; every law returned is exact
+    # refused, with no warning on the way; every law returned is exact.
+    # At dq >= 1e100 usefulness's far chords tie in rounded slope, which
+    # must not cycle the search on the tables
     try:
-        law, _ = two_atom_optimum(PrivacySpec(5.0, dq), goal)
+        law, calls = two_atom_optimum(PrivacySpec(5.0, dq), goal)
     except InfeasibleSpecError:
         return
     assert abs(epsilon_of_combo(law, dq) - 5.0) <= 1e-9
+    assert calls <= 8
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -383,9 +386,9 @@ def test_predicted_utility_matches_the_mgf_quadrature(eps, dq, goal):
 
 
 def test_linear_cells_take_few_dual_evaluations():
-    # Newton steps on the multiplier: at most 12 evaluations a cell and 200
-    # in all on the 60 cells, where a doubling bracket and brentq on the
-    # gap took up to 17 and 261
+    # the supporting chord of the tables, then Newton steps from its slope:
+    # at most 12 evaluations a cell and 200 in all on the 60 cells, where a
+    # doubling bracket and brentq on the gap took up to 17 and 261
     calls = [two_atom_optimum(PrivacySpec(eps, dq), goal)[1] for eps, dq, goal in LINEAR_CELLS]
     assert max(calls) <= 12 and sum(calls) <= 200
 
@@ -405,11 +408,10 @@ def _decimal_law(law, dq, goal):
 
 @pytest.mark.parametrize("eps, before", [(200.0, 80), (260.0, 86)])
 def test_large_epsilon_usefulness_is_solved_in_fewer_evaluations(eps, before):
-    # a dual evaluation refines only the best grid point's neighbourhood, so
-    # here the lower side's peak jumps between x0 and a peak near 1.1 and
-    # the gap has no root; the law on the atoms at the bracket's two ends
-    # that scores better is kept.  It is no worse than Laplace, and its
-    # epsilon meets the target, both checked in 50-digit decimal
+    # the lower side's maximum sits on x0 or on a peak near 1.1, and the
+    # two tie at the multiplier: the supporting chord of the tables picks
+    # the peak.  The law is no worse than Laplace, and its epsilon meets
+    # the target, both checked in 50-digit decimal
     privacy, goal = PrivacySpec(eps, 1.0), UtilityGoal("usefulness", gamma=0.1)
     law, calls = two_atom_optimum(privacy, goal)
     assert calls < before
@@ -417,6 +419,46 @@ def test_large_epsilon_usefulness_is_solved_in_fewer_evaluations(eps, before):
     assert abs(float(epsilon) - eps) <= 1e-9
     assert abs(epsilon_of_combo(law, 1.0) - eps) <= 1e-9
     assert payoff >= _decimal_law(laplace_seed(privacy), 1.0, goal)[1]
+
+
+# 29 epsilons from 0.01 to 705, five sensitivities and each linear goal
+SWEEP_GOALS = [UtilityGoal("usefulness", gamma=gamma) for gamma in (0.1, 0.4, 0.9)] + LINEAR_GOALS[1:]
+SWEEP_CELLS = [(float(eps), dq, goal) for eps in np.geomspace(0.01, 705.0, 29)
+               for dq in (1e-3, 0.5, 1.0, 3.0, 300.0) for goal in SWEEP_GOALS]
+
+
+def test_sweep_takes_few_evaluations_and_meets_epsilon():
+    # the bracket search took up to 50 evaluations a cell and 4,054 in all.
+    # Where two peaks tie at the multiplier the Newton steps alternate
+    # between them, and a step no shorter than the last ends the solve
+    calls = []
+    for eps, dq, goal in SWEEP_CELLS:
+        if eps == 705.0 and dq == 1e-3:  # e^(eps - dq x) overflows on the grid
+            with pytest.raises(InfeasibleSpecError, match="too large"):
+                two_atom_optimum(PrivacySpec(eps, dq), goal)
+            continue
+        law, n = two_atom_optimum(PrivacySpec(eps, dq), goal)
+        assert abs(epsilon_of_combo(law, dq) - eps) <= 1e-9, (eps, dq, goal)
+        calls.append(n)
+    assert max(calls) <= 12 and sum(calls) <= 4054 // 2
+
+
+# each linear goal at epsilon 100 to 500, where a side's maximum may sit on
+# two peaks at the multiplier
+LARGE_EPSILON_CELLS = [(eps, dq, goal) for eps in (100.0, 200.0, 260.0, 300.0, 400.0, 500.0)
+                       for dq in (0.5, 1.0, 3.0) for goal in SWEEP_GOALS]
+
+
+@pytest.mark.parametrize("eps,dq,goal", LARGE_EPSILON_CELLS)
+def test_large_epsilon_cells_are_solved_in_few_evaluations(eps, dq, goal):
+    # the bracket search on the multiplier took up to 50 evaluations here.
+    # The law meets epsilon and is no worse than Laplace, in 50-digit decimal
+    privacy = PrivacySpec(eps, dq)
+    law, calls = two_atom_optimum(privacy, goal)
+    assert calls <= 8
+    epsilon, payoff = _decimal_law(law, dq, goal)
+    assert abs(float(epsilon) - eps) <= 1e-9
+    assert payoff >= _decimal_law(laplace_seed(privacy), dq, goal)[1]
 
 
 # the evaluations each cell took with a doubling bracket and brentq on the gap
@@ -427,8 +469,8 @@ LARGE_EPSILON_NORM_CALLS = {("l1", 200.0): 30, ("l1", 260.0): 39, ("l1", 400.0):
 @pytest.mark.parametrize("dq", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("metric, eps", sorted(LARGE_EPSILON_NORM_CALLS))
 def test_large_epsilon_norms_take_no_more_evaluations(metric, eps, dq):
-    # where the gap grows like e^(ln lam), a Newton step in ln lam moves by
-    # about 1; the step is taken in lam instead
+    # the chord's slope is Newton's step in lam, not in ln lam, where the
+    # gap grows like e^(ln lam) and a step would move by about 1
     law, calls = two_atom_optimum(PrivacySpec(eps, dq), UtilityGoal(metric))
     assert calls <= LARGE_EPSILON_NORM_CALLS[metric, eps]
     assert isinstance(law.terms[0][1], Bernoulli)
@@ -454,15 +496,11 @@ def _replay_through_scipy(monkeypatch, run):
     return len(calls)
 
 
-_LARGE_EPSILON_CELLS = [(eps, 1.0, UtilityGoal("usefulness", gamma=0.1)) for eps in (200.0, 260.0)] + [
-    (eps, 1.0, UtilityGoal(metric)) for metric in ("l1", "l2") for eps in (200.0, 260.0, 400.0)]
-
-
 def test_every_refined_peak_is_scipys_brentq_root(monkeypatch):
     # the in-module Brent is scipy's C loop step for step: each root that
     # _peak takes on the 60 linear cells and at large epsilon is scipy's
     def run():
-        for eps, dq, goal in LINEAR_CELLS + _LARGE_EPSILON_CELLS:
+        for eps, dq, goal in LINEAR_CELLS + LARGE_EPSILON_CELLS:
             two_atom_optimum(PrivacySpec(eps, dq), goal)
 
     assert _replay_through_scipy(monkeypatch, run) > 400

@@ -52,19 +52,19 @@ def test_the_linear_path_loads_no_scipy_module():
     assert loaded == []
 
 
-# the parent's values, and the record its kl search returns
+# pinned values, and the record the kl search returns from the exact l1/l2 laws
 TRUNC_GAUSSIAN = ("3.5257263661613147 trunc_gaussian mu=0.07901397154795174 "
                   "sigma=9.229205844534695 lo=0.0017380827164959 hi=5.057402201497467")
 KL_RECORD = """\
 target_epsilon = 8.0
 achieved_epsilon = 8.0
-predicted_utility = 2.5924216156057485e-06
+predicted_utility = 2.5924216156057523e-06
 baseline_laplace_utility = 5.559535886969203e-06
 staircase_utility = None
 evaluations = 43
 winning_restart = 1
 combo:
-  1.0 bernoulli p=0.04555964750493937 x0=3.0815068682949853 x1=19.97493855274359
+  1.0 bernoulli p=0.045559647504936754 x0=3.081506868294912 x1=19.974938552743378
 """
 
 

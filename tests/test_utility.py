@@ -367,6 +367,14 @@ def test_utility_goal_validation():
     assert not UtilityGoal("mallows", p=1.0).prior_dependent
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("metric, key", [("usefulness", "gamma"), ("mallows", "p"), ("renyi", "alpha")])
+def test_utility_goal_refuses_a_non_finite_parameter(metric, key, value):
+    # gamma = inf hung the usefulness solve; p or alpha = inf scored a degenerate metric
+    with pytest.raises(ValueError, match=f"finite {key}"):
+        UtilityGoal(metric, **{key: value})
+
+
 def test_mallows_p1_is_scored_without_a_prior():
     # scored as E|noise| from the same draws as l1, with or without a prior
     law = LinearCombo(((1.0, Bernoulli(0.3, 2.0, 20.0)),))
