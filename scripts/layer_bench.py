@@ -6,9 +6,14 @@ repeats per row:
 
 - vector (M, M') ns/point for each family on the 3-term ensemble's audit
   grid (245,001 radial points, step 1e-3);
+- vector ln M' ns/point for each family on the same grid, through
+  `log_mgf_deriv` (a side without it takes the log of `mgf_deriv`, the
+  route the density grid took before it);
+- `Uniform.mgf` alone ns/point on 20,000 points;
 - scalar `mgf_deriv` us for each family at t = -a, a the law's coefficient;
 - `_auto_radius`, `verify_epsilon_empirically` and `epsilon_of_combo` for
-  each compound law of perfbench/mechanisms.ini, at sensitivity 1;
+  each compound law of perfbench/mechanisms.ini, at sensitivity 1, and
+  `verify_epsilon_empirically` for a point mass and CI's two-atom law;
 - `np.exp` ns/point for results that are normal, subnormal and zero, which
   shows whether the host's exp has a slow path;
 - `two_atom_optimum` us for usefulness at (epsilon, gamma) = (1, 0.4),
@@ -64,6 +69,7 @@ PROCESS_ENV = {
 SENSITIVITY = 1.0
 GRID_STEP = 1e-3
 GRID_POINTS = 245_001  # the ensemble's radial audit grid at sensitivity 1
+UNIFORM_POINTS = 20_000
 # (row label, epsilon, metric, gamma) of the linear-metric optimizer rows
 LINEAR_GOALS = (("usefulness_gamma0.4_eps1", 1.0, "usefulness", 0.4),
                 ("usefulness_gamma0.1_eps5", 5.0, "usefulness", 0.1),
@@ -129,6 +135,14 @@ def rows(dpcalib, laws: dict[str, str]):
         a, d = by_family[family]
         out.append((f"vector_pair.{family}", "ns/point", 1e9 / GRID_POINTS,
                     lambda d=d, t=a * grid: d.mgf_and_deriv(t)))
+    for family in sorted(by_family):
+        a, d = by_family[family]
+        log_deriv = getattr(d, "log_mgf_deriv", None) or (lambda t, d=d: np.log(d.mgf_deriv(t)))
+        out.append((f"vector_log_deriv.{family}", "ns/point", 1e9 / GRID_POINTS,
+                    lambda f=log_deriv, t=a * grid: f(t)))
+    a, d = by_family["uniform"]
+    out.append(("vector_mgf.uniform", "ns/point", 1e9 / UNIFORM_POINTS,
+                lambda d=d, t=a * grid[:UNIFORM_POINTS]: d.mgf(t)))
     scalar = dict(by_family)
     scalar["trunc_gaussian.compound_trunc_gaussian"] = combos["compound_trunc_gaussian"].terms[0]
     scalar["trunc_gaussian.deep_tail"] = combos["deep_tail"].terms[0]
@@ -144,6 +158,10 @@ def rows(dpcalib, laws: dict[str, str]):
                     lambda c=c: privacy.verify_epsilon_empirically(c, SENSITIVITY)))
         out.append((f"epsilon_of_combo.{name}", "us", 1e6,
                     lambda c=c: privacy.epsilon_of_combo(c, SENSITIVITY)))
+    for name, text in EXTRA_LAWS.items():
+        out.append((f"verify_epsilon_empirically.{name}", "ms", 1e3,
+                    lambda c=distributions.parse_combo(text):
+                    privacy.verify_epsilon_empirically(c, SENSITIVITY)))
     optimize = importlib.import_module(f"{dpcalib.__name__}.optimize")
     bench = importlib.import_module(f"{dpcalib.__name__}.bench")
     for label, eps, metric, gamma in LINEAR_GOALS:
@@ -239,7 +257,7 @@ def main() -> int:
         "method": (f"median of {repeats} timeit repeats per row and side, each at least "
                    f"{target_s} s of calls, the sides alternating first within a repeat"),
         "inputs": {"sensitivity": SENSITIVITY, "grid_step": GRID_STEP,
-                   "grid_points": GRID_POINTS, "laws": laws,
+                   "grid_points": GRID_POINTS, "uniform_points": UNIFORM_POINTS, "laws": laws,
                    "linear_goals": LINEAR_GOALS, "grid_cell": GRID_CELL,
                    "plain_mechanisms": PLAIN_MECHANISMS, "extra_laws": EXTRA_LAWS,
                    "batch": BATCH, "startup": STARTUP},

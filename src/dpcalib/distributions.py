@@ -11,6 +11,13 @@ and every operation is pure.
 of any shape under one decorator, ``_array_math``: the body gets
 ``np.asarray(t, float)`` and is array math only, an array gets values of
 its shape back, and a scalar t a float (a tuple of floats for the pair).
+
+Their log-space pair takes t the same way.  ``log_mgf_deriv`` is
+ln M'(t), formed in log space by each family: it stays finite where M'
+underflows, and costs no exp -> log round trip.  ``log_mgf_and_mean``
+is (ln M(t), M'(t)/M(t)), the tilted law's log-mass and mean, from
+which a combination of several terms sums its ln M'.  The noise density
+M'(-|x|)/2 is read in log space through ``log_mgf_deriv`` alone.
 """
 
 from __future__ import annotations
@@ -132,6 +139,56 @@ def _expm1_over_series(s):
     return 0.5 + s * (1 / 3 + s * (1 / 8 + s * (1 / 30 + s * (1 / 144 + s / 840))))
 
 
+def _scaled(t, c):
+    """c t in a fresh array of t's shape, 0-d for a 0-d t, that the
+    caller may overwrite: the log-space kernels work in place, which on
+    the density grid's arrays is faster than allocating each pass."""
+    return np.multiply(t, c, out=np.empty_like(t))
+
+
+def _log_or_ninf(w):
+    return math.log(w) if w > 0.0 else -math.inf
+
+
+def _log_sum_about(t, base, other, moment):
+    """ln(w_b x_b^k e^{t x_b} + w_o x_o^k e^{t x_o}), k = ``moment``, for
+    the atoms base = (x_b, w_b) and other = (x_o, w_o), w_b > 0, as
+    t x_b + ln(w_b x_b^k + w_o x_o^k e^{t (x_o - x_b)}).  Where
+    t (x_o - x_b) <= 0 the factor is at most 1: the two positive terms
+    are summed in linear space, and only that sum's rounding, ln's and
+    t x_b's enter.  The exponent is taken as t x_o - t x_b, which, unlike
+    t (x_o - x_b), carries no rounding of x_o - x_b: scaled by t, that
+    rounding would add about as much again to the factor's error."""
+    (xb, wb), (xo, wo) = base, other
+    shift = _scaled(t, xb)
+    out = _scaled(t, xo)
+    out -= shift
+    with np.errstate(over="ignore"):  # where the factor passes 1, the caller replaces the point
+        np.exp(out, out=out)
+    out *= wo * xo ** moment
+    out += wb * xb ** moment
+    np.log(out, out=out)
+    out += shift
+    return out
+
+
+def _uniform_log_deriv(t, end, width):
+    """ln M'(t) of the uniform law on [end, end + width] (width < 0: on
+    [end + width, end]), for t width <= 0: t end + ln(end R + width R'),
+    R = expm1(s)/s at s = t width and R' its derivative."""
+    s = t * width
+    em1 = np.expm1(s)
+    return t * end + np.log(end * _expm1_over(s, em1) + width * _expm1_over_deriv(s, em1))
+
+
+def _uniform_log_tilt(t, end, width):
+    """(ln M(t), M'(t)/M(t)) of the same law: (t end + ln R, end + width R'/R)."""
+    s = t * width
+    em1 = np.expm1(s)
+    ratio = _expm1_over(s, em1)
+    return t * end + np.log(ratio), end + width * (_expm1_over_deriv(s, em1) / ratio)
+
+
 @dataclass(frozen=True)
 class MgfDist(ABC):
     """A second-fold distribution with non-negative support and a known MGF."""
@@ -148,6 +205,20 @@ class MgfDist(ABC):
         """(M(t), M'(t)), bit-identical to ``(mgf(t), mgf_deriv(t))``;
         families whose two values share work override it."""
         return self.mgf(t), self.mgf_deriv(t)
+
+    @abstractmethod
+    def log_mgf_and_mean(self, t):
+        """(ln M(t), M'(t)/M(t)), the log-space twin of ``mgf_and_deriv``:
+        ln M, and the mean of the law tilted by e^{tx}, formed without M,
+        so that neither underflows where M does."""
+
+    @_array_math
+    def log_mgf_deriv(self, t):
+        """ln M'(t) = ln M(t) + ln(M'(t)/M(t)); families with a direct form
+        override it.  A point that ``log_mgf_and_mean`` refuses reads nan."""
+        log_m, mean = self.log_mgf_and_mean(t)
+        with np.errstate(divide="ignore"):
+            return log_m + np.log(mean)
 
     @abstractmethod
     def mean(self) -> float:
@@ -214,6 +285,16 @@ class Degenerate(MgfDist):
     def mgf_deriv(self, t):
         return self.value * np.exp(t * self.value)
 
+    @_array_math
+    def log_mgf_and_mean(self, t):
+        return t * self.value, np.full_like(t, self.value)
+
+    @_array_math
+    def log_mgf_deriv(self, t):
+        out = _scaled(t, self.value)
+        out += math.log(self.value)
+        return out
+
     def log_mgf(self, t: float) -> float:
         return t * self.value
 
@@ -247,6 +328,38 @@ class Bernoulli(MgfDist):
     @_array_math
     def mgf_deriv(self, t):
         return self.p * self.x0 * np.exp(t * self.x0) + (1 - self.p) * self.x1 * np.exp(t * self.x1)
+
+    def _log_sum(self, t, moment):
+        """ln E[X^k e^{tX}], k = ``moment``, about the atom whose e^{tx}
+        is the larger: the lower where t <= 0, the upper where t > 0.  A
+        law with a weight of 0 is its other atom's point mass."""
+        if self.p in (0.0, 1.0):
+            x = self.x0 if self.p == 1.0 else self.x1
+            out = _scaled(t, x)
+            out += moment * math.log(x)
+            return out
+        lower, upper = sorted(((self.x0, self.p), (self.x1, 1.0 - self.p)))
+        out = _log_sum_about(t, lower, upper, moment)
+        if np.max(t) > 0.0:
+            out = np.where(t > 0.0, _log_sum_about(np.maximum(t, 0.0), upper, lower, moment), out)
+        return out
+
+    @_array_math
+    def log_mgf_and_mean(self, t):
+        # the mean is x0 + (x1 - x0) s, s = 1/(1 + e^-z) the second atom's
+        # share of the tilted mass and z its log-ratio to the first's
+        # term, formed directly so that its error stays under an ulp of z
+        z = _scaled(t, self.x1 - self.x0)
+        z += _log_or_ninf(1.0 - self.p) - _log_or_ninf(self.p)
+        np.negative(z, out=z)
+        with np.errstate(over="ignore"):  # e^-z = inf gives the share 0
+            np.exp(z, out=z)
+        z += 1.0
+        return self._log_sum(t, 0), self.x0 + (self.x1 - self.x0) / z
+
+    @_array_math
+    def log_mgf_deriv(self, t):
+        return self._log_sum(t, 1)
 
     def log_mgf(self, t: float) -> float:
         atoms = [math.log(w) + t * x
@@ -298,6 +411,24 @@ class Gamma(MgfDist):
         self._check_domain(t)
         return self.shape * self.scale * (1.0 - self.scale * t) ** (-self.shape - 1.0)
 
+    # the logs read the base 1 - theta t as mgf and mgf_deriv round it, not
+    # log1p(-theta t): the power k + 1 scales that rounding in both alike
+    @_array_math
+    def log_mgf_and_mean(self, t):
+        self._check_domain(t)
+        base = 1.0 - self.scale * t
+        return -self.shape * np.log(base), self.shape * self.scale / base
+
+    @_array_math
+    def log_mgf_deriv(self, t):
+        self._check_domain(t)
+        out = _scaled(t, -self.scale)
+        out += 1.0
+        np.log(out, out=out)
+        out *= -(self.shape + 1.0)
+        out += math.log(self.shape * self.scale)
+        return out
+
     def mean(self) -> float:
         return self.shape * self.scale
 
@@ -315,7 +446,8 @@ class Uniform(MgfDist):
     The MGF (e^{t hi} - e^{t lo}) / (t (hi - lo)) is evaluated in the
     cancellation-free form e^{t lo} * expm1(t w)/(t w), w = hi - lo,
     which also handles the removable singularity at t = 0.  M and M' share
-    one expm1(t w) per point.
+    one expm1(t w) per point.  The log-space kernels factor out e^{t lo}
+    where t <= 0 and e^{t hi} where t > 0, so that expm1 never overflows.
     """
 
     lo: float
@@ -327,7 +459,8 @@ class Uniform(MgfDist):
 
     @_array_math
     def mgf(self, t):
-        return self.mgf_and_deriv(t)[0]
+        s = t * (self.hi - self.lo)
+        return np.exp(t * self.lo) * _expm1_over(s, np.expm1(s))
 
     @_array_math
     def mgf_deriv(self, t):
@@ -341,6 +474,24 @@ class Uniform(MgfDist):
         shift = np.exp(t * self.lo)
         ratio = _expm1_over(s, em1)
         return shift * ratio, shift * (self.lo * ratio + w * _expm1_over_deriv(s, em1))
+
+    @_array_math
+    def log_mgf_and_mean(self, t):
+        w = self.hi - self.lo
+        with np.errstate(over="ignore", invalid="ignore"):  # t > 0 is replaced below
+            log_m, mean = _uniform_log_tilt(t, self.lo, w)
+        up = t > 0.0
+        if up.any():
+            up_log_m, up_mean = _uniform_log_tilt(np.maximum(t, 0.0), self.hi, -w)
+            log_m, mean = np.where(up, up_log_m, log_m), np.where(up, up_mean, mean)
+        return log_m, mean
+
+    @_array_math
+    def log_mgf_deriv(self, t):
+        w = self.hi - self.lo
+        with np.errstate(over="ignore", invalid="ignore"):  # t > 0 is replaced below
+            out = _uniform_log_deriv(t, self.lo, w)
+        return _patch(t > 0.0, _uniform_log_deriv, (t, self.hi, -w), out)
 
     def log_mgf(self, t: float) -> float:
         # factor out the larger exponential so that nothing overflows
@@ -371,9 +522,10 @@ class TruncGaussian(MgfDist):
     Tilting by e^{tx} moves the standardized window [alpha, beta] to
     [a, b] = [alpha - sigma t, beta - sigma t].  One log-space kernel,
     ``_tilt``, gives ln M and the tilted mean M'/M for ``mgf``,
-    ``mgf_deriv``, ``mgf_and_deriv`` and ``log_mgf`` on every window.  A
-    window with a + b < 0 is mirrored, so that its near end l and far end
-    h have |l| <= h; hi and beta then play the part of lo and alpha below.
+    ``mgf_deriv``, ``mgf_and_deriv``, ``log_mgf`` and the log-space pair
+    on every window.  A window with a + b < 0 is mirrored, so that its near
+    end l and far end h have |l| <= h; hi and beta then play the part of
+    lo and alpha below.
 
     - A tail window, l >= 0: ln M = t lo - alpha^2/2 + ln(erfcx(l/√2)/2)
       + ln(1 - rho) - ln Z, with rho = erfcx(h/√2)/erfcx(l/√2) ·
@@ -510,6 +662,10 @@ class TruncGaussian(MgfDist):
         m = np.exp(log_m)
         return m, m * mean
 
+    @_array_math
+    def log_mgf_and_mean(self, t):
+        return self._tilt(t, with_mean=True)
+
     def mean(self) -> float:
         return self._mean
 
@@ -590,6 +746,30 @@ class LinearCombo:
         return out
 
     mgf_and_deriv = MgfDist.mgf_and_deriv
+
+    @_array_math
+    def log_mgf_and_mean(self, t):
+        """The terms' ln M add, and so do their tilted means, each times
+        its coefficient: M' = M sum_j a_j mu_j."""
+        (a, d), *rest = self.terms
+        log_m, mean = d.log_mgf_and_mean(a * t)
+        mean = a * mean
+        for a, d in rest:
+            term_log_m, term_mean = d.log_mgf_and_mean(a * t)
+            log_m += term_log_m
+            mean += a * term_mean
+        return log_m, mean
+
+    @_array_math
+    def log_mgf_deriv(self, t):
+        if len(self.terms) > 1:
+            return MgfDist.log_mgf_deriv(self, t)
+        (a, d), = self.terms
+        if a == 1.0:  # a t is t, and ln a adds 0
+            return d.log_mgf_deriv(t)
+        out = d.log_mgf_deriv(a * t)
+        out += math.log(a)
+        return out
 
     def log_mgf(self, t: float) -> float:
         return sum(d.log_mgf(a * t) for a, d in self.terms)

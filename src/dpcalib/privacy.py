@@ -250,7 +250,9 @@ def density_grid_epsilon(log_density, shift: float, radius: float, step: float) 
     here is.  The grid x = h*i, i = -m..m+k, has spacing
     h = shift / ceil(shift/step) <= step, covers [-radius, shift + radius]
     and holds 0 and shift.  Both sides of every pair (x, x - shift) are
-    read from one evaluation per radial point |x| = h*i, i = 0..m+k.
+    read from one evaluation per radial point |x| = h*i, i = 0..m+k: one
+    ``log_density`` call on a fresh array of those points, which it may
+    overwrite.
     Raises ``GridError``, before allocating, when m + k + 1 exceeds the
     point cap (4e6), and ``ValueError`` unless shift and step are finite
     and > 0.
@@ -265,7 +267,9 @@ def density_grid_epsilon(log_density, shift: float, radius: float, step: float) 
             f"step {step:g} at radius {radius:g} needs {m + k + 1} grid points; "
             f"the cap is {_MAX_POINTS:g}"
         )
-    ld = log_density(h * np.arange(m + k + 1))
+    xs = np.arange(m + k + 1, dtype=float)
+    xs *= h  # the same bits as h * np.arange(m + k + 1), in one fresh array
+    ld = log_density(xs)
     # x <= 0 (its mirror x >= shift gives the negated pairs), then 0 <= x <= shift
     sup = max(_finite_abs_max(ld[:m + 1] - ld[k:]), _finite_abs_max(ld[:k + 1] - ld[k::-1]))
     if sup < 0.0:
@@ -287,10 +291,13 @@ def verify_epsilon_empirically(
 ) -> float:
     """Empirical epsilon: sup of the output-density log-ratio over a grid.
 
-    The output density is the analytic p(x) = M'(-|x|)/2, even in x.  The
-    grid spacing is sensitivity / ceil(sensitivity / step) <= step, so 0
-    and the sensitivity lie on it, and M' is evaluated once per radial
-    point (see ``density_grid_epsilon``).  The radius is the smallest one,
+    The output density is the analytic p(x) = M'(-|x|)/2, even in x; its
+    log is read as ln M'(-|x|) from the law's log-space kernel,
+    ``log_mgf_deriv``, which stays finite where M' underflows, and the
+    constant ln 2 cancels in every ratio.  The grid spacing is
+    sensitivity / ceil(sensitivity / step) <= step, so 0 and the
+    sensitivity lie on it, and ln M' is evaluated once per radial point
+    (see ``density_grid_epsilon``).  The radius is the smallest one,
     to within 1/64 however small or large, that leaves at most 1e-9 of the
     output mass outside; where doubling toward it would pass the caps, a
     bounded fallback radius is used (see ``_auto_radius``).  A law whose
@@ -308,8 +315,7 @@ def verify_epsilon_empirically(
                         f"no grid can audit it")
     radius = _auto_radius(combo, step, sensitivity)
 
-    def log_density(xs):  # the grid's radial points are >= 0
-        with np.errstate(divide="ignore"):
-            return np.log(combo.mgf_deriv(-xs))
+    def log_density(xs):  # the grid's radial points, negated in place
+        return combo.log_mgf_deriv(np.negative(xs, out=xs))
 
     return density_grid_epsilon(log_density, sensitivity, radius, step)

@@ -66,6 +66,17 @@ def test_uniform_mgf_at_zero_and_near_zero():
         assert u.mgf(t) == pytest.approx(exact, rel=1e-13)
 
 
+def test_uniform_mgf_alone_is_bitwise_the_pairs_first_value():
+    # M is formed without M': the same bits as mgf_and_deriv(t)[0], on
+    # scalars, at t = 0, across the series' band |s| < 2e-2, and on a vector
+    u = Uniform(0.25, 60.25)
+    for t in (-3.0, -0.5, 0.0, -0.0, 1e-4, -3e-4, 2e-1, np.float64(-7.5)):
+        assert u.mgf(t).hex() == u.mgf_and_deriv(t)[0].hex()
+    ts = np.concatenate([np.linspace(-40.0, 1.0, 9_999), np.linspace(-1e-3, 1e-3, 10_001)])
+    assert (np.abs(ts * 60.0) < 2e-2).sum() > 3_000 and (ts == 0.0).sum() == 1
+    assert _bits(u.mgf(ts)).tolist() == _bits(u.mgf_and_deriv(ts)[0]).tolist()
+
+
 def test_trunc_gaussian_mgf_against_quadrature():
     d = TruncGaussian(1.0, 2.0, 2.0, 9.0)
     a, b = (2.0 - 1.0) / 2.0, (9.0 - 1.0) / 2.0
@@ -440,7 +451,8 @@ def _contract_id(law):
         law, LinearCombo) else law.family
 
 
-@pytest.mark.parametrize("method", ["mgf", "mgf_deriv", "mgf_and_deriv"])
+@pytest.mark.parametrize("method", ["mgf", "mgf_deriv", "mgf_and_deriv", "log_mgf_deriv",
+                                    "log_mgf_and_mean"])
 @pytest.mark.parametrize("law", _CONTRACT_LAWS, ids=_contract_id)
 def test_mgf_methods_take_scalars_and_arrays_of_any_shape(law, method):
     # A float or numpy scalar gives a float (a tuple of floats for the
@@ -450,7 +462,7 @@ def test_mgf_methods_take_scalars_and_arrays_of_any_shape(law, method):
     # scalar one, as Gamma(2, 1)'s M' at t = 0.2 does: 0x1.f3ffffffffffep+1
     # in an array of six, 0x1.f3fffffffffffp+1 alone.
     call = getattr(law, method)
-    pair = method == "mgf_and_deriv"
+    pair = method in ("mgf_and_deriv", "log_mgf_and_mean")
     ts = np.array([[-3.0, -0.5, 0.0], [-1e-3, 0.02, -40.0]])
     for t in (0.02, np.float64(-0.5), -3):
         out = call(t)

@@ -127,6 +127,10 @@ class _PointMassStub(MgfDist):
     def mgf_deriv(self, t):
         return 2.0 * np.exp(2.0 * np.asarray(t, float))
 
+    def log_mgf_and_mean(self, t):
+        t = np.asarray(t, float)
+        return 2.0 * t, np.full_like(t, 2.0)
+
     def mean(self) -> float:
         return 2.0
 
@@ -449,6 +453,90 @@ AUDITED_LAWS = [(combo, 1.0) for combo in committed_compound_laws().values()] + 
 ]
 
 
+def _ulps_of(got, want):
+    """|got - want| in ulps of max(1, |want|)."""
+    return np.abs(got - want) / np.spacing(np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("combo, dq", [(combo, 1.0) for combo in GRID_LAWS] + AUDITED_LAWS
+                         + _criterion5_laws() + [
+    # multi-term combinations with two-atom and point-mass terms
+    (LinearCombo(((0.5, Gamma(2.0, 1.0)), (1.5, Bernoulli(0.3, 0.5, 2.0)))), 1.0),
+    (LinearCombo(((0.2, TruncGaussian(0.5, 1.0, 0.0)), (0.6, Degenerate(0.3)),
+                  (0.4, Uniform(0.0, 2.0)))), 0.5),
+])
+def test_log_kernels_match_the_linear_route_on_the_audit_grid(combo, dq):
+    # on the radial points verify reads, ln M' agrees with the log of the
+    # product rule's M' within 4 ulp of max(1, |ln M'|), for the law and
+    # for each of its terms, wherever that M' is a normal number; ln M
+    # does too, and the tilted mean is within 2e-15 of M'/M
+    k = math.ceil(dq / 1e-3)
+    xs = dq / k * np.arange(math.ceil(_auto_radius(combo, 1e-3, dq) * k / dq) + k + 1)
+    tiny = np.finfo(float).tiny
+    for a, law in [(1.0, combo)] + list(combo.terms):
+        t = -a * xs
+        deriv = product_rule_deriv(law, t)
+        m = law.mgf(t)
+        normal = (deriv >= tiny) & (m >= tiny)
+        assert normal.sum() > xs.size // 2
+        got = law.log_mgf_deriv(t)
+        assert np.max(_ulps_of(got[normal], np.log(deriv[normal]))) <= 4
+        log_m, mean = law.log_mgf_and_mean(t)
+        assert np.max(_ulps_of(log_m[normal], np.log(m[normal]))) <= 4
+        want_mean = deriv[normal] / m[normal]
+        assert np.max(np.abs(mean[normal] - want_mean) / want_mean) <= 2e-15
+
+
+@pytest.mark.parametrize("law, t, want", [
+    # ln 800 - 800; the linear route reads ln 0 = -inf
+    (Degenerate(800.0), -1.0, math.log(800.0) - 800.0),
+    (singleton(Degenerate(400.0), 2.0), -1.0, math.log(800.0) - 800.0),
+    # the lower atom's term, plus the upper's share e^-100 ln-added
+    (Bernoulli(0.3, 800.0, 900.0), -1.0,
+     math.log(240.0) - 800.0 + math.log1p(630.0 / 240.0 * math.exp(-100.0))),
+    # e^-800 (lo R + w R'), R = expm1(-100)/-100 and R' = (s e^s - expm1(s))/s^2
+    (Uniform(800.0, 900.0), -1.0,
+     -800.0 + math.log(800.0 * -math.expm1(-100.0) / 100.0
+                       + 100.0 * (-100.0 * math.exp(-100.0) - math.expm1(-100.0)) / 1e4)),
+])
+def test_log_mgf_deriv_stays_finite_where_m_prime_underflows(law, t, want):
+    with np.errstate(under="ignore"):
+        assert law.mgf_deriv(t) == 0.0
+    got = law.log_mgf_deriv(t)
+    assert abs(got - want) <= 4 * np.spacing(abs(want))
+    # and in an array, where the grid reads it
+    assert law.log_mgf_deriv(np.array([t]))[0] == got
+
+
+@pytest.mark.parametrize("law", [Bernoulli(0.3, 0.5, 2.0), Bernoulli(0.3, 40.0, 2.5),
+                                 Uniform(0.25, 3.0), Uniform(0.0, 2.0)],
+                         ids=lambda law: repr(law))
+def test_log_kernels_factor_out_the_upper_end_at_positive_t(law):
+    # where t > 0 the upper atom or end carries the sum: against 50-digit
+    # values, both where M' is finite and far past exp's overflow
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.array([-3.0, -0.5, 0.0, 0.5, 3.0, 40.0, 900.0])
+
+    def exact(t):
+        with mpmath.workdps(50):
+            t = mpmath.mpf(t)
+            if isinstance(law, Bernoulli):
+                atoms = ((law.p, law.x0), (1 - mpmath.mpf(law.p), law.x1))
+                m = sum(w * mpmath.exp(t * x) for w, x in atoms)
+                d = sum(w * x * mpmath.exp(t * x) for w, x in atoms)
+            else:
+                lo, hi = mpmath.mpf(law.lo), mpmath.mpf(law.hi)
+                m = mpmath.quad(lambda x: mpmath.exp(t * x), [lo, hi]) / (hi - lo)
+                d = mpmath.quad(lambda x: x * mpmath.exp(t * x), [lo, hi]) / (hi - lo)
+            return float(mpmath.log(d)), float(mpmath.log(m)), float(d / m)
+
+    want = np.array([exact(t) for t in ts])
+    log_m, mean = law.log_mgf_and_mean(ts)
+    assert np.max(_ulps_of(law.log_mgf_deriv(ts), want[:, 0])) <= 4
+    assert np.max(_ulps_of(log_m, want[:, 1])) <= 4
+    assert np.max(np.abs(mean - want[:, 2]) / want[:, 2]) <= 2e-15
+
+
 @pytest.mark.parametrize("combo, dq", AUDITED_LAWS)
 def test_auto_radius_is_near_the_smallest_covering_radius(combo, dq):
     old, fell_back = _power_of_two_radius(combo, 1e-3, dq)
@@ -524,6 +612,17 @@ def test_large_point_mass_verifies_at_small_sensitivity(value, dq):
     assert abs(got - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("value", [800.0, 1e7])
+def test_grid_reads_the_epsilon_of_a_law_whose_density_underflows(value):
+    # Laplace at epsilon = value: M'(-x) = value e^(-value x) underflows
+    # before x = 1 = sensitivity.  Read in log space, every pair of the grid
+    # is finite and the log-ratio is value; through the log of M', the
+    # pairs past the underflow dropped out, and the grid read 689.24 at
+    # 800 and had no finite pair at 1e7
+    got = verify_epsilon_empirically(Degenerate(value), 1.0)
+    assert abs(got - value) <= 1e-12 * value
+
+
 def test_deep_tail_epsilon_matches_mpmath():
     # perfbench's deep_tail law, TruncGaussian(0, 0.1, 1) at sensitivity 1:
     # 40-digit mpmath gives epsilon = 1.0098550563442927, and the general
@@ -560,6 +659,25 @@ def test_unresolvable_law_is_refused_before_the_grid(law, monkeypatch):
     monkeypatch.setattr(privacy, "density_grid_epsilon", no_grid)
     with pytest.raises(GridError, match="mean is nan"):
         verify_epsilon_empirically(law, 1.0)
+
+
+@pytest.mark.parametrize("law", [
+    TruncGaussian(-143668.88420564317, 32918.30615103151, 1.352114344842097e-07,
+                  1.508136386835856e-07),  # refused at every t below
+    TruncGaussian(1.0 - 2e5, 1e5, 1.0, 2.0),  # 1e-5 sigma wide: refused at some
+])
+def test_refused_trunc_gaussian_points_read_nan_in_log_space(law):
+    # a point the kernel refuses (ln M or the tilted mean nan) reads nan
+    # as ln M', alone and as a term of a combination; the others are finite
+    ts = -np.geomspace(1e-3, 1e9, 241)
+    log_m, mean = law.log_mgf_and_mean(ts)
+    refused = np.isnan(log_m) | np.isnan(mean)
+    assert refused.sum() >= 50
+    combo = LinearCombo(((1.0, law), (0.5, Gamma(2.0, 1.0))))
+    for got in (law.log_mgf_deriv(ts), singleton(law, 2.0).log_mgf_deriv(ts / 2.0),
+                combo.log_mgf_deriv(ts)):
+        assert np.array_equal(np.isnan(got), refused)
+        assert np.all(np.isfinite(got[~refused]))
 
 
 @pytest.mark.parametrize("near", [0.0, 2.0, 20.0])
@@ -603,14 +721,13 @@ def _is_point_mass(combo):
 @pytest.mark.parametrize("combo, dq", AUDITED_LAWS + _criterion5_laws())
 def test_shrunk_radius_keeps_the_grid_epsilon(combo, dq):
     # the log-ratio peaks on [0, dq], so dropping the far points the old
-    # power-of-two radius held changes no bit of the grid epsilon
-    def product_rule_log_density(xs):
-        with np.errstate(divide="ignore"):
-            return np.log(product_rule_deriv(combo, -np.abs(xs)))
+    # power-of-two radius held changes no bit of the grid epsilon, read
+    # from the same log-space density on both grids
+    def log_density(xs):
+        return combo.log_mgf_deriv(-np.abs(xs))
 
     got = verify_epsilon_empirically(combo, dq)
-    old = density_grid_epsilon(product_rule_log_density, dq,
-                               _power_of_two_radius(combo, 1e-3, dq)[0], 1e-3)
+    old = density_grid_epsilon(log_density, dq, _power_of_two_radius(combo, 1e-3, dq)[0], 1e-3)
     if _is_point_mass(combo):
         # a point mass's log-ratio is the same constant at every x <= 0, so
         # its grid maximum is rounding noise over whichever points the grid
