@@ -14,6 +14,9 @@ repeats per row:
 - `_auto_radius`, `verify_epsilon_empirically` and `epsilon_of_combo` for
   each compound law of perfbench/mechanisms.ini, at sensitivity 1, and
   `verify_epsilon_empirically` for a point mass and CI's two-atom law;
+- `verify_peak_mib` for each compound law of perfbench/mechanisms.ini: the
+  peak traced memory (tracemalloc) of one `verify_epsilon_empirically`
+  call at sensitivity 1, after a first call, in MiB;
 - `np.exp` ns/point for results that are normal, subnormal and zero, which
   shows whether the host's exp has a slow path;
 - `two_atom_optimum` us for usefulness at (epsilon, gamma) = (1, 0.4),
@@ -54,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import timeit
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -222,6 +226,25 @@ def time_rows(sides: dict, laws, repeats: int, target_s: float) -> list[dict]:
     return out
 
 
+def peak_rows(sides: dict, laws) -> list[dict]:
+    """Each compound law's peak traced memory of one verify call, on
+    every side; a first call leaves imports and one-time work out."""
+    out = []
+    for name, text in laws.items():
+        row = {"name": f"verify_peak_mib.{name}", "unit": "MiB"}
+        for side, package in sides.items():
+            combo = package.distributions.parse_combo(text)
+            package.privacy.verify_epsilon_empirically(combo, SENSITIVITY)
+            tracemalloc.start()
+            try:
+                package.privacy.verify_epsilon_empirically(combo, SENSITIVITY)
+                row[side] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+        out.append(row)
+    return out
+
+
 def machine() -> dict:
     info = {"platform": platform.platform(), "machine": platform.machine(),
             "processor": platform.processor(), "cpus": os.cpu_count(),
@@ -261,7 +284,7 @@ def main() -> int:
                    "linear_goals": LINEAR_GOALS, "grid_cell": GRID_CELL,
                    "plain_mechanisms": PLAIN_MECHANISMS, "extra_laws": EXTRA_LAWS,
                    "batch": BATCH, "startup": STARTUP},
-        "rows": time_rows(sides, laws, repeats, target_s),
+        "rows": time_rows(sides, laws, repeats, target_s) + peak_rows(sides, laws),
     }
     print(json.dumps(report, indent=1))
     return 0

@@ -78,6 +78,12 @@ _CF_LEVELS = 10
 # erfcx(l/√2), and the mean's rounding error stay under it
 _KEPT = 2.0 ** -26
 
+# TruncGaussian._tilt drops the far end's terms where q = phi(h)/phi(l) is
+# held at the floor and the near end l is below this: past it, the held
+# q's term in the deep mean, about e^-700 √(2/π), is no longer under half
+# an ulp of the near end's, about √(2/π)/l^2 (they meet near l = 3.6e143)
+_HELD_REACH = 1e140
+
 
 def _hazard_excess(x):
     """r(x) - x for x >= _CF_FROM, from Laplace's continued fraction."""
@@ -91,13 +97,29 @@ def _hazard_excess(x):
 
 def _patch(mask, fn, args, out):
     """``out`` with fn(*args) where ``mask`` holds, fn being evaluated on
-    those points only: args of mask's shape are gathered, scalars pass as
-    they are.  An array ``out`` is overwritten; for one point the result
-    replaces it."""
+    those points only: args of mask's shape are cut down to them, scalars
+    pass as they are.  An array ``out`` is overwritten; for one point the
+    result replaces it.
+
+    Where a 1-D mask holds on one contiguous run, as each regime of a
+    kernel does on a monotone t, the run is read and written through
+    slice views, with no boolean gather or scatter; fn may therefore be
+    handed views, and must not write to its args.  Any other mask is
+    gathered and scattered."""
     if mask.ndim == 0:
         return fn(*args) if mask else out
-    if mask.any():
-        out[mask] = fn(*(a[mask] if np.ndim(a) else a for a in args))
+    if mask.ndim == 1 and mask.size:
+        start = mask.argmax()  # the first True, if any
+        if not mask[start]:
+            return out
+        stop = start + mask[start:].argmin()  # the first False after it,
+        if stop == start:  # or, where there is none, the end
+            stop = mask.size
+        if np.count_nonzero(mask) == stop - start:
+            mask = slice(start, stop)
+    elif not mask.any():
+        return out
+    out[mask] = fn(*(a[mask] if np.ndim(a) else a for a in args))
     return out
 
 
@@ -105,11 +127,29 @@ def _straddle_log_mass(l, h):
     return np.log(0.5 * (special.erf(h * _RSQRT2) + special.erf(-l * _RSQRT2)))
 
 
-def _deep_excess(l, e_l, g, e_h, q):
+def _deep_excess(l, e_l, g, q=None, e_h=None):
     """The tilted mean's distance from the near end of a tail window at
     l > _CF_FROM, r(1 - q) - l with r = √(2/π)/g, where the cancelling
-    r - l is taken from the continued fraction (r e_l = √(2/π) at q = 0)."""
-    return (_hazard_excess(l) * e_l - q * (_SQRT_2_OVER_PI - l * e_h)) / g
+    r - l is taken from the continued fraction (r e_l = √(2/π) at q = 0).
+    Without q and e_h = erfcx(h/√2) the far end's term is left out."""
+    out = _hazard_excess(l) * e_l
+    if q is not None:
+        out -= q * (_SQRT_2_OVER_PI - l * e_h)
+    out /= g
+    return out
+
+
+def _plus_half_square(log_k, l):
+    return log_k + 0.5 * l ** 2
+
+
+def _held_exp(ln_q):
+    return np.exp(np.maximum(ln_q, _EXP_FLOOR))
+
+
+def _erfcx_std(x):
+    """erfcx(x/√2): e^{x^2/2} times twice the standard normal tail past x."""
+    return special.erfcx(x * _RSQRT2)
 
 
 def _straddle_hazard(core):
@@ -538,9 +578,13 @@ class TruncGaussian(MgfDist):
     branches of the log_ndtr form are gone: neither ``_DEEP`` (ln M past
     lo_t = 1e5) nor ``_DEEP_MEAN`` (the mean past 1e3) remains.  The mean's
     distance from the near end, hazard - l, cancels as l grows; beyond
-    l = 12 it comes from Laplace's continued fraction instead.  On the test
-    laws M and M' are within 3e-14 of 40-digit quadrature, plus the ulp of
-    ln M that exp magnifies.  A narrow window (rho near 1) loses digits
+    l = 12 it comes from Laplace's continued fraction instead.  Where
+    e^{-(h-l)(h+l)/2} is held at e^-700 (see ``_EXP_FLOOR``), every
+    far-end term sits under half an ulp of what it joins, and the window
+    is read as half-infinite, with the same bits: erfcx(h/√2) is not
+    evaluated there, and an input held at every point forms no far-end
+    term at all.  On the test laws M and M' are within 3e-14 of 40-digit
+    quadrature, plus the ulp of ln M that exp magnifies.  A narrow window (rho near 1) loses digits
     to cancellation, and the kernel refuses a point as nan rather than
     return a wrong value: ln M where 1 - rho < 2^-26, the mean where its
     rounding error is over 2^-26 of it or where it leaves [lo, hi].  Such
@@ -594,17 +638,36 @@ class TruncGaussian(MgfDist):
         """ln M(t), and with ``with_mean`` the tilted mean M'(t)/M(t)."""
         st = self.sigma * t
         if self._half is None:  # [a, inf) is never mirrored
-            l, h, q, e_h = self._alpha - st, math.inf, 0.0, 0.0
+            l, h, q, e_h = self._alpha - st, math.inf, None, None
             base = t * self.lo + self._c_lo
         else:
-            a, b = self._alpha - st, self._beta - st
-            near_lo = a >= -b  # else the window is mirrored
-            l, h = np.maximum(a, -b), np.maximum(b, -a)
-            # phi(h)/phi(l), held at the floor where it is smaller: it only
-            # scales erfcx(h/√2) <= erfcx(l/√2), is taken from 1, and scales
-            # the far end's terms in the mean, which are smaller still
-            q = np.exp(np.maximum(-self._half * (l + h), _EXP_FLOOR))
-            e_h = special.erfcx(h * _RSQRT2)
+            # a = alpha - sigma t and -b, as the window's ends; a < -b
+            # mirrors it, and l, h = max(a, -b), max(b, -a)
+            a = self._alpha - st
+            st -= self._beta
+            mirrored = a < st
+            l, h = np.maximum(a, st), -np.minimum(a, st)
+            del a, st  # each dead array is let go, to bound a density-grid block's peak
+            # q = phi(h)/phi(l) only scales erfcx(h/√2) <= erfcx(l/√2), is
+            # taken from 1, and scales the far end's terms in the mean,
+            # which are smaller still; it is held at the floor where it is
+            # smaller.  Where it is held and l < _HELD_REACH, each of those
+            # terms is under half an ulp of what it joins (each site says
+            # why), so they are dropped as on a half-infinite window: q and
+            # e_h = erfcx(h/√2) read 0 there, and e_h is not evaluated; where
+            # that holds at every point, q and e_h are None, and no far-end
+            # term is formed
+            ln_q = l + h
+            ln_q *= -self._half
+            kept = (ln_q > _EXP_FLOOR) | (l >= _HELD_REACH)
+            if kept.all():  # as at every scalar t that keeps them: no zeros, no patch
+                q, e_h = _held_exp(ln_q), _erfcx_std(h)
+            elif kept.any():
+                q = _patch(kept, _held_exp, (ln_q,), np.zeros_like(t))
+                e_h = _patch(kept, _erfcx_std, (h,), np.zeros_like(t))
+            else:
+                q = e_h = None
+            del ln_q, kept
             # t*end - end_std^2/2 of the near end is the larger of the two
             base = np.maximum(t * self.lo + self._c_lo, t * self.hi + self._c_hi)
         with np.errstate(all="ignore"):  # g is unused, and may be inf, at straddling points
@@ -612,11 +675,13 @@ class TruncGaussian(MgfDist):
             # with log_k = ln(g/2); on a straddle (l < 0) log_k is the log of
             # the mass itself, (erf(h/√2) + erf(-l/√2))/2, a sum of positive terms
             straddle = l < 0.0
-            e_l = special.erfcx(l * _RSQRT2)  # overflows at l << 0, where it is unused
-            g = e_l - e_h * q
+            e_l = _erfcx_std(l)  # overflows at l << 0, where it is unused
+            # a dropped e_h q <= e_l e^-700 is under half an ulp of e_l (or
+            # rounds to 0 where e_l is subnormal): g = e_l to the bit
+            g = e_l if q is None else e_l - e_h * q
             log_k = _patch(straddle, _straddle_log_mass, (l, h), np.log(0.5 * g))
             # ln(e^{l^2/2} times the tilted mass): l^2/2 is added on a straddle
-            core = log_k + 0.5 * np.minimum(l, 0.0) ** 2
+            core = _patch(straddle, _plus_half_square, (log_k, l), log_k)
             if self._half is not None:
                 # a narrow window cancels g = erfcx(l/√2)(1 - rho) to under
                 # _KEPT of erfcx(l/√2), and ln M in a tail loses more than
@@ -625,24 +690,38 @@ class TruncGaussian(MgfDist):
                 # is exact, since its mean is beyond reach all the same (g
                 # is inf, and kept, where erfcx overflows)
                 core = _patch(g < _KEPT * e_l, lambda: np.nan, (), core)
-            log_m = base + core
+            base += core  # ln M = base + core, in base's array
+            log_m = base
             if not with_mean:
                 return log_m
             # the hazard at the near end, phi(l)/mass: √(2/π)/g on a tail,
             # and e^{-core}/√(2π) on a straddle, held at the floor where it
             # only adds to the mean's distance |l| > 37 from the near end
             r = _patch(straddle, _straddle_hazard, (core,), _SQRT_2_OVER_PI / g)
-            # the tilted mean's distance from the near end, in units of sigma
-            ev = _patch(l > _CF_FROM, _deep_excess, (l, e_l, g, e_h, q), r * (1.0 - q) - l)
+            # the tilted mean's distance from the near end, in units of
+            # sigma.  A dropped q leaves 1 - q = 1 - e^-700, which rounds to
+            # 1; _deep_excess's far term q(√(2/π) - l e_h) lies in
+            # [0, q √(2/π)] (x erfcx(x) < 1/√π), under half an ulp of its
+            # near term, over √(2/π)/(1.03 l^2) at l > 12, below _HELD_REACH
+            if q is None:
+                ev = _patch(l > _CF_FROM, _deep_excess, (l, e_l, g), r - l)
+            else:
+                ev = _patch(l > _CF_FROM, _deep_excess, (l, e_l, g, q, e_h), r * (1.0 - q) - l)
             if self._half is None:
                 return log_m, self.lo + self.sigma * ev
-            mean = np.where(near_lo, self.lo + self.sigma * ev, self.hi - self.sigma * ev)
+            mean = _patch(mirrored, lambda ev: self.hi - self.sigma * ev, (ev,),
+                          self.lo + self.sigma * ev)
             # In a narrow window (q near 1) ev keeps about r q ulp of
             # rounding, from g and from 1 - q; in a wide one that error is
             # far below ev.  A point reads nan where it is over _KEPT of
             # the mean, or where ev leaves [0, beta - alpha] and so the
-            # mean leaves [lo, hi]; a nan mean stays nan
-            bad = (r * q * (self.sigma * _KEPT) > mean) | (ev < 0.0) | (ev > 2.0 * self._half)
+            # mean leaves [lo, hi]; a nan mean stays nan.  Where q is
+            # dropped, the first test cannot hold: r <= max(l, 0) + 1 and
+            # the mean is at least sigma min(1/(2|l| + 3), half/2), so below
+            # l = _HELD_REACH, r e^-700 sigma _KEPT is far under it
+            bad = (ev < 0.0) | (ev > 2.0 * self._half)
+            if q is not None:
+                bad |= r * q * (self.sigma * _KEPT) > mean
             return log_m, _patch(bad, lambda: np.nan, (), mean)
 
     @_array_math

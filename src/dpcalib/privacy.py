@@ -16,6 +16,7 @@ e^eps < M(sensitivity) that a law must pass to beat Laplace.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +65,25 @@ class RdpPoint:
     epsilon_rdp: float
 
 
+def _log_deriv(law: LinearCombo | MgfDist, t: float) -> float:
+    """ln M'(t), nan where M'(t) is nan.  Below the smallest normal double
+    M'(t) has lost digits or underflowed to 0, and its log is read from the
+    law's log-space kernel instead: past epsilon = 745, ln M'(-sensitivity)
+    is finite where M'(-sensitivity) is 0."""
+    deriv = law.mgf_deriv(t)
+    if 0.0 <= deriv < sys.float_info.min:
+        return law.log_mgf_deriv(t)
+    return math.log(deriv) if deriv > 0.0 else math.nan
+
+
 def epsilon_of_combo(combo: LinearCombo | MgfDist, sensitivity: float) -> float:
     """Exact epsilon-DP level of the compound-Laplace mechanism using ``combo``."""
     _require_positive("sensitivity", sensitivity)
-    deriv, mean = combo.mgf_deriv(-sensitivity), combo.mean()
-    # underflow, or nan where a family cannot resolve the law: no finite
-    # guarantee is certified
-    if not (deriv > 0.0 and mean > 0.0):
+    log_deriv, mean = _log_deriv(combo, -sensitivity), combo.mean()
+    # nan where a family cannot resolve the law: no finite guarantee is certified
+    if not (mean > 0.0 and math.isfinite(log_deriv)):
         return math.inf
-    return math.log(mean) - math.log(deriv)
+    return math.log(mean) - log_deriv
 
 
 def _epsilon_uniform(lo: float, hi: float, sensitivity: float) -> float:
@@ -103,13 +114,17 @@ def epsilon_closed_form(dist: MgfDist, sensitivity: float) -> float:
         num = dist.p * dist.x0 + (1 - dist.p) * dist.x1
         den = (dist.p * dist.x0 * math.exp(-dist.x0 * dq)
                + (1 - dist.p) * dist.x1 * math.exp(-dist.x1 * dq))
+        if den < sys.float_info.min:  # lost digits or 0: sum the atoms' terms in log space
+            return math.log(num) - float(np.logaddexp.reduce(
+                [math.log(w) + math.log(x) - x * dq
+                 for w, x in ((dist.p, dist.x0), (1 - dist.p, dist.x1)) if w > 0]))
         return math.log(num) - math.log(den)
     if isinstance(dist, Gamma):
         return (dist.shape + 1.0) * math.log1p(dq * dist.scale)
     if isinstance(dist, Uniform):
         return _epsilon_uniform(dist.lo, dist.hi, dq)
     if isinstance(dist, TruncGaussian):
-        return math.log(dist.mean()) - math.log(dist.mgf_deriv(-dq))
+        return math.log(dist.mean()) - _log_deriv(dist, -dq)
     raise UnsupportedFamilyError(
         f"no closed-form epsilon for {type(dist).__name__}; use epsilon_of_combo"
     )
@@ -207,6 +222,15 @@ _SHRINK_STEPS = 6
 # halvings of the start radius read per M call
 _HALVINGS = 64
 
+# radial points per log_density call of the density grid: the audit's
+# memory is the grid's own arrays plus one block's work, however many
+# points the grid has.  On the 2-vCPU host of BENCH_27.json, blocks of
+# 2^14, 2^15 and 2^16 audit the 245,001-point ensemble in the same time
+# (peaks 5.2, 6.5 and 11.1 MiB); each block past the first costs a cheap
+# kernel's grid a call and a copy, which put grid-linear's audits 4%
+# over a single call at 2^15 and 1-2% at 2^16
+_GRID_BLOCK = 2 ** 16
+
 
 def _auto_radius(combo: LinearCombo | MgfDist, step: float, sensitivity: float) -> float:
     # Total output mass beyond distance R from the center is M(-R), which
@@ -250,9 +274,12 @@ def density_grid_epsilon(log_density, shift: float, radius: float, step: float) 
     here is.  The grid x = h*i, i = -m..m+k, has spacing
     h = shift / ceil(shift/step) <= step, covers [-radius, shift + radius]
     and holds 0 and shift.  Both sides of every pair (x, x - shift) are
-    read from one evaluation per radial point |x| = h*i, i = 0..m+k: one
-    ``log_density`` call on a fresh array of those points, which it may
-    overwrite.
+    read from one evaluation per radial point |x| = h*i, i = 0..m+k, in
+    order: one ``log_density`` call per block of at most ``_GRID_BLOCK``
+    of those points (a grid of one block is one call), each on a fresh
+    array that it may overwrite.  So the memory a call takes beyond the
+    grid's own arrays is one block's, and ``log_density`` must read each
+    point alone, not from its neighbours.
     Raises ``GridError``, before allocating, when m + k + 1 exceeds the
     point cap (4e6), and ``ValueError`` unless shift and step are finite
     and > 0.
@@ -267,9 +294,20 @@ def density_grid_epsilon(log_density, shift: float, radius: float, step: float) 
             f"step {step:g} at radius {radius:g} needs {m + k + 1} grid points; "
             f"the cap is {_MAX_POINTS:g}"
         )
-    xs = np.arange(m + k + 1, dtype=float)
-    xs *= h  # the same bits as h * np.arange(m + k + 1), in one fresh array
-    ld = log_density(xs)
+    n = m + k + 1
+
+    def block(start, stop):
+        xs = np.arange(start, stop, dtype=float)
+        xs *= h  # the same bits as (h * np.arange(n))[start:stop], in one fresh array
+        return log_density(xs)
+
+    if n <= _GRID_BLOCK:
+        ld = block(0, n)
+    else:
+        ld = np.empty(n)
+        for start in range(0, n, _GRID_BLOCK):
+            stop = min(start + _GRID_BLOCK, n)
+            ld[start:stop] = block(start, stop)
     # x <= 0 (its mirror x >= shift gives the negated pairs), then 0 <= x <= shift
     sup = max(_finite_abs_max(ld[:m + 1] - ld[k:]), _finite_abs_max(ld[:k + 1] - ld[k::-1]))
     if sup < 0.0:
@@ -296,8 +334,8 @@ def verify_epsilon_empirically(
     ``log_mgf_deriv``, which stays finite where M' underflows, and the
     constant ln 2 cancels in every ratio.  The grid spacing is
     sensitivity / ceil(sensitivity / step) <= step, so 0 and the
-    sensitivity lie on it, and ln M' is evaluated once per radial point
-    (see ``density_grid_epsilon``).  The radius is the smallest one,
+    sensitivity lie on it, and ln M' is evaluated once per radial point,
+    in blocks (see ``density_grid_epsilon``).  The radius is the smallest one,
     to within 1/64 however small or large, that leaves at most 1e-9 of the
     output mass outside; where doubling toward it would pass the caps, a
     bounded fallback radius is used (see ``_auto_radius``).  A law whose

@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from strategies import any_dist, committed_compound_laws, product_rule_deriv
 from dpcalib.distributions import (
@@ -15,6 +15,8 @@ from dpcalib.distributions import (
     LinearCombo,
     TruncGaussian,
     Uniform,
+    _hazard_excess,
+    _patch,
     format_combo,
     format_dist,
     parse_combo,
@@ -141,6 +143,99 @@ def test_trunc_gaussian_deep_tail_is_stable():
     d = TruncGaussian(0.0, 1.0, 0.0)
     assert 0.0 < d.mgf(-200.0) < 1e-2
     assert np.isfinite(d.mgf_deriv(-200.0))
+
+
+def _tilt_keeping_far_terms(law, t):
+    # (ln M, tilted mean) of a windowed TruncGaussian with every far-end
+    # term kept: q = phi(h)/phi(l) held at e^-700 and erfcx(h/√2) at every
+    # point, each regime evaluated everywhere and selected by np.where
+    rsqrt2, c, k = 1.0 / math.sqrt(2.0), math.sqrt(2.0 / math.pi), 2.0 ** -26
+    st_ = law.sigma * t
+    a, b = law._alpha - st_, law._beta - st_
+    l, h = np.maximum(a, -b), np.maximum(b, -a)
+    q = np.exp(np.maximum(-law._half * (l + h), -700.0))
+    e_h = special.erfcx(h * rsqrt2)
+    base = np.maximum(t * law.lo + law._c_lo, t * law.hi + law._c_hi)
+    with np.errstate(all="ignore"):
+        straddle = l < 0.0
+        e_l = special.erfcx(l * rsqrt2)
+        g = e_l - e_h * q
+        log_k = np.where(straddle, np.log(0.5 * (special.erf(h * rsqrt2) + special.erf(-l * rsqrt2))),
+                         np.log(0.5 * g))
+        core = log_k + 0.5 * np.minimum(l, 0.0) ** 2
+        core = np.where(g < k * e_l, np.nan, core)
+        r = np.where(straddle, np.exp(np.maximum(-core, -700.0)) * (1.0 / math.sqrt(2.0 * math.pi)),
+                     c / g)
+        deep = (_hazard_excess(l) * e_l - q * (c - l * e_h)) / g
+        ev = np.where(l > 12.0, deep, r * (1.0 - q) - l)
+        mean = np.where(a >= -b, law.lo + law.sigma * ev, law.hi - law.sigma * ev)
+        bad = (r * q * (law.sigma * k) > mean) | (ev < 0.0) | (ev > 2.0 * law._half)
+        return base + core, np.where(bad, np.nan, mean)
+
+
+def _windowed_trunc_gaussians():
+    rng = np.random.default_rng(5)
+    laws = [TruncGaussian(1.0, 0.8, 0.05, 25.05),  # the ensemble's term
+            TruncGaussian(0.079, 9.23, 0.0017, 5.06),  # compound_trunc_gaussian's
+            TruncGaussian(10.0, 1.0, 0.0, 2.0),  # mirrored near t = 0
+            TruncGaussian(0.0, 1e100, 1.0, 2.0),  # l passes _HELD_REACH
+            TruncGaussian(1.0 - 2e5, 1e5, 1.0, 2.0),  # 1e-5 sigma wide
+            TruncGaussian(-143668.88, 32918.30, 1.352e-07, 1.508e-07)]
+    for _ in range(40):
+        lo = abs(rng.normal()) * 10 ** rng.uniform(-3, 3)
+        laws.append(TruncGaussian(rng.normal() * 10 ** rng.uniform(-2, 3),
+                                  10 ** rng.uniform(-4, 60), lo, lo + 10 ** rng.uniform(-8, 3)))
+    return laws
+
+
+@pytest.mark.parametrize("law", _windowed_trunc_gaussians())
+def test_dropped_far_terms_keep_the_kernels_bits(law):
+    # where q is held at the floor and l < _HELD_REACH, the kernel drops
+    # the far end's terms; every value must keep the bits it has with them,
+    # on a monotone t (the audit's, one run per regime) and a shuffled one
+    t = np.concatenate([-np.geomspace(1e-6, 1e200, 3000), np.geomspace(1e-6, 1e3, 300), [0.0]])
+    for t in (t, np.random.default_rng(1).permutation(t)):
+        want_log_m, want_mean = _tilt_keeping_far_terms(law, t)
+        log_m, mean = law.log_mgf_and_mean(t)
+        np.testing.assert_array_equal(log_m, want_log_m)
+        np.testing.assert_array_equal(mean, want_mean)
+    for i in range(0, t.size, 97):  # a scalar t, through the 0-d path
+        np.testing.assert_array_equal(law.log_mgf_and_mean(float(t[i])), (want_log_m[i], want_mean[i]))
+
+
+_MASKS = {
+    "none": np.zeros(9, bool),
+    "all": np.ones(9, bool),
+    "prefix": np.arange(9) < 4,
+    "suffix": np.arange(9) >= 6,
+    "middle run": (np.arange(9) >= 2) & (np.arange(9) < 7),
+    "two runs": np.isin(np.arange(9), [1, 2, 5, 6, 7]),
+    "one point": np.arange(9) == 4,
+}
+
+
+@pytest.mark.parametrize("mask", _MASKS.values(), ids=_MASKS)
+def test_patch_matches_the_boolean_gather_and_scatter(mask):
+    x, y = np.linspace(-2.0, 2.0, 9), np.geomspace(1.0, 9.0, 9)
+    seen = []
+
+    def fn(x, y, c):  # records what it is handed, and returns a fresh array
+        seen.append((np.array(x), np.array(y)))
+        return np.exp(x) * y + c
+
+    want = np.full(9, -1.0)
+    want[mask] = np.exp(x[mask]) * y[mask] + 0.5
+    got = _patch(mask, fn, (x, y, 0.5), np.full(9, -1.0))
+    assert got.tobytes() == want.tobytes()
+    # fn ran once on the masked points only, or not at all
+    assert [(a.tolist(), b.tolist()) for a, b in seen] == (
+        [(x[mask].tolist(), y[mask].tolist())] if mask.any() else [])
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_patch_of_one_point_replaces_or_keeps_it(holds):
+    got = _patch(np.asarray(holds), lambda x: x + 1.0, (np.float64(2.0),), np.float64(7.0))
+    assert got == (3.0 if holds else 7.0)
 
 
 def test_mgf_domain_errors():

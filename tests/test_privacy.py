@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -392,7 +393,8 @@ def test_density_grid_matches_reference_off_monotone_densities(shift, step):
 
 
 @pytest.mark.parametrize("shift, radius, step", [(1.0, 5.0, 0.3), (0.7, 3.0, 1e-3),
-                                                 (1.0, 0.5, 1e-3)])
+                                                 (1.0, 0.5, 1e-3),
+                                                 (1.0, 100.0, 1e-3)])  # several blocks
 def test_density_grid_evaluates_each_radial_point_once(shift, radius, step):
     calls = []
 
@@ -402,12 +404,15 @@ def test_density_grid_evaluates_each_radial_point_once(shift, radius, step):
 
     assert density_grid_epsilon(log_density, shift, radius, step) == pytest.approx(
         shift, rel=1e-12)
-    assert len(calls) == 1
-    xs = calls[0]
+    # one call per block of at most _GRID_BLOCK points, the blocks in order
+    xs = np.concatenate(calls)
+    assert len(calls) == math.ceil(xs.size / privacy._GRID_BLOCK)
+    assert all(c.size == privacy._GRID_BLOCK for c in calls[:-1])
     k = math.ceil(shift / step)
     h = shift / k
     m = math.ceil(radius / h)
     assert xs.size == m + k + 1
+    assert np.array_equal(xs, h * np.arange(m + k + 1))  # each radial point once
     assert np.all(xs >= 0.0)
     # spacing never coarser than step; 0 and shift on the grid; [-radius, shift + radius]
     # covered, since the negative half mirrors the radial points
@@ -451,6 +456,36 @@ AUDITED_LAWS = [(combo, 1.0) for combo in committed_compound_laws().values()] + 
     (singleton(Gamma(1.0, 1.0)), 1.0),
     (ENSEMBLE, 0.5),
 ]
+
+
+def _whole_grid_epsilon(combo, dq, radius, step=1e-3):
+    # the grid's sup from one log_mgf_deriv call on all its radial points
+    k = math.ceil(dq / step)
+    h = dq / k
+    m = math.ceil(radius / h)
+    ld = combo.log_mgf_deriv(-(h * np.arange(m + k + 1)))
+    diffs = np.abs(np.concatenate([ld[:m + 1] - ld[k:], ld[:k + 1] - ld[k::-1]]))
+    return float(np.max(diffs[np.isfinite(diffs)]))
+
+
+@pytest.mark.parametrize("combo, dq", AUDITED_LAWS + [(combo, 1.0) for combo in GRID_LAWS])
+def test_blocked_audit_is_bitwise_the_whole_grid(combo, dq):
+    want = _whole_grid_epsilon(combo, dq, _auto_radius(combo, 1e-3, dq))
+    assert verify_epsilon_empirically(combo, dq).hex() == want.hex()
+
+
+@pytest.mark.parametrize("blocks", [1.0, 1.0 + 1e-9, 3.2])
+@pytest.mark.parametrize("combo", [ENSEMBLE, committed_compound_laws()["compound_bernoulli"]])
+def test_blocked_grid_is_bitwise_the_whole_grid_at_block_edges(combo, blocks):
+    # grids of exactly one block, one block and one point, and 3.2 blocks
+    n = math.ceil(blocks * privacy._GRID_BLOCK)
+    radius = (n - 1001 - 0.5) * 1e-3  # m + k + 1 = n radial points, k = 1000
+
+    def log_density(xs):
+        return combo.log_mgf_deriv(np.negative(xs, out=xs))
+
+    got = density_grid_epsilon(log_density, 1.0, radius, 1e-3)
+    assert got.hex() == _whole_grid_epsilon(combo, 1.0, radius).hex()
 
 
 def _ulps_of(got, want):
@@ -621,6 +656,43 @@ def test_grid_reads_the_epsilon_of_a_law_whose_density_underflows(value):
     # 800 and had no finite pair at 1e7
     got = verify_epsilon_empirically(Degenerate(value), 1.0)
     assert abs(got - value) <= 1e-12 * value
+
+
+@pytest.mark.parametrize("law, grid", [
+    (Degenerate(800.0), 800.0),
+    (Bernoulli(0.5, 800.0, 900.0), 800.7537718023764),
+    (TruncGaussian(800.0, 1.0, 790.0, 810.0), 799.5012507819017),
+])
+def test_every_route_reads_an_epsilon_past_745(law, grid):
+    # M'(-1) underflows to 0, so ln M'(-1) is read in log space: the general
+    # route and the closed form meet the grid, where they read inf (and the
+    # last two closed forms raised) when they took the log of M'(-1)
+    assert law.mgf_deriv(-1.0) == 0.0
+    for route in (epsilon_of_combo, epsilon_closed_form, verify_epsilon_empirically):
+        assert abs(route(law, 1.0) - grid) <= 1e-12 * grid
+
+
+@pytest.mark.parametrize("combo, dq", AUDITED_LAWS + [(combo, 1.0) for combo in GRID_LAWS])
+def test_epsilon_of_a_normal_derivative_keeps_its_bits(combo, dq):
+    # where M'(-dq) is a normal double its log is taken directly, as before
+    deriv = combo.mgf_deriv(-dq)
+    assert deriv >= np.finfo(float).tiny
+    want = math.log(combo.mean()) - math.log(deriv)
+    assert epsilon_of_combo(combo, dq).hex() == want.hex()
+
+
+def test_ensemble_audit_memory_is_bounded():
+    # the grid is read in blocks, so the 245,001-point audit's peak traced
+    # memory is the grid's own arrays plus one block's work (45.8 MiB when
+    # the kernels ran on the whole grid at once)
+    verify_epsilon_empirically(ENSEMBLE, 1.0)  # imports and first-call work
+    tracemalloc.start()
+    try:
+        verify_epsilon_empirically(ENSEMBLE, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_deep_tail_epsilon_matches_mpmath():
