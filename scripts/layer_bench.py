@@ -22,8 +22,13 @@ repeats per row:
 - `two_atom_optimum` us for usefulness at (epsilon, gamma) = (1, 0.4),
   which returns Laplace, (5, 0.1) and (200, 0.1), where the lower side's
   maximum sits on two peaks, for l1 and l2 at epsilon 8, and for l2 at 300;
-- `run_grid` ms on one usefulness cell (5, 0.1) at the benchmark's budget:
-  the compound, Laplace and staircase mechanisms, 2000 trials each;
+- `run_grid` ms on three cells at the benchmark's budget, each with the
+  compound, Laplace and staircase mechanisms at 2000 trials: usefulness
+  at (epsilon, gamma) = (5, 0.1), and (1, 0.4), whose compound law is
+  Laplace's, and l2 at epsilon 8;
+- `staircase_sample` us for a 2000-draw batch at epsilon 5, and
+  `noise_metric` us on 2000 Laplace draws for l2 and for usefulness at
+  gamma 0.1: the per-row work of a `run_grid` cell;
 - `perturb` us per release and `sample_noise` ns/draw in 200,000-draw
   batches, for each mechanism of perfbench/mechanisms.ini, a compound
   point mass and CI's two-atom law (randomized response: `perturb` only);
@@ -81,8 +86,11 @@ LINEAR_GOALS = (("usefulness_gamma0.4_eps1", 1.0, "usefulness", 0.4),
                 ("l2_eps8", 8.0, "l2", None),
                 ("usefulness_gamma0.1_eps200", 200.0, "usefulness", 0.1),
                 ("l2_eps300", 300.0, "l2", None))
-GRID_CELL = {"epsilon": 5.0, "gamma": 0.1, "trials": 2000, "seed": 11,
-             "restarts": 6, "max_evals": 150}
+# (row label, epsilon, metric, gamma) of the run_grid rows, and their budget
+GRID_CELLS = (("usefulness_gamma0.1_eps5", 5.0, "usefulness", 0.1),
+              ("usefulness_gamma0.4_eps1", 1.0, "usefulness", 0.4),
+              ("l2_eps8", 8.0, "l2", None))
+GRID_BUDGET = {"trials": 2000, "seed": 11, "restarts": 6, "max_evals": 150}
 # the plain mechanisms of perfbench/mechanisms.ini as `sample --mech` specs,
 # and compound laws that the file lacks: a point mass and CI's two-atom law
 PLAIN_MECHANISMS = {"laplace": "laplace b=1.0", "staircase": "staircase epsilon=1.0",
@@ -172,13 +180,23 @@ def rows(dpcalib, laws: dict[str, str]):
         out.append((f"two_atom_optimum.{label}", "us", 1e6,
                     lambda p=privacy.PrivacySpec(eps, SENSITIVITY),
                     g=dpcalib.UtilityGoal(metric, gamma=gamma): optimize.two_atom_optimum(p, g)))
-    grid = bench.ExperimentGrid(
-        epsilons=(GRID_CELL["epsilon"],), sensitivities=(SENSITIVITY,), metric="usefulness",
-        metric_params=(GRID_CELL["gamma"],), mechanisms=("compound", "laplace", "staircase"),
-        trials=GRID_CELL["trials"], master_seed=GRID_CELL["seed"])
-    search = optimize.SearchSpaceSpec(GRID_CELL["restarts"], GRID_CELL["max_evals"])
-    out.append(("run_grid.usefulness_gamma0.1_eps5", "ms", 1e3,
-                lambda: bench.run_grid(grid, search)))
+    search = optimize.SearchSpaceSpec(GRID_BUDGET["restarts"], GRID_BUDGET["max_evals"])
+    for label, eps, metric, gamma in GRID_CELLS:
+        grid = bench.ExperimentGrid(
+            epsilons=(eps,), sensitivities=(SENSITIVITY,), metric=metric,
+            metric_params=(gamma,) if gamma else (0.1,),
+            mechanisms=("compound", "laplace", "staircase"),
+            trials=GRID_BUDGET["trials"], master_seed=GRID_BUDGET["seed"])
+        out.append((f"run_grid.{label}", "ms", 1e3, lambda g=grid: bench.run_grid(g, search)))
+    draws, utility = GRID_BUDGET["trials"], dpcalib.utility
+    rng = np.random.default_rng(GRID_BUDGET["seed"])
+    out.append((f"staircase_sample.eps5_{draws}", "us", 1e6,
+                lambda: dpcalib.mechanisms.staircase_sample(5.0, SENSITIVITY, None, rng, draws)))
+    noise = rng.laplace(scale=0.2, size=draws)
+    for label, goal in (("l2", utility.UtilityGoal("l2")),
+                        ("usefulness_gamma0.1", utility.UtilityGoal("usefulness", gamma=0.1))):
+        out.append((f"noise_metric.{label}_{draws}", "us", 1e6,
+                    lambda g=goal: utility.noise_metric(g, noise)))
     cli = importlib.import_module(f"{dpcalib.__name__}.cli")
     mechanisms = dpcalib.mechanisms
     mechs = {name: distributions.parse_spec(spec, cli.MECHANISMS, "mechanism")
@@ -281,7 +299,8 @@ def main() -> int:
                    f"{target_s} s of calls, the sides alternating first within a repeat"),
         "inputs": {"sensitivity": SENSITIVITY, "grid_step": GRID_STEP,
                    "grid_points": GRID_POINTS, "uniform_points": UNIFORM_POINTS, "laws": laws,
-                   "linear_goals": LINEAR_GOALS, "grid_cell": GRID_CELL,
+                   "linear_goals": LINEAR_GOALS, "grid_cells": GRID_CELLS,
+                   "grid_budget": GRID_BUDGET,
                    "plain_mechanisms": PLAIN_MECHANISMS, "extra_laws": EXTRA_LAWS,
                    "batch": BATCH, "startup": STARTUP},
         "rows": time_rows(sides, laws, repeats, target_s) + peak_rows(sides, laws),

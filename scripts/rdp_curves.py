@@ -4,8 +4,10 @@
 Prints a plot-ready table of the order-alpha privacy level for Laplace,
 randomized response, a tuned compound mechanism, and a Gaussian
 reference, all normalized to unit sensitivity.  The compound column is
-an upper bound: the Renyi level of a mechanism that also releases the
-drawn scale (see `dpcalib.privacy.rdp_of`).
+an upper bound: the least of the law's epsilon, alpha epsilon^2 / 2 and
+the Renyi level of a mechanism that also releases the drawn scale (see
+`dpcalib.privacy.rdp_of`).  Each value is printed to 17 significant
+digits, so the table holds its floats exactly.
 
     python scripts/rdp_curves.py --epsilon 1.0
 """
@@ -13,7 +15,6 @@ drawn scale (see `dpcalib.privacy.rdp_of`).
 import argparse
 import math
 
-from dpcalib.distributions import DomainError
 from dpcalib.mechanisms import Gaussian, Laplace, RandomizedResponse, gaussian_sigma
 from dpcalib.optimize import SearchSpaceSpec, optimize
 from dpcalib.privacy import PrivacySpec, rdp_of
@@ -43,13 +44,8 @@ def main() -> int:
 
     print("alpha,laplace,randomized_response,compound,gaussian")
     for alpha in args.alphas:
-        try:
-            compound = f"{rdp_of(tuned.combo, alpha).epsilon_rdp:.6g}"
-        except DomainError:
-            compound = ""  # moment of this order does not exist
-        print(f"{alpha:g},{rdp_of(lap, alpha).epsilon_rdp:.6g},"
-              f"{rdp_of(rr, alpha).epsilon_rdp:.6g},{compound},"
-              f"{rdp_of(gauss, alpha).epsilon_rdp:.6g}")
+        print(f"{alpha:g}," + ",".join(f"{rdp_of(mech, alpha).epsilon_rdp:.17g}"
+                                       for mech in (lap, rr, tuned.combo, gauss)))
     return 0
 
 

@@ -167,12 +167,18 @@ def run_grid(grid: ExperimentGrid, search: SearchSpaceSpec | None = None) -> lis
     """
     search = search or SearchSpaceSpec()
     rows: list[GridRow] = []
+    per_cell = len(grid.mechanisms)
     for index, eps, dq, mp, mech_name in grid.cells():
+        if index % per_cell == 0:
+            # a new (epsilon, sensitivity, param) cell: its goal and privacy
+            # spec are built once, where its first row needs them, so that a
+            # row that fails still fails at the same step with the same error
+            goal = privacy = None
         # the two children SeedSequence([master, index]).spawn(2) would
         # return, built without the parent
         entropy = [grid.master_seed & (2**63 - 1), index]
-        opt_seed_seq, noise_seed_seq = (np.random.SeedSequence(entropy, spawn_key=(i,))
-                                        for i in range(2))
+        opt_seed_seq = np.random.SeedSequence(entropy, spawn_key=(0,))
+        noise_seed_seq = np.random.SeedSequence(entropy, spawn_key=(1,))
         cell_seed = int(opt_seed_seq.generate_state(1)[0])
         row = GridRow(
             epsilon_target=eps,
@@ -188,22 +194,26 @@ def run_grid(grid: ExperimentGrid, search: SearchSpaceSpec | None = None) -> lis
             seed=cell_seed,
         )
         try:
-            goal = _goal_for(grid.metric, mp)
+            goal = goal or _goal_for(grid.metric, mp)
             if mech_name == "laplace":
                 mech = Laplace(dq / eps)
                 row.epsilon_achieved = eps
-                row.utility_analytic = baseline_laplace(PrivacySpec(eps, dq), goal)
+                privacy = privacy or PrivacySpec(eps, dq)
+                row.utility_analytic = baseline_laplace(privacy, goal)
             elif mech_name == "staircase":
                 mech = Staircase(eps, dq)
                 row.epsilon_achieved = eps
-                row.utility_analytic = baseline_staircase(PrivacySpec(eps, dq), goal)
+                privacy = privacy or PrivacySpec(eps, dq)
+                row.utility_analytic = baseline_staircase(privacy, goal)
             else:
-                calibrated = optimize(search, PrivacySpec(eps, dq), goal, seed=cell_seed)
+                privacy = privacy or PrivacySpec(eps, dq)
+                calibrated = optimize(search, privacy, goal, seed=cell_seed)
                 mech = CompoundLaplace(calibrated.combo)
                 row.combo = calibrated.combo
                 row.epsilon_achieved = calibrated.achieved_epsilon
                 row.utility_analytic = calibrated.predicted_utility
-            noise_rng = np.random.default_rng(noise_seed_seq)
+            # default_rng(noise_seed_seq)'s stream, without its dispatch
+            noise_rng = np.random.Generator(np.random.PCG64(noise_seed_seq))
             noise = np.asarray(sample_noise(mech, noise_rng, grid.trials))
             row.draws = int(noise.size)
             row.utility_empirical, row.utility_stderr = noise_metric(goal, noise)

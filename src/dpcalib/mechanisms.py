@@ -163,12 +163,22 @@ def staircase_sample(
         offset = g * u if lower else g + (1.0 - g) * u
         sign = -1.0 if rng.random() < 0.5 else 1.0
         return sign * (k + offset) * sensitivity
-    k = rng.geometric(1.0 - b, size) - 1
+    # the scalar branch's arithmetic on whole arrays: k - 1 is exact in
+    # floats below 2^53, and the sign is r - 0.5's, a plus at r = 1/2
+    # (+0.0), as r < 0.5 picks the minus there
+    k = rng.geometric(1.0 - b, size)
     lower = rng.random(size) < p_lower
     u = rng.random(size)
-    offset = np.where(lower, g * u, g + (1.0 - g) * u)
-    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-    return sign * (k + offset) * sensitivity
+    offset = (1.0 - g) * u
+    offset += g
+    u *= g
+    np.copyto(offset, u, where=lower)
+    noise = k - 1.0
+    noise += offset
+    noise *= sensitivity
+    r = rng.random(size)
+    r -= 0.5
+    return np.copysign(noise, r, out=noise)
 
 
 def standard_laplace(rng: np.random.Generator, size=None):

@@ -148,16 +148,19 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4.0 * np.f
     step, so each root is scipy's to the bit, without importing scipy.
     Raises ``ValueError`` on a nan value or a bracket without a sign
     change, and ``RuntimeError`` when maxiter iterations do not converge.
+
+    Each |v| is written ``v if v >= 0 else -v`` and each min(v, w) as
+    ``w if w < v else v``: the builtins' results, nan and inf included
+    (a nan compares false, so min(v, nan) is v), at a fraction of a call.
     """
-
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
+    inf = math.inf
     xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = float(f(xpre))
+    if fpre != fpre:
+        raise ValueError(_NAN_VALUE.format(xpre))
+    fcur = float(f(xcur))
+    if fcur != fcur:
+        raise ValueError(_NAN_VALUE.format(xcur))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -169,15 +172,17 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4.0 * np.f
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        if (fblk if fblk >= 0 else -fblk) < (fcur if fcur >= 0 else -fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + rtol * (xcur if xcur >= 0 else -xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        abs_sbis = sbis if sbis >= 0 else -sbis
+        if fcur == 0 or abs_sbis < delta:
             return xcur
-        stry = math.inf  # bisect, unless a good short step is found
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        abs_spre = spre if spre >= 0 else -spre
+        stry = inf  # bisect, unless a good short step is found
+        if abs_spre > delta and (fcur if fcur >= 0 else -fcur) < (fpre if fpre >= 0 else -fpre):
             try:
                 if xpre == xblk:  # interpolate
                     stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -187,14 +192,20 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4.0 * np.f
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             except ZeroDivisionError:  # C's step is then inf or nan, which bisects
                 pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+        reach = 3 * abs_sbis - delta
+        if 2 * (stry if stry >= 0 else -stry) < (reach if reach < abs_spre else abs_spre):
             spre, scur = scur, stry
         else:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        xcur += scur if (scur if scur >= 0 else -scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise ValueError(_NAN_VALUE.format(xcur))
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+_NAN_VALUE = "The function value at x={} is NaN; solver cannot continue."
 
 
 def calibrate_scale(combo: LinearCombo, privacy: PrivacySpec) -> LinearCombo:
@@ -274,12 +285,14 @@ def _payoff(goal: UtilityGoal):
     1/gamma for usefulness, 0 (no knee) for the norms."""
     if goal.metric == "usefulness":
         gamma = goal.gamma
-        return (lambda x: -np.expm1(-gamma * x), lambda x: math.log(gamma) - gamma * x,
+        log_gamma = math.log(gamma)
+        return (lambda x: -np.expm1(-gamma * x), lambda x: log_gamma - gamma * x,
                 lambda v: v, 1.0 / gamma)
     p = norm_power(goal)
     if p is None:
         return None
-    return (lambda x: -1.0 / x ** p, lambda x: math.log(p) - (p + 1) * math.log(x),
+    log_p, log = math.log(p), math.log
+    return (lambda x: -1.0 / x ** p, lambda x: log_p - (p + 1) * log(x),
             lambda v: (math.factorial(p) * -v) ** (1.0 / p), 0.0)
 
 
@@ -316,15 +329,17 @@ def _peak(privacy: PrivacySpec, f, log_fprime, side, log_lam: float) -> tuple[fl
     i = int(h.argmax())
     best = float(h[i]), float(xs[i])
     eps, dq = privacy.epsilon, privacy.sensitivity
+    exp, expm1, log, least = math.exp, math.expm1, math.log, _LEAST_FLOAT
 
     def rise(t):
         # ln f' - ln(lam g'), > 0 where h rises; in log space, as f' and lam
         # may underflow.  f' > 0 always, so h rises where g' <= 0: such a
-        # slope counts as the least positive float
-        x = math.exp(t)
+        # slope counts as the least positive float (max(slope, least), a
+        # nan slope kept)
+        x = exp(t)
         z = eps - dq * x
-        slope = dq * x * math.exp(z) - math.expm1(z)  # g'(x)
-        return log_fprime(x) - log_lam - math.log(max(slope, _LEAST_FLOAT))
+        slope = dq * x * exp(z) - expm1(z)  # g'(x)
+        return log_fprime(x) - log_lam - log(least if least > slope else slope)
 
     lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, xs.size - 1)])
     if not rise(lo) > 0.0 > rise(hi):
@@ -393,7 +408,6 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
         calls += 1
         return [_peak(privacy, f, log_fprime, side, log_lam) for side in sides]
 
-    laplace = laplace_seed(privacy)
     # lam g at inf rightly scores -inf; lam or f overflowing leaves the float range
     try:
         with np.errstate(over="ignore"):
@@ -403,7 +417,7 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
             s = log_fprime(x0) - math.log(eps)
             (below, _), (above, _) = dual(s)
             if max(below, above) <= f0 + tol:
-                return laplace, calls
+                return laplace_seed(privacy), calls
             # slopes, not values at g = 0: a lower atom's weight can fall below their ulp
             (xs_lo, _, fs_lo, gs_lo), (xs_hi, _, fs_hi, gs_hi) = (
                 [column[:-1] for column in sides[0]], [column[1:] for column in sides[1]])
@@ -437,7 +451,7 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
         raise InfeasibleSpecError(
             f"epsilon {eps!r} at sensitivity {dq!r} takes the dual beyond the float range"
         ) from None
-    return (laplace if best[1] is None else _two_atom_law(privacy, *best[1])), calls
+    return (laplace_seed(privacy) if best[1] is None else _two_atom_law(privacy, *best[1])), calls
 
 
 _SIMPLEX_STEP = 0.25

@@ -24,7 +24,6 @@ import numpy as np
 from .distributions import (
     Bernoulli,
     Degenerate,
-    DomainError,
     Gamma,
     LinearCombo,
     MgfDist,
@@ -157,16 +156,21 @@ def _randomized_response_rdp(p: float, alpha: float) -> float:
 
 
 def _combo_rdp(combo: LinearCombo | MgfDist, alpha: float, sensitivity: float) -> float:
+    """min(eps, alpha eps^2 / 2, the scale-releasing bound); see ``rdp_of``."""
+    eps = epsilon_of_combo(combo, sensitivity)
+    return min(eps, alpha * eps * eps / 2.0, _scale_released_rdp(combo, alpha, sensitivity))
+
+
+def _scale_released_rdp(combo: LinearCombo | MgfDist, alpha: float, sensitivity: float) -> float:
+    """The order-alpha Renyi level of compound Laplace noise released with
+    its scale: inf where the MGF does not exist at sensitivity (alpha - 1)."""
     # sensitivity != 1 is handled by analyzing the normalized query:
     # M(t) -> M(sensitivity * t).
     dq = sensitivity
     if alpha == 1.0:
         return dq * combo.mgf_deriv(0.0) + combo.mgf(-dq) - 1.0
     if combo.mgf_domain_sup() <= dq * (alpha - 1.0):
-        raise DomainError(
-            f"MGF does not exist at {dq * (alpha - 1.0)}; "
-            f"order-{alpha} privacy moment is unbounded"
-        )
+        return math.inf
     # ln(alpha M(dq (alpha-1)) + (alpha-1) M(-dq alpha)), in log space
     log_num = np.logaddexp(math.log(alpha) + combo.log_mgf(dq * (alpha - 1.0)),
                            math.log(alpha - 1.0) + combo.log_mgf(-dq * alpha))
@@ -185,10 +189,17 @@ def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:
     ``sensitivity``.
 
     For a compound law the value is an upper bound, not the level itself:
-    it is (1/(alpha-1)) ln E_X[e^{(alpha-1) D_alpha(Laplace(1/X))}], the
-    Renyi level of a mechanism that also releases the scale X.  Dropping
-    X is post-processing, so the compound mechanism's level is at most
-    this.  For a point-mass (degenerate) law the two are equal.
+    the least of three.  One is (1/(alpha-1)) ln
+    E_X[e^{(alpha-1) D_alpha(Laplace(1/X))}], the Renyi level of a
+    mechanism that also releases the scale X; dropping X is
+    post-processing, so the compound mechanism's level is at most this,
+    and for a point-mass (degenerate) law the two are equal.  The others
+    hold for any eps-DP mechanism, eps = ``epsilon_of_combo``: D_alpha <=
+    eps, and D_alpha <= alpha eps^2 / 2, as eps-DP is eps^2/2-zCDP (Bun
+    and Steinke, TCC 2016, Prop. 3.3); at alpha = 1 the cap is
+    min(eps, eps^2 / 2).  Where the MGF does not exist at
+    sensitivity (alpha - 1) the scale-releasing bound is unbounded and
+    the value is the cap.
     """
     from . import mechanisms as mech_mod
 

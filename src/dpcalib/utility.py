@@ -281,12 +281,16 @@ def noise_metric(goal: UtilityGoal, noise: np.ndarray) -> tuple[float, float]:
     mean |n|^p, carried through the root."""
     n = noise.size
     if goal.metric == "usefulness":
-        hit = float(np.mean(np.abs(noise) <= goal.gamma))
+        hit = float(np.count_nonzero(np.abs(noise) <= goal.gamma) / n)
         return hit, math.sqrt(max(hit * (1.0 - hit), 0.0) / n)
     p = norm_power(goal)
     powers = np.abs(noise) ** p
-    est = float(np.mean(powers)) ** (1.0 / p)
-    se = float(np.std(powers) / math.sqrt(n))
+    # np.mean and np.std's own ufuncs, without their Python wrappers
+    mean = np.add.reduce(powers, axis=None) / n
+    est = float(mean) ** (1.0 / p)
+    np.subtract(powers, mean, out=powers)
+    np.multiply(powers, powers, out=powers)
+    se = float(np.sqrt(np.add.reduce(powers, axis=None) / n) / math.sqrt(n))
     return est, se / (p * est ** (p - 1)) if est > 0 else 0.0
 
 

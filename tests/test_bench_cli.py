@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -472,3 +473,74 @@ def test_readme_config_example_loads(tmp_path):
     assert grid.epsilons == (0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
     assert (search.restarts, search.max_evals, search.mc_trials) == (6, 300, 4000)
     assert (query.kind, query.window) == ("count", 30)
+
+
+def _rows_built_per_row(grid, search):
+    """``run_grid``'s rows as it built them row by row: a fresh goal and
+    privacy spec for every row, and each row's noise stream from
+    ``default_rng``.  The oracle that the per-cell objects must match."""
+    from dpcalib.bench import GridRow, _goal_for
+    from dpcalib.mechanisms import CompoundLaplace, Staircase, sample_noise
+    from dpcalib.optimize import baseline_laplace, baseline_staircase, optimize
+    from dpcalib.privacy import PrivacySpec
+    from dpcalib.utility import noise_metric
+
+    rows = []
+    for index, eps, dq, mp, mech_name in grid.cells():
+        entropy = [grid.master_seed & (2**63 - 1), index]
+        opt_seed_seq, noise_seed_seq = (np.random.SeedSequence(entropy, spawn_key=(i,))
+                                        for i in range(2))
+        cell_seed = int(opt_seed_seq.generate_state(1)[0])
+        row = GridRow(eps, None, dq, grid.metric, mp, mech_name, None, None, None,
+                      grid.trials, cell_seed)
+        try:
+            goal = _goal_for(grid.metric, mp)
+            if mech_name == "laplace":
+                mech = Laplace(dq / eps)
+                row.epsilon_achieved = eps
+                row.utility_analytic = baseline_laplace(PrivacySpec(eps, dq), goal)
+            elif mech_name == "staircase":
+                mech = Staircase(eps, dq)
+                row.epsilon_achieved = eps
+                row.utility_analytic = baseline_staircase(PrivacySpec(eps, dq), goal)
+            else:
+                calibrated = optimize(search, PrivacySpec(eps, dq), goal, seed=cell_seed)
+                mech = CompoundLaplace(calibrated.combo)
+                row.epsilon_achieved = calibrated.achieved_epsilon
+                row.utility_analytic = calibrated.predicted_utility
+            noise = np.asarray(sample_noise(mech, np.random.default_rng(noise_seed_seq),
+                                            grid.trials))
+            row.utility_empirical, row.utility_stderr = noise_metric(goal, noise)
+        except Exception as exc:  # noqa: BLE001
+            row.error = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
+
+
+_ONE_NAN = math.nan
+
+
+@pytest.mark.parametrize("grid", [
+    ExperimentGrid(epsilons=(0.5, 5.0), sensitivities=(0.5, 1.0), metric_params=(0.1, 0.9),
+                   trials=500, master_seed=28),
+    ExperimentGrid(epsilons=(1.0, 8.0), sensitivities=(0.5, 1.0), metric="l1", trials=500,
+                   master_seed=29),
+    ExperimentGrid(epsilons=(1.0, 8.0), sensitivities=(0.5, 1.0), metric="l2", trials=500,
+                   master_seed=2**64 - 1),
+    # a budget no mechanism takes: each row fails at its own step, as before
+    ExperimentGrid(epsilons=(-1.0, 0.0, math.inf), sensitivities=(1.0,), metric_params=(0.4,),
+                   trials=20),
+], ids=["usefulness", "l1", "l2", "bad_epsilon"])
+def test_run_grid_rows_equal_rows_built_row_by_row(grid):
+    rows, oracle = run_grid(grid, TINY_SEARCH), _rows_built_per_row(grid, TINY_SEARCH)
+    # GridRow equality compares every float exactly; each side's nan
+    # metric_param (l1, l2) is its own object, which equality would not match
+    same_nan = [[row if row.metric_param == row.metric_param
+                 else dataclasses.replace(row, metric_param=_ONE_NAN) for row in side]
+                for side in (rows, oracle)]
+    assert same_nan[0] == same_nan[1]
+    assert rows_to_csv(rows) == rows_to_csv(oracle)
+    if grid.epsilons[0] < 0:
+        assert all(row.error for row in rows)
+    else:
+        assert not any(row.error for row in rows)

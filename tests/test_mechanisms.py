@@ -444,3 +444,53 @@ def test_atoms_that_cannot_be_released_are_refused(law):
         with pytest.raises(ValueError, match="cannot be released"):
             release()
     assert rng.bit_generator.state == state
+
+
+def _staircase_where(epsilon, sensitivity, gamma_s, rng, size):
+    """The batch draw as ``np.where`` and a +-1 array formed it: the oracle
+    that ``staircase_sample``'s whole-array passes must match bit for bit."""
+    g = gamma_s if gamma_s is not None else staircase_default_width(epsilon)
+    b = math.exp(-epsilon)
+    p_lower = g / (g + b * (1.0 - g))
+    k = rng.geometric(1.0 - b, size) - 1
+    lower = rng.random(size) < p_lower
+    u = rng.random(size)
+    offset = np.where(lower, g * u, g + (1.0 - g) * u)
+    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    return sign * (k + offset) * sensitivity
+
+
+@pytest.mark.parametrize("gamma_s", [None, 0.3, 1.0])
+@pytest.mark.parametrize("sensitivity", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("epsilon", [0.01, 0.3, 1.0, 5.0, 20.0, 40.0])
+def test_staircase_batch_is_bitwise_the_where_form(epsilon, sensitivity, gamma_s):
+    for seed, size in enumerate((1, 7, 2000, (3, 4))):
+        ours = staircase_sample(epsilon, sensitivity, gamma_s, np.random.default_rng(seed), size)
+        oracle = _staircase_where(epsilon, sensitivity, gamma_s, np.random.default_rng(seed), size)
+        assert ours.shape == oracle.shape and ours.dtype == oracle.dtype == np.float64
+        assert ours.tobytes() == oracle.tobytes(), (size, seed)
+
+
+class _ScriptedRng:
+    """A generator stand-in that hands out fixed draws, in call order."""
+
+    def __init__(self, geometric, *uniforms):
+        self._geometric, self._uniforms = np.array(geometric), list(map(np.array, uniforms))
+
+    def geometric(self, p, size):
+        return self._geometric.copy()
+
+    def random(self, size):
+        return self._uniforms.pop(0).astype(float)
+
+
+def test_staircase_batch_signs_zero_and_one_half_as_before():
+    # k = 1 and u = 0 in the lower sub-band give a zero magnitude, whose sign
+    # is the coin's; a coin of exactly 1/2 is a plus, a coin below it a minus
+    draws = (np.array([1, 1, 1, 2]), np.array([0.0, 0.0, 0.0, 0.9]),
+             np.array([0.0, 0.0, 0.0, 0.25]), np.array([0.5, 0.25, 0.75, 0.5]))
+    ours = staircase_sample(1.0, 1.0, 0.3, _ScriptedRng(*draws), 4)
+    oracle = _staircase_where(1.0, 1.0, 0.3, _ScriptedRng(*draws), 4)
+    assert ours.tobytes() == oracle.tobytes()
+    assert [math.copysign(1.0, v) for v in ours] == [1.0, -1.0, 1.0, 1.0]
+    assert ours[0] == 0.0 and ours[3] == 1.0 + 0.3 + 0.7 * 0.25

@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -546,6 +548,68 @@ def _outcome(solver, f, a, b, options):
         return solver(f, a, b, **options)
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
+
+
+_BRENT = importlib.import_module("dpcalib.optimize")._brentq
+# a source line of _brentq that only the named step runs
+_BRENT_STEPS = {"loop": "for _ in range(maxiter):",
+                "interpolate": "stry = -fcur * (xcur - xpre) / (fcur - fpre)",
+                "extrapolate": "dpre = (fpre - fcur) / (xpre - xcur)",
+                "zero_division": "pass",
+                "nan": "raise ValueError(_NAN_VALUE.format(xcur))"}
+
+
+def _brent_steps(f, a, b, options):
+    """(outcome, the steps of _BRENT_STEPS that _brentq ran on f over [a, b])."""
+    source, first = inspect.getsourcelines(_BRENT)
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not _BRENT.__code__:
+            return None
+        if event == "line":
+            ran.add(source[frame.f_lineno - first].strip())
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        outcome = _outcome(_BRENT, f, a, b, options)
+    finally:
+        sys.settrace(previous)
+    return outcome, {step for step, line in _BRENT_STEPS.items() if line in ran}
+
+
+@pytest.mark.parametrize("f, a, b, options, steps", [
+    (lambda x: x - 0.3, 0.0, 1.0, {}, {"loop", "interpolate"}),
+    (lambda x: x ** 3 - 2.0, 0.0, 2.0, {}, {"loop", "interpolate", "extrapolate"}),
+    # subnormal values: a divided difference underflows to 0
+    (lambda x: (x - 0.3) ** 3 * 1e-300, -4.0, 2.5, {"xtol": 1e-250},
+     {"loop", "interpolate", "extrapolate", "zero_division"}),
+    # infinite values meet each |v| and min(v, w)
+    (lambda x: -math.inf if x < 0.2 else x - 0.3, 0.0, 1.0, {},
+     {"loop", "interpolate", "extrapolate"}),
+    (lambda x: 1e308 * (x - 0.3) * (1.0 + x * x), -1.0, 1.0, {},
+     {"loop", "interpolate", "extrapolate"}),
+    # a coarse tolerance, where the "- delta" of the step's bound decides the step
+    (lambda x: (math.tanh(-0.1498139092597039 * x) - 0.3 * 0.6971672138758627
+                - 0.1 * 0.22878163671214083 * x * x), -3.0968012659976387, 3.7963531272967446,
+     {"xtol": 0.12273154524613608}, {"loop", "interpolate", "extrapolate"}),
+    (lambda x: x - 0.25, 0.25, 3.0, {}, set()),  # a root at a
+    (lambda x: x - 3.0, 0.25, 3.0, {}, set()),  # a root at b
+    (lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0, {}, {"loop", "nan"}),
+], ids=["interpolate", "extrapolate", "zero_division", "infinite_values", "overflow",
+        "coarse_tolerance", "root_at_a", "root_at_b", "nan"])
+def test_brentq_reaches_each_step_with_scipys_root(f, a, b, options, steps):
+    ours, ran = _brent_steps(f, a, b, options)
+    assert ran == steps
+    theirs = _outcome(brentq, f, a, b, options)
+    if isinstance(theirs, float):
+        assert ours.hex() == theirs.hex()
+    else:
+        assert ours == theirs and theirs[0] is ValueError
+    if not steps:
+        assert ours in (a, b) and f(ours) == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 from dpcalib.distributions import (
     Bernoulli,
     Degenerate,
-    DomainError,
     Gamma,
     LinearCombo,
     MgfDist,
@@ -253,13 +252,37 @@ def test_rdp_uniform_and_trunc_gaussian_stay_finite(law, alpha, expected):
     # M(alpha - 1) overflows long before ln M does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = rdp_of(law, alpha).epsilon_rdp
+        value = privacy._scale_released_rdp(law, alpha, 1.0)
+        capped = rdp_of(law, alpha).epsilon_rdp
     assert value == pytest.approx(expected, rel=1e-9)
+    # each bound lies above the law's epsilon, so rdp_of reads epsilon
+    assert capped == epsilon_of_combo(law, 1.0) < value
 
 
-def test_rdp_domain_error_for_unbounded_moment():
-    with pytest.raises(DomainError):
-        rdp_of(singleton(Gamma(1.0, 1.0)), 3.0)
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+def test_rdp_of_an_unbounded_moment_is_the_pure_dp_cap(alpha):
+    # M(alpha - 1) does not exist for Gamma(2, 1) at alpha >= 2, and for
+    # Gamma(1, 1): the scale-releasing bound is unbounded, the cap is not
+    for law in (Gamma(2.0, 1.0), singleton(Gamma(1.0, 1.0))):
+        eps = epsilon_of_combo(law, 1.0)
+        assert math.isinf(privacy._scale_released_rdp(law, alpha, 1.0))
+        assert rdp_of(law, alpha).epsilon_rdp == min(eps, alpha * eps * eps / 2.0) == eps
+
+
+def test_rdp_of_a_compound_law_is_capped_by_its_epsilon():
+    # the eps = 5 usefulness law's scale-releasing bound is far above eps
+    law = singleton(Bernoulli(0.29987165324922693, 1.1624574486109833, 22.609896707280328))
+    eps = epsilon_of_combo(law, 1.0)
+    assert abs(eps - 5.0) < 1e-9
+    for alpha in (1.0, 2.0, 16.0, 64.0):
+        assert privacy._scale_released_rdp(law, alpha, 1.0) > 15.0
+        assert rdp_of(law, alpha).epsilon_rdp == eps
+    # where alpha eps^2 / 2 < eps, zCDP's bound wins: a small-epsilon law
+    small = singleton(Bernoulli(0.3, 0.02, 0.4))
+    eps = epsilon_of_combo(small, 1.0)
+    for alpha in (1.0, 1.5, 2.0):
+        assert alpha * eps * eps / 2.0 < eps
+        assert rdp_of(small, alpha).epsilon_rdp <= alpha * eps * eps / 2.0
 
 
 def test_rdp_sensitivity_rescaling():

@@ -32,6 +32,7 @@ from dpcalib.utility import (
     l1_bound,
     l2_bound,
     mallows_distance,
+    noise_metric,
     norm_power,
     renyi_divergence,
     usefulness_bound,
@@ -535,3 +536,35 @@ def test_two_atom_metric_is_smooth_in_the_weight():
     steps = np.diff([est(w, 2.0, 20.0) for w in np.linspace(0.2, 0.3, 11)])
     assert np.all(steps > 0) and np.ptp(steps) < 0.05 * np.max(steps)
     assert est(0.25, 2.0, 20.0) == TwoAtomMetric(goal, 400, np.random.default_rng(2))(0.25, 2.0, 20.0)
+
+
+def _noise_metric_numpy(goal, noise):
+    """``noise_metric`` through numpy's ``mean`` and ``std`` wrappers: the
+    oracle that its direct ufunc passes must match bit for bit."""
+    n = noise.size
+    if goal.metric == "usefulness":
+        hit = float(np.mean(np.abs(noise) <= goal.gamma))
+        return hit, math.sqrt(max(hit * (1.0 - hit), 0.0) / n)
+    p = norm_power(goal)
+    powers = np.abs(noise) ** p
+    est = float(np.mean(powers)) ** (1.0 / p)
+    se = float(np.std(powers) / math.sqrt(n))
+    return est, se / (p * est ** (p - 1)) if est > 0 else 0.0
+
+
+@pytest.mark.parametrize("goal", [UtilityGoal("usefulness", gamma=0.4), UtilityGoal("l1"),
+                                  UtilityGoal("l2"), UtilityGoal("mallows", p=1)],
+                         ids=lambda goal: goal.metric)
+def test_noise_metric_is_bitwise_numpys_mean_and_std(goal):
+    rng = np.random.default_rng(28)
+    draws = [rng.laplace(scale=b, size=size) for b in (0.05, 0.7, 40.0)
+             for size in (1, 7, 2000, 100_003)]
+    # every draw a hit, and norms of zero variance
+    draws += [rng.laplace(size=(3, 4)), np.full(50, 0.25), np.full(9, -0.5), np.zeros(4),
+              np.array([0.4, -0.4, 0.0])]
+    for noise in draws:
+        ours, oracle = noise_metric(goal, noise), _noise_metric_numpy(goal, noise)
+        assert [v.hex() for v in ours] == [v.hex() for v in oracle]
+        assert [type(v) for v in ours] == [type(v) for v in oracle]
+    for noise in (np.full(50, 0.25), np.full(9, -0.5)):
+        assert noise_metric(goal, noise)[1] == 0.0
