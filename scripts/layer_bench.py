@@ -31,7 +31,10 @@ repeats per row:
   gamma 0.1: the per-row work of a `run_grid` cell;
 - `perturb` us per release and `sample_noise` ns/draw in 200,000-draw
   batches, for each mechanism of perfbench/mechanisms.ini, a compound
-  point mass and CI's two-atom law (randomized response: `perturb` only);
+  point mass and CI's two-atom law (randomized response: `perturb` only),
+  and `run_query` us per release with the release-audit workload's own
+  query: a count of a 1,000-record Poisson dataset, and for randomized
+  response a window-1 moving average of its records' bits;
 - `startup` s of a fresh interpreter, run as a subprocess with that
   side's src on PYTHONPATH: `import dpcalib`, and the CLI's usefulness
   `optimize`, a two-atom `verify` and a TruncGaussian `verify`.
@@ -203,11 +206,16 @@ def rows(dpcalib, laws: dict[str, str]):
              for name, spec in PLAIN_MECHANISMS.items()}
     mechs |= {name: mechanisms.CompoundLaplace(distributions.parse_combo(text))
               for name, text in {**laws, **EXTRA_LAWS}.items()}
+    dataset = bench.generate_synthetic("poisson", 1000, seed=GRID_BUDGET["seed"])
+    count = (dataset, bench.QuerySpec("count"))
+    bit = ((dataset > 5.0).astype(float), bench.QuerySpec("moving_average", window=1, scale=1.0))
     for name, mech in mechs.items():
         rng = np.random.default_rng(0)
         binary = isinstance(mech, mechanisms.RandomizedResponse)
         out.append((f"perturb.{name}", "us", 1e6,
                     lambda m=mech, r=rng, v=1 if binary else 3.0: mechanisms.perturb(m, v, r)))
+        out.append((f"run_query.{name}", "us", 1e6,
+                    lambda m=mech, r=rng, q=bit if binary else count: bench.run_query(*q, m, r)))
         if not binary:
             out.append((f"sample_noise.{name}", "ns/draw", 1e9 / BATCH,
                         lambda m=mech, r=rng: mechanisms.sample_noise(m, r, BATCH)))

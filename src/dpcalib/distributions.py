@@ -7,6 +7,10 @@ M'(t) = E[X e^{tX}], the mean, and a sampler driven by a caller-owned
 ``numpy.random.Generator``.  All values are immutable after construction
 and every operation is pure.
 
+``draw(rng)`` returns one value and ``sample(rng, size)`` a batch; a draw
+makes the generator calls of a size-1 batch, so from the same seed it is
+bit-identical to that batch's value.
+
 ``mgf``, ``mgf_deriv`` and ``mgf_and_deriv`` take a scalar or an array t
 of any shape under one decorator, ``_array_math``: the body gets
 ``np.asarray(t, float)`` and is array math only, an array gets values of
@@ -265,9 +269,13 @@ class MgfDist(ABC):
         """E[X] in closed form."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw from the distribution using the supplied generator; a batch
-        comes back in a new array that the caller may overwrite."""
+    def draw(self, rng: np.random.Generator) -> float:
+        """One value, drawn with the supplied generator."""
+
+    @abstractmethod
+    def sample(self, rng: np.random.Generator, size):
+        """A batch of ``size`` values in a new array that the caller may
+        overwrite, drawn whole-array."""
 
     def log_mgf(self, t: float) -> float:
         """ln M(t) for a scalar t; families with a closed form override it
@@ -341,9 +349,10 @@ class Degenerate(MgfDist):
     def mean(self) -> float:
         return self.value
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
+    def draw(self, rng) -> float:
+        return self.value
+
+    def sample(self, rng, size):
         return np.full(size, self.value)
 
 
@@ -409,12 +418,12 @@ class Bernoulli(MgfDist):
     def mean(self) -> float:
         return self.p * self.x0 + (1 - self.p) * self.x1
 
-    def sample(self, rng, size=None):
-        u = rng.random(size)
-        if size is None:
-            return self.x0 if u < self.p else self.x1
+    def draw(self, rng) -> float:
+        return self.x0 if rng.random() < self.p else self.x1
+
+    def sample(self, rng, size):
         # np.where on a random mask costs several times this gather
-        return np.take([self.x1, self.x0], (u < self.p).view(np.int8))
+        return np.take([self.x1, self.x0], (rng.random(size) < self.p).view(np.int8))
 
 
 # rng.gamma returns exact zeros for a visible share of draws below this shape
@@ -472,7 +481,10 @@ class Gamma(MgfDist):
     def mean(self) -> float:
         return self.shape * self.scale
 
-    def sample(self, rng, size=None):
+    def draw(self, rng) -> float:
+        return rng.gamma(self.shape, self.scale)
+
+    def sample(self, rng, size):
         return rng.gamma(self.shape, self.scale, size)
 
     def tail_power(self) -> float:
@@ -544,8 +556,11 @@ class Uniform(MgfDist):
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def sample(self, rng, size=None):
-        # numpy's uniform, lo + (hi - lo) u, without its scalar call's overhead
+    # numpy's uniform, lo + (hi - lo) u, without its dispatch
+    def draw(self, rng) -> float:
+        return rng.random() * (self.hi - self.lo) + self.lo
+
+    def sample(self, rng, size):
         u = rng.random(size)
         u *= self.hi - self.lo
         u += self.lo
@@ -748,17 +763,25 @@ class TruncGaussian(MgfDist):
     def mean(self) -> float:
         return self._mean
 
-    def sample(self, rng, size=None):
+    def draw(self, rng) -> float:
+        # min(max(x, lo), hi) as compares of floats: the builtins on a
+        # numpy scalar cost more than the quantile
+        x = float(self._inverse_cdf(rng.random()))
+        lo, hi = self.lo, self.hi
+        return float(lo if lo > x else hi if hi < x else x)
+
+    def sample(self, rng, size):
+        return np.clip(self._inverse_cdf(rng.random(size)), self.lo, self.hi)
+
+    def _inverse_cdf(self, u):
+        """The law's quantile at uniform ``u``, before clipping to [lo, hi]."""
         if self._tail is None:
             lo, hi = self._cdf  # the same bits as rng.uniform(lo, hi, size)
-            z = special.ndtri(lo + (hi - lo) * rng.random(size))
+            z = special.ndtri(lo + (hi - lo) * u)
         else:
             s, log_near, frac = self._tail
-            z = -s * special.ndtri_exp(log_near + np.log1p(-frac * rng.random(size)))
-        x = self.mu + self.sigma * z
-        return np.clip(x, self.lo, self.hi) if size is not None else float(
-            min(max(x, self.lo), self.hi)
-        )
+            z = -s * special.ndtri_exp(log_near + np.log1p(-frac * u))
+        return self.mu + self.sigma * z
 
     def tail_power(self) -> float:
         return math.inf if self.lo > 0 else 1.0
@@ -856,12 +879,13 @@ class LinearCombo:
     def mean(self) -> float:
         return sum(a * d.mean() for a, d in self.terms)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            total = 0.0
-            for a, d in self.terms:
-                total += a * d.sample(rng)
-            return total
+    def draw(self, rng) -> float:
+        total = 0.0
+        for a, d in self.terms:
+            total += a * d.draw(rng)
+        return total
+
+    def sample(self, rng, size):
         (a, d), *rest = self.terms
         out = a * np.asarray(d.sample(rng, size), float)
         for a, d in rest:

@@ -1,12 +1,20 @@
 """Executable noise mechanisms and their analytic baselines.
 
+Each mechanism releases one value through its ``draw(rng)``, the scalar
+path of ``perturb`` and ``sample_noise``; what a draw needs of the law is
+computed once, when the mechanism is built.  ``sample_noise`` with a
+size draws a batch whole-array; a size-1 batch makes the generator calls
+of one draw, and releases its bits.
+
 The compound-Laplace mechanism draws a reciprocal scale from its
 second-fold combination, then adds Laplace noise at that scale.  A law
 of one or two atoms (a one-term ``Degenerate`` or ``Bernoulli``, the
 laws the linear metrics' optimum takes) has its Laplace scales computed
 once, when the mechanism is built, and a release picks one of them: the
-same generator calls and the same bits as drawing the scale.  The
-staircase baseline is the geometric mixture of uniform bands: band k
+same generator calls and the same bits as drawing the scale.  Any other
+law keeps each term's sampler with its coefficient.
+
+The staircase baseline is the geometric mixture of uniform bands: band k
 (width = sensitivity) carries geometric mass with ratio e^-eps, and
 within a band the upper sub-band's density is e^-eps times the lower's.
 Its width parameter gamma_s defaults to the expected-|error|-optimal
@@ -41,6 +49,9 @@ class Laplace:
         if self.b <= 0:
             raise ValueError("scale b must be > 0")
 
+    def draw(self, rng: np.random.Generator) -> float:
+        return _unit_laplace(rng) * self.b
+
 
 @dataclass(frozen=True)
 class CompoundLaplace:
@@ -51,8 +62,41 @@ class CompoundLaplace:
     def __post_init__(self):
         if not self.combo.mean() > 0:  # nan where the law's family cannot resolve it
             raise ValueError("the reciprocal-scale combination must have positive mean")
-        # per-law constant, not a field: repr, equality and the record ignore it
-        object.__setattr__(self, "_atoms", _atom_scales(self.combo))
+        # per-law constants, not fields: repr, equality and the record ignore
+        # them.  A law of one or two atoms releases from its scales; any
+        # other draws its reciprocal scale through each term's sampler
+        atoms = _atom_scales(self.combo)
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_terms", None if atoms is not None else tuple(
+            (a, d.draw) for a, d in self.combo.active_terms()))
+
+    def draw(self, rng: np.random.Generator) -> float:
+        atoms = self._atoms
+        if atoms is not None:
+            # one uniform picks a two-atom law's scale, as its sampler would
+            p, b0, b1, _ = atoms
+            return (b0 if p is None or rng.random() < p else b1) * _unit_laplace(rng)
+        scale = 0.0
+        for a, draw in self._terms:
+            scale += a * draw(rng)
+        if not _UNDERFLOW <= scale < math.inf:
+            scale = self._redraw(scale, rng)
+        return float((1.0 / scale) * _unit_laplace(rng))
+
+    def _redraw(self, scale: float, rng: np.random.Generator) -> float:
+        """Draw again a reciprocal scale under 1e-300, up to ``_REDRAWS``
+        times: one that underflows to zero would mean infinite noise, and
+        an infinite one zero noise, so neither is ever released.
+        ``combo.draw`` sums the bound terms' draws in their order; a bare
+        family draws x where ``draw`` forms 0 + 1 x, the same scale but
+        for the sign of a zero, which is drawn again either way."""
+        for _ in range(_REDRAWS):
+            if not scale < _UNDERFLOW:
+                break
+            scale = self.combo.draw(rng)
+        if not _UNDERFLOW <= scale < math.inf:
+            raise InputDomainError(f"reciprocal scale {scale} is not finite and positive")
+        return scale
 
 
 def _atom_scales(combo: LinearCombo | MgfDist):
@@ -105,10 +149,25 @@ class Staircase:
             raise ValueError("epsilon and sensitivity must be > 0")
         if self.gamma_s is not None and not (0.0 < self.gamma_s <= 1.0):
             raise ValueError("gamma_s must lie in (0, 1]")
+        # per-law constants of a draw: the band ratio's complement 1 - e^-eps,
+        # the lower sub-band's chance, the width g and 1 - g
+        g = self.width
+        b = math.exp(-self.epsilon)
+        object.__setattr__(self, "_bands", (1.0 - b, g / (g + b * (1.0 - g)), g, 1.0 - g))
 
     @property
     def width(self) -> float:
         return self.gamma_s if self.gamma_s is not None else staircase_default_width(self.epsilon)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        """``staircase_sample``'s draws, one value at a time in its order."""
+        q, p_lower, g, h = self._bands
+        k = rng.geometric(q) - 1
+        lower = rng.random() < p_lower
+        u = rng.random()
+        offset = g * u if lower else g + h * u
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        return sign * (k + offset) * self.sensitivity
 
 
 @dataclass(frozen=True)
@@ -118,6 +177,9 @@ class Gaussian:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return rng.normal(0.0, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -129,6 +191,9 @@ class RandomizedResponse:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
+
+    def draw(self, rng: np.random.Generator) -> float:
+        raise InputDomainError("RandomizedResponse does not produce additive noise")
 
 
 NoiseMechanism = Laplace | CompoundLaplace | Staircase | Gaussian | RandomizedResponse
@@ -143,27 +208,20 @@ def staircase_sample(
     sensitivity: float,
     gamma_s: float | None,
     rng: np.random.Generator,
-    size=None,
+    size,
 ):
-    """Draw symmetric staircase noise.
+    """Draw a batch of symmetric staircase noise.
 
     Band index k >= 0 is geometric with ratio e^-eps; within band k the
     draw lands in the lower sub-band [k, k + gamma_s) * sensitivity with
     probability gamma_s / (gamma_s + e^-eps (1 - gamma_s)), else in the
     upper sub-band, uniformly either way; the sign is a fair coin.
+    ``Staircase.draw`` is this, one value at a time.
     """
     g = gamma_s if gamma_s is not None else staircase_default_width(epsilon)
     b = math.exp(-epsilon)
     p_lower = g / (g + b * (1.0 - g))
-    if size is None:
-        # the batch draws below, one value at a time in the same order
-        k = rng.geometric(1.0 - b) - 1
-        lower = rng.random() < p_lower
-        u = rng.random()
-        offset = g * u if lower else g + (1.0 - g) * u
-        sign = -1.0 if rng.random() < 0.5 else 1.0
-        return sign * (k + offset) * sensitivity
-    # the scalar branch's arithmetic on whole arrays: k - 1 is exact in
+    # the scalar draw's arithmetic on whole arrays: k - 1 is exact in
     # floats below 2^53, and the sign is r - 0.5's, a plus at r = 1/2
     # (+0.0), as r < 0.5 picks the minus there
     k = rng.geometric(1.0 - b, size)
@@ -181,24 +239,26 @@ def staircase_sample(
     return np.copysign(noise, r, out=noise)
 
 
-def standard_laplace(rng: np.random.Generator, size=None):
+def _unit_laplace(rng: np.random.Generator) -> float:
+    """One ``standard_laplace`` draw, straight-line: a loop, min or
+    copysign here costs a release about as much again as the log."""
+    v = 2.0 * rng.random()
+    if 0.0 < v < 1.0:
+        return float(np.log(v))
+    if v > 1.0:
+        return -float(np.log(2.0 - v))
+    return float(_laplace_of_doubled(rng, np.array([v]))[0])
+
+
+def standard_laplace(rng: np.random.Generator, size):
     """Unit-scale Laplace noise by the inverse CDF, never zero or infinite.
 
     With v = 2u for u uniform on [0, 1) and w = min(v, 2 - v), the noise
     is log(w) negated where v > 1; there 2 - v is exact (Sterbenz).  A u
     of 0 (log 0) or 1/2 (zero noise) is drawn again, up to ``_REDRAWS``
-    times.  Both paths take numpy's vector log, so a scalar draw and a
+    times.  The scalar draw takes numpy's vector log too, so it and a
     size-1 batch agree bit for bit; libm's log can differ in the last bit.
     """
-    if size is None:
-        # straight-line: a loop, min or copysign here costs a release
-        # about as much again as the log
-        v = 2.0 * rng.random()
-        if 0.0 < v < 1.0:
-            return float(np.log(v))
-        if v > 1.0:
-            return -float(np.log(2.0 - v))
-        return float(_laplace_of_doubled(rng, np.array([v]))[0])
     v = rng.random(size)
     v += v
     return _laplace_of_doubled(rng, v)
@@ -225,40 +285,31 @@ def _laplace_of_doubled(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
 
 
 def sample_noise(mech: NoiseMechanism, rng: np.random.Generator, size=None):
-    """Draw additive noise for every mechanism except randomized response."""
+    """Draw additive noise for every mechanism except randomized response:
+    one value through the mechanism's ``draw``, or a batch of ``size``."""
+    if size is None:
+        return mech.draw(rng)
     if type(mech) is CompoundLaplace and mech._atoms is not None:
         # one uniform picks a two-atom law's scale, as its sampler would
-        p, b0, b1, table = mech._atoms
-        if size is None:
-            return (b0 if p is None or rng.random() < p else b1) * standard_laplace(rng)
+        p, b0, _, table = mech._atoms
         if p is None:
             noise = standard_laplace(rng, size)
             noise *= b0
             return noise
         pick = (rng.random(size) < p).view(np.int8)
         noise = standard_laplace(rng, size)
-        noise *= table[pick]
+        noise *= np.take(table, pick)
         return noise
     if isinstance(mech, Laplace):
         noise = standard_laplace(rng, size)
-        noise *= mech.b  # a float is rebound, an array scaled in place
+        noise *= mech.b
         return noise
     if isinstance(mech, Gaussian):
         return rng.normal(0.0, mech.sigma, size)
     if isinstance(mech, Staircase):
         return staircase_sample(mech.epsilon, mech.sensitivity, mech.gamma_s, rng, size)
     if isinstance(mech, CompoundLaplace):
-        # a reciprocal scale underflowing to zero would mean infinite noise,
-        # and an infinite one zero noise: neither is ever released
-        if size is None:
-            scale = mech.combo.sample(rng)
-            for _ in range(_REDRAWS):
-                if not scale < _UNDERFLOW:
-                    break
-                scale = mech.combo.sample(rng)
-            if not _UNDERFLOW <= scale < math.inf:
-                raise InputDomainError(f"reciprocal scale {scale} is not finite and positive")
-            return float((1.0 / scale) * standard_laplace(rng))
+        # a scale under 1e-300 is drawn again, as ``CompoundLaplace._redraw`` does
         scales = np.asarray(mech.combo.sample(rng, size), float)
         if not (scales.min(initial=_UNDERFLOW) >= _UNDERFLOW
                 and scales.max(initial=0.0) < math.inf):
@@ -277,7 +328,8 @@ def sample_noise(mech: NoiseMechanism, rng: np.random.Generator, size=None):
 
 
 def perturb(mech: NoiseMechanism, true_value: float, rng: np.random.Generator) -> float:
-    """Release ``true_value`` through the mechanism."""
+    """Release ``true_value`` through the mechanism: randomized response
+    answers a bit, every other mechanism adds its ``draw``."""
     if isinstance(mech, RandomizedResponse):
         if true_value not in (0, 1):
             raise InputDomainError(
@@ -285,7 +337,7 @@ def perturb(mech: NoiseMechanism, true_value: float, rng: np.random.Generator) -
             )
         keep = rng.random() < mech.p
         return float(true_value if keep else 1 - true_value)
-    return float(true_value + sample_noise(mech, rng))
+    return float(true_value + mech.draw(rng))
 
 
 # --- analytic staircase utilities ----------------------------------------

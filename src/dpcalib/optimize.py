@@ -393,11 +393,12 @@ def two_atom_optimum(privacy: PrivacySpec, goal: UtilityGoal) -> tuple[LinearCom
             xs = np.exp(ts)
             xs[0 if sides else -1] = x0  # the shared end, so that h(x0) = f(x0) on both
             sides.append((xs, ts, f(xs), _constraint(privacy, xs)))
-    if not all(np.isfinite(xs).all() and np.isfinite(fs).all() for xs, _, fs, _ in sides):
+    (xs_lo, _, fs_lo, gs_lo), (xs_hi, _, fs_hi, gs_hi) = sides
+    if not np.isfinite(np.concatenate((xs_lo, fs_lo, xs_hi, fs_hi))).all():
         raise InfeasibleSpecError(
             f"epsilon/sensitivity = {eps:g}/{dq:g} = {x0:g} is too "
             f"{'large' if x0 > 1.0 else 'small'}: the grid around it leaves the float range")
-    if not all(np.isfinite(gs).all() for *_, gs in sides):
+    if not np.isfinite(np.concatenate((gs_lo, gs_hi))).all():
         raise InfeasibleSpecError(f"epsilon {eps!r} is too large at sensitivity {dq!r}: "
                                   "x e^(epsilon - sensitivity x) overflows on the grid")
     calls = 0

@@ -301,7 +301,7 @@ def test_families_refuse_non_finite_parameters(family, params, i, bad):
 def test_degenerate_sampler_is_constant():
     rng = np.random.default_rng(0)
     d = Degenerate(5.0)
-    assert d.sample(rng) == 5.0
+    assert d.draw(rng) == 5.0
     assert np.all(d.sample(rng, 100) == 5.0)
 
 
@@ -331,7 +331,7 @@ def test_trunc_gaussian_tail_sampler(dist, scalar):
     # every draw is finite and in [lo, hi], and E[e^{-tX}] matches the MGF
     rng = np.random.default_rng(11)
     if scalar:
-        draws = np.array([dist.sample(rng) for _ in range(20_000)])
+        draws = np.array([dist.draw(rng) for _ in range(20_000)])
     else:
         draws = dist.sample(rng, 200_000)
     assert np.all(np.isfinite(draws))
@@ -385,7 +385,7 @@ def test_sampler_matches_mgf_on_wide_ranges(dist):
     # draws are finite and positive, and E[e^{-tX}] is within 4 standard
     # errors of the MGF; the 2/n term covers atoms too rare to be drawn
     rng = np.random.default_rng(5)
-    draws = np.concatenate([dist.sample(rng, 20_000), [dist.sample(rng) for _ in range(20)]])
+    draws = np.concatenate([dist.sample(rng, 20_000), [dist.draw(rng) for _ in range(20)]])
     assert np.all(np.isfinite(draws)) and np.all(draws > 0)
     n = draws.size
     for t in (0.5 / dist.mean(), 2.0 / dist.mean()):
@@ -417,7 +417,7 @@ def test_committed_laws_draw_pinned_values():
     assert sorted(laws) == sorted(_PINNED_DRAWS)
     for name, (scalar, batch) in _PINNED_DRAWS.items():
         rng = np.random.default_rng(2024)
-        assert [laws[name].sample(rng) for _ in range(3)] == scalar, name
+        assert [laws[name].draw(rng) for _ in range(3)] == scalar, name
         assert laws[name].sample(rng, 3).tolist() == batch, name
 
 

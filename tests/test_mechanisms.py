@@ -1,9 +1,12 @@
+import configparser
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
+from strategies import MECHANISMS_INI
 
 from dpcalib.distributions import (
     FAMILIES,
@@ -13,6 +16,7 @@ from dpcalib.distributions import (
     LinearCombo,
     TruncGaussian,
     Uniform,
+    parse_combo,
     singleton,
 )
 from dpcalib.mechanisms import (
@@ -33,6 +37,7 @@ from dpcalib.mechanisms import (
     staircase_usefulness,
     standard_laplace,
 )
+from dpcalib.mechanisms import _laplace_of_doubled
 from dpcalib.privacy import density_grid_epsilon
 from dpcalib.utility import usefulness_bound
 
@@ -259,17 +264,20 @@ def test_scalar_and_batch_draws_are_bit_identical(mech):
 
 @dataclass(frozen=True)
 class _StuckDraws(Degenerate):
-    """A law whose sampler returns ``draw`` whatever its analysed value."""
+    """A law whose sampler returns ``stuck`` whatever its analysed value."""
 
-    draw: float = math.inf
+    stuck: float = math.inf
 
-    def sample(self, rng, size=None):
-        return self.draw if size is None else np.full(size, self.draw)
+    def draw(self, rng) -> float:
+        return self.stuck
+
+    def sample(self, rng, size):
+        return np.full(size, self.stuck)
 
 
-@pytest.mark.parametrize("draw", [math.inf, math.nan, 0.0])
-def test_unusable_reciprocal_scale_raises(draw):
-    mech = CompoundLaplace(singleton(_StuckDraws(1.0, draw)))
+@pytest.mark.parametrize("stuck", [math.inf, math.nan, 0.0])
+def test_unusable_reciprocal_scale_raises(stuck):
+    mech = CompoundLaplace(singleton(_StuckDraws(1.0, stuck)))
     with pytest.raises(InputDomainError):
         sample_noise(mech, np.random.default_rng(0))
     with pytest.raises(InputDomainError):
@@ -305,7 +313,7 @@ _ON_A_UNIT_COMBO = [Laplace(1.0), CompoundLaplace(singleton(Degenerate(1.0)))]
 def test_uniform_draws_of_zero_or_one_half_are_drawn_again(mech):
     # u = 0 would give log 0 and u = 1/2 zero noise; both are drawn again,
     # also when a redraw hits one of them
-    assert standard_laplace(_ScriptedUniforms(_ZERO_OR_HALF + [0.25])) == np.log(0.5)
+    assert Laplace(1.0).draw(_ScriptedUniforms(_ZERO_OR_HALF + [0.25])) == np.log(0.5)
     assert sample_noise(mech, _ScriptedUniforms(_ZERO_OR_HALF + [0.75])) == -np.log(0.5)
     for size in (4, (2, 3)):
         for draw in (lambda r: standard_laplace(r, size), lambda r: sample_noise(mech, r, size)):
@@ -320,7 +328,7 @@ def test_uniform_draws_of_zero_or_one_half_are_drawn_again(mech):
 @pytest.mark.parametrize("stuck", [0.0, 0.5])
 def test_uniform_draws_stuck_at_zero_or_one_half_raise(mech, stuck):
     with pytest.raises(InputDomainError):
-        standard_laplace(_ScriptedUniforms([], then=stuck))
+        Laplace(1.0).draw(_ScriptedUniforms([], then=stuck))
     with pytest.raises(InputDomainError):
         standard_laplace(_ScriptedUniforms([], then=stuck), 10)
     with pytest.raises(InputDomainError):
@@ -366,7 +374,11 @@ def test_batches_keep_a_tuple_size(mech):
 
 class _GeneralPath(CompoundLaplace):
     """Releases through the general compound path, which draws the scale:
-    the atom path matches ``CompoundLaplace`` by exact type."""
+    a batch's atom path matches ``CompoundLaplace`` by exact type, and a
+    scalar draw takes the ladder's compound branch below."""
+
+    def draw(self, rng) -> float:
+        return _ladder_noise(self, rng, atoms=False)
 
 
 # point masses and two-atom laws, bare and as singletons; for most of the
@@ -494,3 +506,269 @@ def test_staircase_batch_signs_zero_and_one_half_as_before():
     assert ours.tobytes() == oracle.tobytes()
     assert [math.copysign(1.0, v) for v in ours] == [1.0, -1.0, 1.0, 1.0]
     assert ours[0] == 0.0 and ours[3] == 1.0 + 0.3 + 0.7 * 0.25
+
+
+# --- the release ladder that the bound draws replace -----------------------
+#
+# perturb -> sample_noise -> an isinstance ladder -> standard_laplace, the
+# staircase's scalar branch, or LinearCombo.sample and each family's
+# size=None branch, as they stood before each mechanism bound its draw.
+# Every release and scalar sample_noise value must equal it bit for bit.
+
+
+def _ladder_laplace(rng):
+    v = 2.0 * rng.random()
+    if 0.0 < v < 1.0:
+        return float(np.log(v))
+    if v > 1.0:
+        return -float(np.log(2.0 - v))
+    return float(_laplace_of_doubled(rng, np.array([v]))[0])
+
+
+def _ladder_scale(law, rng):
+    if isinstance(law, LinearCombo):
+        total = 0.0
+        for a, d in law.terms:
+            total += a * _ladder_scale(d, rng)
+        return total
+    kind = type(law)
+    if kind is Degenerate:
+        return law.value
+    if kind is Bernoulli:
+        u = rng.random(None)
+        return law.x0 if u < law.p else law.x1
+    if kind is Gamma:
+        return rng.gamma(law.shape, law.scale, None)
+    if kind is Uniform:
+        u = rng.random(None)
+        u *= law.hi - law.lo
+        u += law.lo
+        return u
+    if kind is TruncGaussian:
+        if law._tail is None:
+            lo, hi = law._cdf
+            z = special.ndtri(lo + (hi - lo) * rng.random(None))
+        else:
+            s, log_near, frac = law._tail
+            z = -s * special.ndtri_exp(log_near + np.log1p(-frac * rng.random(None)))
+        x = law.mu + law.sigma * z
+        return float(min(max(x, law.lo), law.hi))
+    return law.draw(rng)  # a test's stand-in law
+
+
+def _ladder_noise(mech, rng, atoms=True):
+    """``sample_noise(mech, rng)``; ``atoms=False`` skips the atom path."""
+    if atoms and type(mech) is CompoundLaplace and mech._atoms is not None:
+        p, b0, b1, _ = mech._atoms
+        return (b0 if p is None or rng.random() < p else b1) * _ladder_laplace(rng)
+    if isinstance(mech, Laplace):
+        noise = _ladder_laplace(rng)
+        noise *= mech.b
+        return noise
+    if isinstance(mech, Gaussian):
+        return rng.normal(0.0, mech.sigma, None)
+    if isinstance(mech, Staircase):
+        g = mech.gamma_s if mech.gamma_s is not None else staircase_default_width(mech.epsilon)
+        b = math.exp(-mech.epsilon)
+        p_lower = g / (g + b * (1.0 - g))
+        k = rng.geometric(1.0 - b) - 1
+        lower = rng.random() < p_lower
+        u = rng.random()
+        offset = g * u if lower else g + (1.0 - g) * u
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        return sign * (k + offset) * mech.sensitivity
+    if isinstance(mech, CompoundLaplace):
+        scale = _ladder_scale(mech.combo, rng)
+        for _ in range(100):
+            if not scale < 1e-300:
+                break
+            scale = _ladder_scale(mech.combo, rng)
+        if not 1e-300 <= scale < math.inf:
+            raise InputDomainError(f"reciprocal scale {scale} is not finite and positive")
+        return float((1.0 / scale) * _ladder_laplace(rng))
+    raise InputDomainError(f"{type(mech).__name__} does not produce additive noise")
+
+
+def _ladder_perturb(mech, true_value, rng):
+    if isinstance(mech, RandomizedResponse):
+        if true_value not in (0, 1):
+            raise InputDomainError(
+                f"randomized response needs a bit in {{0, 1}}, got {true_value}"
+            )
+        keep = rng.random() < mech.p
+        return float(true_value if keep else 1 - true_value)
+    return float(true_value + _ladder_noise(mech, rng))
+
+
+def _committed_mechanisms():
+    """{name: mechanism} for every section of perfbench/mechanisms.ini."""
+    build = {
+        "laplace": lambda sec: Laplace(float(sec["b"])),
+        "staircase": lambda sec: Staircase(float(sec["epsilon"]), 1.0),
+        "gaussian": lambda sec: Gaussian(float(sec["sigma"])),
+        "randomized_response": lambda sec: RandomizedResponse(float(sec["p"])),
+        "compound": lambda sec: CompoundLaplace(parse_combo(sec["combo"])),
+    }
+    parser = configparser.ConfigParser()
+    if not parser.read(MECHANISMS_INI):
+        raise FileNotFoundError(MECHANISMS_INI)
+    return {name: build[sec["kind"]](sec) for name, sec in parser.items() if "kind" in sec}
+
+
+_RELEASED = {
+    **_committed_mechanisms(),
+    "compound_point_mass": CompoundLaplace(singleton(Degenerate(2.0))),
+    "compound_two_atom_ci": CompoundLaplace(singleton(Bernoulli(0.3, 2.5, 40.0))),
+    "compound_bare_gamma": CompoundLaplace(Gamma(2.0, 0.7)),
+    "staircase_gamma_s": Staircase(0.7, 2.0, gamma_s=0.3),
+    "staircase_eps_small": Staircase(0.05, 1.0),
+    "gaussian_wide": Gaussian(1e3),
+    "randomized_response_low": RandomizedResponse(0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RELEASED))
+def test_bound_draws_release_the_ladders_bits(name):
+    mech = _RELEASED[name]
+    additive = not isinstance(mech, RandomizedResponse)
+    for seed in (0, 1, 2):
+        ours, ladder = np.random.default_rng(seed), np.random.default_rng(seed)
+        values = [float(i % 2) if not additive else 3.0 + i for i in range(2000)]
+        released = [perturb(mech, v, ours) for v in values]
+        expected = [_ladder_perturb(mech, v, ladder) for v in values]
+        assert all(type(x) is float for x in released)
+        assert [x.hex() for x in released] == [x.hex() for x in expected], seed
+        if additive:
+            noise = [sample_noise(mech, ours) for _ in range(2000)]
+            expected = [_ladder_noise(mech, ladder) for _ in range(2000)]
+            assert [type(x) for x in noise] == [type(x) for x in expected]
+            assert [x.hex() for x in noise] == [x.hex() for x in expected], seed
+        assert ours.bit_generator.state == ladder.bit_generator.state
+
+
+# a uniform of 0 or 1/2 where each kind of law draws its Laplace uniform,
+# with the number of uniforms that its scale takes first
+_REDRAW_LAWS = ((Laplace(0.7), 0), (CompoundLaplace(singleton(Degenerate(1.5), 0.8)), 0),
+                (CompoundLaplace(singleton(Bernoulli(0.4, 0.5, 2.0), 0.8)), 1),
+                (CompoundLaplace(singleton(Uniform(0.5, 2.0), 0.8)), 1),
+                (CompoundLaplace(LinearCombo(((0.5, Uniform(0.2, 4.0)),
+                                              (0.5, Degenerate(1.0))))), 1))
+
+
+@pytest.mark.parametrize("mech, scale_uniforms", _REDRAW_LAWS, ids=repr)
+def test_bound_draws_redraw_zero_or_one_half_as_the_ladder_does(mech, scale_uniforms):
+    for script in ([0.0, 0.5, 0.5, 0.0, 0.75, 0.3, 0.5, 0.25],
+                   [0.3, 0.0, 0.5, 0.6, 0.0, 0.5, 0.75, 0.25],
+                   [0.3, 0.5] * 50 + [0.6, 0.25]):
+        for ours, ladder in ((sample_noise, _ladder_noise),
+                             (lambda m, r: perturb(m, 3.0, r),
+                              lambda m, r: _ladder_perturb(m, 3.0, r))):
+            rng, rng0 = _ScriptedUniforms(script), _ScriptedUniforms(script)
+            out, out0 = ours(mech, rng), ladder(mech, rng0)
+            assert out.hex() == out0.hex()
+            assert math.isfinite(out) and out != 3.0 and out != 0.0
+            assert rng._script == rng0._script
+    for stuck in (0.0, 0.5):
+        # the scale takes its uniforms, every Laplace one is stuck
+        for release in (lambda r: mech.draw(r), lambda r: perturb(mech, 3.0, r)):
+            with pytest.raises(InputDomainError, match="after 100 redraws"):
+                release(_ScriptedUniforms([0.3] * scale_uniforms, then=stuck))
+
+
+@dataclass(frozen=True)
+class _ScriptedScales(Degenerate):
+    """A law whose draws hand out ``script`` in order, then ``then``."""
+
+    script: tuple = ()
+    then: float = 2.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_left", list(self.script))
+
+    def draw(self, rng) -> float:
+        return self._left.pop(0) if self._left else self.then
+
+    def sample(self, rng, size):
+        return np.full(size, self.then)
+
+
+@pytest.mark.parametrize("script", [(0.0,), (0.0, 1e-310, 5e-301), (0.0,) * 100, (1e-320,) * 37],
+                         ids=lambda s: f"{len(s)}x{s[-1]!r}")
+@pytest.mark.parametrize("coeff", [1.0, 0.6])
+def test_an_underflowing_scale_is_drawn_again_until_it_recovers(script, coeff):
+    def release(draw):
+        law = singleton(_ScriptedScales(1.0, script, 2.0), coeff)
+        rng = np.random.default_rng(4)
+        return draw(CompoundLaplace(law), rng), law.terms[0][1]._left, rng.bit_generator.state
+
+    for ours, ladder in ((sample_noise, _ladder_noise),
+                         (lambda m, r: perturb(m, 3.0, r),
+                          lambda m, r: _ladder_perturb(m, 3.0, r))):
+        out, left, state = release(ours)
+        out0, left0, state0 = release(ladder)
+        assert out.hex() == out0.hex() and left == left0 == [] and state == state0
+    # the scale that recovered is 0 + a * 2, read after every script entry
+    rng = np.random.default_rng(4)
+    assert sample_noise(CompoundLaplace(singleton(_ScriptedScales(1.0, script, 2.0), coeff)),
+                        rng) == Laplace(1.0 / (0.0 + coeff * 2.0)).draw(np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("script, then, text", [
+    ((0.0,) * 101, 2.0, "reciprocal scale 0.0 is"),
+    ((), 1e-310, "reciprocal scale 1e-310 is"),
+    ((1e-310,), math.inf, "reciprocal scale inf is"),
+    ((), math.nan, "reciprocal scale nan is"),
+], ids=["101 zeros", "stays under", "under then inf", "nan"])
+def test_a_scale_that_stays_unusable_raises_the_ladders_error(script, then, text):
+    # 100 redraws are the cap: a 101st zero in a row raises, a 101st 2 would not
+    def error(draw):
+        mech = CompoundLaplace(singleton(_ScriptedScales(1.0, script, then)))
+        with pytest.raises(InputDomainError) as caught:
+            draw(mech, np.random.default_rng(0))
+        return str(caught.value)
+
+    assert error(sample_noise) == error(_ladder_noise)
+    assert error(lambda m, r: perturb(m, 3.0, r)) == error(_ladder_noise)
+    assert error(sample_noise).startswith(text)
+
+
+@pytest.mark.parametrize("mech", [
+    Staircase(1.0), Staircase(0.7, 2.0, gamma_s=0.3), Laplace(0.5), Gaussian(2.0),
+    RandomizedResponse(0.7), CompoundLaplace(singleton(Degenerate(2.0))),
+    CompoundLaplace(singleton(Bernoulli(0.3, 2.5, 40.0))), CompoundLaplace(Gamma(2.0, 0.7)),
+    CompoundLaplace(LinearCombo(((0.5, Gamma(2.0, 1.0)), (0.5, Uniform(0.2, 4.0))))),
+], ids=repr)
+def test_repr_equality_and_hash_ignore_the_bound_draw(mech):
+    fields = {f.name: getattr(mech, f.name) for f in dataclasses.fields(mech)}
+    twin = type(mech)(**fields)
+    assert twin == mech and hash(twin) == hash(mech)
+    assert dataclasses.replace(mech) == mech
+    assert repr(mech) == f"{type(mech).__name__}(" + ", ".join(
+        f"{k}={v!r}" for k, v in fields.items()) + ")"
+    # the bound constants live beside the fields, never among them
+    assert not {name for name in vars(mech) if name.startswith("_")} & set(fields)
+    assert dataclasses.asdict(mech).keys() == fields.keys()
+
+
+def _ladder_atom_batch(mech, rng, size):
+    """The atom path's batch as it gathered ``table[pick]``."""
+    p, b0, _, table = mech._atoms
+    if p is None:
+        noise = standard_laplace(rng, size)
+        noise *= b0
+        return noise
+    pick = (rng.random(size) < p).view(np.int8)
+    noise = standard_laplace(rng, size)
+    noise *= table[pick]
+    return noise
+
+
+@pytest.mark.parametrize("law", _ATOM_LAWS, ids=repr)
+def test_atom_batches_gather_the_indexed_scales(law):
+    mech = CompoundLaplace(law)
+    for seed, size in enumerate((1, 7, 2000, 200_000, (3, 4))):
+        ours = sample_noise(mech, np.random.default_rng(seed), size)
+        oracle = _ladder_atom_batch(mech, np.random.default_rng(seed), size)
+        assert ours.shape == oracle.shape and ours.dtype == oracle.dtype == np.float64
+        assert ours.tobytes() == oracle.tobytes(), size

@@ -134,8 +134,11 @@ class _PointMassStub(MgfDist):
     def mean(self) -> float:
         return 2.0
 
-    def sample(self, rng, size=None):
-        return 2.0 if size is None else np.full(size, 2.0)
+    def draw(self, rng) -> float:
+        return 2.0
+
+    def sample(self, rng, size):
+        return np.full(size, 2.0)
 
 
 def test_closed_form_unsupported_families():
