@@ -172,10 +172,8 @@ def run_grid(grid: ExperimentGrid, search: SearchSpaceSpec | None = None) -> lis
         if index % per_cell == 0:
             # a new (epsilon, sensitivity, param) cell: its goal and privacy
             # spec are built once, where its first row needs them, so that a
-            # row that fails still fails at the same step with the same error;
-            # the baseline rows read their values from the compound record
-            # once it exists, and compute them otherwise
-            goal = privacy = calibrated = None
+            # row that fails still fails at the same step with the same error
+            goal = privacy = None
         # the two children SeedSequence([master, index]).spawn(2) would
         # return, built without the parent
         entropy = [grid.master_seed & (2**63 - 1), index]
@@ -201,14 +199,12 @@ def run_grid(grid: ExperimentGrid, search: SearchSpaceSpec | None = None) -> lis
                 mech = Laplace(dq / eps)
                 row.epsilon_achieved = eps
                 privacy = privacy or PrivacySpec(eps, dq)
-                row.utility_analytic = (calibrated.baseline_laplace_utility if calibrated
-                                        else baseline_laplace(privacy, goal))
+                row.utility_analytic = baseline_laplace(privacy, goal)
             elif mech_name == "staircase":
                 mech = Staircase(eps, dq)
                 row.epsilon_achieved = eps
                 privacy = privacy or PrivacySpec(eps, dq)
-                row.utility_analytic = (calibrated.staircase_utility if calibrated
-                                        else baseline_staircase(privacy, goal))
+                row.utility_analytic = baseline_staircase(privacy, goal)
             else:
                 privacy = privacy or PrivacySpec(eps, dq)
                 calibrated = optimize(search, privacy, goal, seed=cell_seed)

@@ -11,8 +11,7 @@ second-fold combination, then adds Laplace noise at that scale.  A law
 of one or two atoms (a one-term ``Degenerate`` or ``Bernoulli``, the
 laws the linear metrics' optimum takes) has its Laplace scales computed
 once, when the mechanism is built, and a release picks one of them: the
-same generator calls and the same bits as drawing the scale.  Any other
-law keeps each term's sampler with its coefficient.
+same generator calls and the same bits as drawing the scale.
 
 The staircase baseline is the geometric mixture of uniform bands: band k
 (width = sensitivity) carries geometric mass with ratio e^-eps, and
@@ -62,13 +61,8 @@ class CompoundLaplace:
     def __post_init__(self):
         if not self.combo.mean() > 0:  # nan where the law's family cannot resolve it
             raise ValueError("the reciprocal-scale combination must have positive mean")
-        # per-law constants, not fields: repr, equality and the record ignore
-        # them.  A law of one or two atoms releases from its scales; any
-        # other draws its reciprocal scale through each term's sampler
-        atoms = _atom_scales(self.combo)
-        object.__setattr__(self, "_atoms", atoms)
-        object.__setattr__(self, "_terms", None if atoms is not None else tuple(
-            (a, d.draw) for a, d in self.combo.active_terms()))
+        # per-law constant, not a field: repr, equality and the record ignore it
+        object.__setattr__(self, "_atoms", _atom_scales(self.combo))
 
     def draw(self, rng: np.random.Generator) -> float:
         atoms = self._atoms
@@ -76,9 +70,7 @@ class CompoundLaplace:
             # one uniform picks a two-atom law's scale, as its sampler would
             p, b0, b1, _ = atoms
             return (b0 if p is None or rng.random() < p else b1) * _unit_laplace(rng)
-        scale = 0.0
-        for a, draw in self._terms:
-            scale += a * draw(rng)
+        scale = self.combo.draw(rng)
         if not _UNDERFLOW <= scale < math.inf:
             scale = self._redraw(scale, rng)
         return float((1.0 / scale) * _unit_laplace(rng))
@@ -86,10 +78,7 @@ class CompoundLaplace:
     def _redraw(self, scale: float, rng: np.random.Generator) -> float:
         """Draw again a reciprocal scale under 1e-300, up to ``_REDRAWS``
         times: one that underflows to zero would mean infinite noise, and
-        an infinite one zero noise, so neither is ever released.
-        ``combo.draw`` sums the bound terms' draws in their order; a bare
-        family draws x where ``draw`` forms 0 + 1 x, the same scale but
-        for the sign of a zero, which is drawn again either way."""
+        an infinite one zero noise, so neither is ever released."""
         for _ in range(_REDRAWS):
             if not scale < _UNDERFLOW:
                 break
@@ -149,15 +138,12 @@ class Staircase:
             raise ValueError("epsilon and sensitivity must be > 0")
         if self.gamma_s is not None and not (0.0 < self.gamma_s <= 1.0):
             raise ValueError("gamma_s must lie in (0, 1]")
-        # per-law constants of a draw: the band ratio's complement 1 - e^-eps,
-        # the lower sub-band's chance, the width g and 1 - g
-        g = self.width
-        b = math.exp(-self.epsilon)
-        object.__setattr__(self, "_bands", (1.0 - b, g / (g + b * (1.0 - g)), g, 1.0 - g))
+        # per-law constant, not a field, as ``CompoundLaplace._atoms``
+        object.__setattr__(self, "_bands", _staircase_bands(self.epsilon, self.gamma_s))
 
     @property
     def width(self) -> float:
-        return self.gamma_s if self.gamma_s is not None else staircase_default_width(self.epsilon)
+        return self._bands[2]
 
     def draw(self, rng: np.random.Generator) -> float:
         """``staircase_sample``'s draws, one value at a time in its order."""
@@ -218,16 +204,26 @@ def staircase_sample(
     upper sub-band, uniformly either way; the sign is a fair coin.
     ``Staircase.draw`` is this, one value at a time.
     """
+    return _staircase_batch(_staircase_bands(epsilon, gamma_s), sensitivity, rng, size)
+
+
+def _staircase_bands(epsilon: float, gamma_s: float | None) -> tuple[float, float, float, float]:
+    """The constants of a staircase draw: the band ratio's complement
+    1 - e^-eps, the lower sub-band's chance, the width g and 1 - g."""
     g = gamma_s if gamma_s is not None else staircase_default_width(epsilon)
     b = math.exp(-epsilon)
-    p_lower = g / (g + b * (1.0 - g))
+    return 1.0 - b, g / (g + b * (1.0 - g)), g, 1.0 - g
+
+
+def _staircase_batch(bands, sensitivity: float, rng: np.random.Generator, size):
     # the scalar draw's arithmetic on whole arrays: k - 1 is exact in
     # floats below 2^53, and the sign is r - 0.5's, a plus at r = 1/2
     # (+0.0), as r < 0.5 picks the minus there
-    k = rng.geometric(1.0 - b, size)
+    q, p_lower, g, h = bands
+    k = rng.geometric(q, size)
     lower = rng.random(size) < p_lower
     u = rng.random(size)
-    offset = (1.0 - g) * u
+    offset = h * u
     offset += g
     u *= g
     np.copyto(offset, u, where=lower)
@@ -289,7 +285,7 @@ def sample_noise(mech: NoiseMechanism, rng: np.random.Generator, size=None):
     one value through the mechanism's ``draw``, or a batch of ``size``."""
     if size is None:
         return mech.draw(rng)
-    if type(mech) is CompoundLaplace and mech._atoms is not None:
+    if isinstance(mech, CompoundLaplace) and mech._atoms is not None:
         # one uniform picks a two-atom law's scale, as its sampler would
         p, b0, _, table = mech._atoms
         if p is None:
@@ -307,7 +303,7 @@ def sample_noise(mech: NoiseMechanism, rng: np.random.Generator, size=None):
     if isinstance(mech, Gaussian):
         return rng.normal(0.0, mech.sigma, size)
     if isinstance(mech, Staircase):
-        return staircase_sample(mech.epsilon, mech.sensitivity, mech.gamma_s, rng, size)
+        return _staircase_batch(mech._bands, mech.sensitivity, rng, size)
     if isinstance(mech, CompoundLaplace):
         # a scale under 1e-300 is drawn again, as ``CompoundLaplace._redraw`` does
         scales = np.asarray(mech.combo.sample(rng, size), float)

@@ -342,6 +342,41 @@ def test_trunc_gaussian_tail_sampler(dist, scalar):
         assert abs(vals.mean() - dist.mgf(-t)) <= 4 * se
 
 
+class _OneUniform:
+    """A generator stand-in whose ``random`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u
+
+
+# (law, whether its quantile takes the tail branch, the uniform at a window
+# end, the side its unclipped quantile rounds past)
+_CLIPPED_ENDS = [
+    (TruncGaussian(0.5, 1.2, 0.0), False, 0.0, "lo"),
+    (TruncGaussian(0.079, 9.23, 0.0017, 5.06), False, 1 - 2**-53, "hi"),
+    (TruncGaussian(1.0, 0.8, 0.05, 25.05), False, 1 - 2**-53, "hi"),  # quantile inf
+    (TruncGaussian(0.0, 1.0, 0.3, 0.7), True, 0.0, "lo"),
+    (TruncGaussian(-143668.88, 32918.30, 1.352e-07, 1.508e-07), True, 0.0, "lo"),
+    (TruncGaussian(1.0 - 2e5, 1e5, 1.0, 2.0), True, 1 - 2**-53, "hi"),
+]
+
+
+@pytest.mark.parametrize("law, tail, u, side", _CLIPPED_ENDS, ids=repr)
+def test_trunc_gaussian_draw_clips_a_window_end_as_the_batch_does(law, tail, u, side):
+    assert (law._tail is not None) == tail
+    x = float(law._inverse_cdf(u))
+    assert x < law.lo if side == "lo" else x > law.hi  # the clip has work to do
+    for v in (0.0, u, 0.5, 1 - 2**-53):
+        want = float(np.clip(law._inverse_cdf(v), law.lo, law.hi))
+        got = law.draw(_OneUniform(v))
+        assert type(got) is float and got.hex() == want.hex(), v
+        assert law.lo <= got <= law.hi
+        assert got.hex() == float(law.sample(_OneUniform(np.array([v])), 1)[0]).hex()
+
+
 @pytest.mark.parametrize(
     "dist",
     [Gamma(2.0, 0.7), Uniform(0.5, 3.0), TruncGaussian(0.5, 1.2, 0.0), Bernoulli(0.3, 0.5, 2.0)],

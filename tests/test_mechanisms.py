@@ -374,11 +374,11 @@ def test_batches_keep_a_tuple_size(mech):
 
 class _GeneralPath(CompoundLaplace):
     """Releases through the general compound path, which draws the scale:
-    a batch's atom path matches ``CompoundLaplace`` by exact type, and a
-    scalar draw takes the ladder's compound branch below."""
+    without atom scales, a draw and a batch both take it."""
 
-    def draw(self, rng) -> float:
-        return _ladder_noise(self, rng, atoms=False)
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_atoms", None)
 
 
 # point masses and two-atom laws, bare and as singletons; for most of the
@@ -556,9 +556,9 @@ def _ladder_scale(law, rng):
     return law.draw(rng)  # a test's stand-in law
 
 
-def _ladder_noise(mech, rng, atoms=True):
-    """``sample_noise(mech, rng)``; ``atoms=False`` skips the atom path."""
-    if atoms and type(mech) is CompoundLaplace and mech._atoms is not None:
+def _ladder_noise(mech, rng):
+    """``sample_noise(mech, rng)``."""
+    if type(mech) is CompoundLaplace and mech._atoms is not None:
         p, b0, b1, _ = mech._atoms
         return (b0 if p is None or rng.random() < p else b1) * _ladder_laplace(rng)
     if isinstance(mech, Laplace):
