@@ -4,9 +4,11 @@
 Prints a plot-ready table of the order-alpha privacy level for Laplace,
 randomized response, a tuned compound mechanism, and a Gaussian
 reference, all normalized to unit sensitivity.  The compound column is
-an upper bound: the least of the law's epsilon, alpha epsilon^2 / 2 and
-the Renyi level of a mechanism that also releases the drawn scale (see
-`dpcalib.privacy.rdp_of`).  Each value is printed to 17 significant
+an upper bound: the least of three, each printed in its own column, so
+that the table shows which bound won (see `dpcalib.privacy.rdp_of`):
+compound_epsilon, the law's epsilon; compound_zcdp, alpha epsilon^2 / 2;
+and compound_scale_released, the Renyi level of a mechanism that also
+releases the drawn scale.  Each value is printed to 17 significant
 digits, so the table holds its floats exactly.
 
     python scripts/rdp_curves.py --epsilon 1.0
@@ -17,7 +19,7 @@ import math
 
 from dpcalib.mechanisms import Gaussian, Laplace, RandomizedResponse, gaussian_sigma
 from dpcalib.optimize import SearchSpaceSpec, optimize
-from dpcalib.privacy import PrivacySpec, rdp_of
+from dpcalib.privacy import PrivacySpec, _scale_released_rdp, epsilon_of_combo, rdp_of
 from dpcalib.utility import UtilityGoal
 
 
@@ -42,10 +44,14 @@ def main() -> int:
         UtilityGoal("usefulness", gamma=args.gamma), seed=args.seed,
     )
 
-    print("alpha,laplace,randomized_response,compound,gaussian")
+    tuned_eps = epsilon_of_combo(tuned.combo, 1.0)
+    print("alpha,laplace,randomized_response,compound,compound_epsilon,compound_zcdp,"
+          "compound_scale_released,gaussian")
     for alpha in args.alphas:
-        print(f"{alpha:g}," + ",".join(f"{rdp_of(mech, alpha).epsilon_rdp:.17g}"
-                                       for mech in (lap, rr, tuned.combo, gauss)))
+        values = [rdp_of(mech, alpha).epsilon_rdp for mech in (lap, rr, tuned.combo)]
+        values += [tuned_eps, alpha * tuned_eps * tuned_eps / 2.0,
+                   _scale_released_rdp(tuned.combo, alpha, 1.0), rdp_of(gauss, alpha).epsilon_rdp]
+        print(f"{alpha:g}," + ",".join(f"{v:.17g}" for v in values))
     return 0
 
 

@@ -11,17 +11,20 @@ and every operation is pure.
 makes the generator calls of a size-1 batch, so from the same seed it is
 bit-identical to that batch's value.
 
-``mgf``, ``mgf_deriv`` and ``mgf_and_deriv`` take a scalar or an array t
-of any shape under one decorator, ``_array_math``: the body gets
-``np.asarray(t, float)`` and is array math only, an array gets values of
-its shape back, and a scalar t a float (a tuple of floats for the pair).
+``mgf`` and ``mgf_deriv`` take a scalar or an array t of any shape under
+one decorator, ``_array_math``: the body gets ``np.asarray(t, float)``
+and is array math only, an array gets values of its shape back, and a
+scalar t a float.
 
 Their log-space pair takes t the same way.  ``log_mgf_deriv`` is
 ln M'(t), formed in log space by each family: it stays finite where M'
 underflows, and costs no exp -> log round trip.  ``log_mgf_and_mean``
 is (ln M(t), M'(t)/M(t)), the tilted law's log-mass and mean, from
-which a combination of several terms sums its ln M'.  The noise density
-M'(-|x|)/2 is read in log space through ``log_mgf_deriv`` alone.
+which a combination of several terms sums its ln M', and from which ln M
+is read wherever M itself may overflow (a tuple of floats for a scalar
+t).  The noise density M'(-|x|)/2 is read in log space through
+``log_mgf_deriv`` alone.  A family writes these four methods, with
+``mean``, ``draw`` and ``sample``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class DomainError(ValueError):
 
 def _array_math(method):
     """Call ``method`` with ``np.asarray(t, float)``; a scalar t gets a
-    float back, or a tuple of floats from ``mgf_and_deriv``.  Each family
+    float back, or a tuple of floats from ``log_mgf_and_mean``.  Each family
     keeps its decorated methods in its own class, where perfbench's tracer
     wraps them."""
     @wraps(method)
@@ -245,16 +248,11 @@ class MgfDist(ABC):
     def mgf_deriv(self, t):
         """E[X e^{tX}]; equals the mean at t = 0."""
 
-    def mgf_and_deriv(self, t):
-        """(M(t), M'(t)), bit-identical to ``(mgf(t), mgf_deriv(t))``;
-        families whose two values share work override it."""
-        return self.mgf(t), self.mgf_deriv(t)
-
     @abstractmethod
     def log_mgf_and_mean(self, t):
-        """(ln M(t), M'(t)/M(t)), the log-space twin of ``mgf_and_deriv``:
-        ln M, and the mean of the law tilted by e^{tx}, formed without M,
-        so that neither underflows where M does."""
+        """(ln M(t), M'(t)/M(t)): ln M, and the mean of the law tilted by
+        e^{tx}, formed without M, so that neither underflows or overflows
+        where M does."""
 
     @_array_math
     def log_mgf_deriv(self, t):
@@ -276,11 +274,6 @@ class MgfDist(ABC):
     def sample(self, rng: np.random.Generator, size):
         """A batch of ``size`` values in a new array that the caller may
         overwrite, drawn whole-array."""
-
-    def log_mgf(self, t: float) -> float:
-        """ln M(t) for a scalar t; families with a closed form override it
-        so that large t does not overflow."""
-        return math.log(self.mgf(t))
 
     def mgf_domain_sup(self) -> float:
         """Exclusive upper bound of t for which the MGF exists."""
@@ -342,9 +335,6 @@ class Degenerate(MgfDist):
         out = _scaled(t, self.value)
         out += math.log(self.value)
         return out
-
-    def log_mgf(self, t: float) -> float:
-        return t * self.value
 
     def mean(self) -> float:
         return self.value
@@ -409,11 +399,6 @@ class Bernoulli(MgfDist):
     @_array_math
     def log_mgf_deriv(self, t):
         return self._log_sum(t, 1)
-
-    def log_mgf(self, t: float) -> float:
-        atoms = [math.log(w) + t * x
-                 for w, x in ((self.p, self.x0), (1 - self.p, self.x1)) if w > 0]
-        return float(np.logaddexp.reduce(atoms))
 
     def mean(self) -> float:
         return self.p * self.x0 + (1 - self.p) * self.x1
@@ -497,9 +482,9 @@ class Uniform(MgfDist):
 
     The MGF (e^{t hi} - e^{t lo}) / (t (hi - lo)) is evaluated in the
     cancellation-free form e^{t lo} * expm1(t w)/(t w), w = hi - lo,
-    which also handles the removable singularity at t = 0.  M and M' share
-    one expm1(t w) per point.  The log-space kernels factor out e^{t lo}
-    where t <= 0 and e^{t hi} where t > 0, so that expm1 never overflows.
+    which also handles the removable singularity at t = 0.  The log-space
+    kernels factor out e^{t lo} where t <= 0 and e^{t hi} where t > 0, so
+    that expm1 never overflows.
     """
 
     lo: float
@@ -516,16 +501,11 @@ class Uniform(MgfDist):
 
     @_array_math
     def mgf_deriv(self, t):
-        return self.mgf_and_deriv(t)[1]
-
-    @_array_math
-    def mgf_and_deriv(self, t):
         w = self.hi - self.lo
         s = t * w
         em1 = np.expm1(s)
-        shift = np.exp(t * self.lo)
-        ratio = _expm1_over(s, em1)
-        return shift * ratio, shift * (self.lo * ratio + w * _expm1_over_deriv(s, em1))
+        return np.exp(t * self.lo) * (self.lo * _expm1_over(s, em1)
+                                      + w * _expm1_over_deriv(s, em1))
 
     @_array_math
     def log_mgf_and_mean(self, t):
@@ -544,14 +524,6 @@ class Uniform(MgfDist):
         with np.errstate(over="ignore", invalid="ignore"):  # t > 0 is replaced below
             out = _uniform_log_deriv(t, self.lo, w)
         return _patch(t > 0.0, _uniform_log_deriv, (t, self.hi, -w), out)
-
-    def log_mgf(self, t: float) -> float:
-        # factor out the larger exponential so that nothing overflows
-        tw = t * (self.hi - self.lo)
-        if tw <= 0.0:
-            tw = np.float64(tw)
-            return t * self.lo + math.log(float(_expm1_over(tw, np.expm1(tw))))
-        return t * self.hi + math.log(-math.expm1(-tw) / tw)
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -577,10 +549,9 @@ class TruncGaussian(MgfDist):
     Tilting by e^{tx} moves the standardized window [alpha, beta] to
     [a, b] = [alpha - sigma t, beta - sigma t].  One log-space kernel,
     ``_tilt``, gives ln M and the tilted mean M'/M for ``mgf``,
-    ``mgf_deriv``, ``mgf_and_deriv``, ``log_mgf`` and the log-space pair
-    on every window.  A window with a + b < 0 is mirrored, so that its near
-    end l and far end h have |l| <= h; hi and beta then play the part of
-    lo and alpha below.
+    ``mgf_deriv`` and the log-space pair on every window.  A window with
+    a + b < 0 is mirrored, so that its near end l and far end h have
+    |l| <= h; hi and beta then play the part of lo and alpha below.
 
     - A tail window, l >= 0: ln M = t lo - alpha^2/2 + ln(erfcx(l/√2)/2)
       + ln(1 - rho) - ln Z, with rho = erfcx(h/√2)/erfcx(l/√2) ·
@@ -743,18 +714,10 @@ class TruncGaussian(MgfDist):
     def mgf(self, t):
         return np.exp(self._tilt(t))
 
-    def log_mgf(self, t: float) -> float:
-        return float(self._tilt(np.asarray(t, float)))
-
     @_array_math
     def mgf_deriv(self, t):
-        return self.mgf_and_deriv(t)[1]
-
-    @_array_math
-    def mgf_and_deriv(self, t):
         log_m, mean = self._tilt(t, with_mean=True)
-        m = np.exp(log_m)
-        return m, m * mean
+        return np.exp(log_m) * mean
 
     @_array_math
     def log_mgf_and_mean(self, t):
@@ -836,8 +799,8 @@ class LinearCombo:
         if len(self.terms) == 1:  # no other term's M enters the product
             (a, d), = self.terms
             return a * d.mgf_deriv(a * t)
-        # product rule over one (M, M') pair per term, accumulated in place
-        pairs = [d.mgf_and_deriv(a * t) for a, d in self.terms]
+        # product rule over each term's M and M', accumulated in place
+        pairs = [(d.mgf(a * t), d.mgf_deriv(a * t)) for a, d in self.terms]
         out = np.zeros_like(t)
         for j, (a, _) in enumerate(self.terms):
             part = a * pairs[j][1]
@@ -846,8 +809,6 @@ class LinearCombo:
                     part *= v
             out += part
         return out
-
-    mgf_and_deriv = MgfDist.mgf_and_deriv
 
     @_array_math
     def log_mgf_and_mean(self, t):
@@ -872,9 +833,6 @@ class LinearCombo:
         out = d.log_mgf_deriv(a * t)
         out += math.log(a)
         return out
-
-    def log_mgf(self, t: float) -> float:
-        return sum(d.log_mgf(a * t) for a, d in self.terms)
 
     def mean(self) -> float:
         return sum(a * d.mean() for a, d in self.terms)

@@ -33,6 +33,10 @@ from .distributions import Bernoulli, Degenerate, LinearCombo, MgfDist
 special = lazy_import("scipy.special")  # gaussian_sigma only
 
 _UNDERFLOW = 1e-300
+# the largest Laplace or Gaussian scale a mechanism takes: a unit draw is
+# far below 1e8 in size, so the noise stays finite; a compound atom's
+# scale 1/(a x) meets the same cap through _UNDERFLOW
+_MAX_SCALE = 1e300
 _REDRAWS = 100
 
 
@@ -45,8 +49,8 @@ class Laplace:
     b: float
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("scale b must be > 0")
+        if not 0.0 < self.b <= _MAX_SCALE:
+            raise ValueError(f"scale b must lie in (0, {_MAX_SCALE:g}], got {self.b}")
 
     def draw(self, rng: np.random.Generator) -> float:
         return _unit_laplace(rng) * self.b
@@ -134,12 +138,19 @@ class Staircase:
     gamma_s: float | None = None  # None selects the default width
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.sensitivity <= 0:
-            raise ValueError("epsilon and sensitivity must be > 0")
+        if not (0.0 < self.epsilon < math.inf and 0.0 < self.sensitivity < math.inf):
+            raise ValueError("epsilon and sensitivity must be finite and > 0")
         if self.gamma_s is not None and not (0.0 < self.gamma_s <= 1.0):
             raise ValueError("gamma_s must lie in (0, 1]")
+        try:
+            bands = _staircase_bands(self.epsilon, self.gamma_s)
+        except OverflowError:
+            raise ValueError(f"epsilon {self.epsilon} is too large for the default width "
+                             "1/(1 + e^(eps/2)); give gamma_s") from None
+        if bands[0] == 0.0:  # geometric(0) cannot be drawn
+            raise ValueError(f"epsilon {self.epsilon} is too small: 1 - e^-eps rounds to 0")
         # per-law constant, not a field, as ``CompoundLaplace._atoms``
-        object.__setattr__(self, "_bands", _staircase_bands(self.epsilon, self.gamma_s))
+        object.__setattr__(self, "_bands", bands)
 
     @property
     def width(self) -> float:
@@ -161,8 +172,8 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not 0.0 < self.sigma <= _MAX_SCALE:
+            raise ValueError(f"sigma must lie in (0, {_MAX_SCALE:g}], got {self.sigma}")
 
     def draw(self, rng: np.random.Generator) -> float:
         return rng.normal(0.0, self.sigma)

@@ -172,8 +172,8 @@ def _scale_released_rdp(combo: LinearCombo | MgfDist, alpha: float, sensitivity:
     if combo.mgf_domain_sup() <= dq * (alpha - 1.0):
         return math.inf
     # ln(alpha M(dq (alpha-1)) + (alpha-1) M(-dq alpha)), in log space
-    log_num = np.logaddexp(math.log(alpha) + combo.log_mgf(dq * (alpha - 1.0)),
-                           math.log(alpha - 1.0) + combo.log_mgf(-dq * alpha))
+    log_num = np.logaddexp(math.log(alpha) + combo.log_mgf_and_mean(dq * (alpha - 1.0))[0],
+                           math.log(alpha - 1.0) + combo.log_mgf_and_mean(-dq * alpha)[0])
     return float(log_num - math.log(2.0 * alpha - 1.0)) / (alpha - 1.0)
 
 
@@ -203,7 +203,7 @@ def rdp_of(mechanism, alpha: float, sensitivity: float = 1.0) -> RdpPoint:
     """
     from . import mechanisms as mech_mod
 
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if isinstance(mechanism, (LinearCombo, MgfDist)):
         return RdpPoint(alpha, _combo_rdp(mechanism, alpha, sensitivity))

@@ -303,6 +303,15 @@ def test_cli_sample_refuses_bad_flags(flags, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["laplace b=inf", "laplace b=1e308", "gaussian sigma=nan",
+                                  "staircase epsilon=inf", "staircase epsilon=1500",
+                                  "staircase epsilon=1 sensitivity=inf"])
+def test_cli_sample_refuses_a_mechanism_that_releases_non_finite_noise(spec, capsys):
+    assert cli.main(["sample", "--mech", spec]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--combo", "1 gamma shape=2 scale=1", "--count", "0"], "error: count must be >= 1"),
     (["--combo", "1 gamma shape=2 scale=1", "--count", "-1"], "error: count must be >= 1"),

@@ -15,6 +15,8 @@ from dpcalib.distributions import (
     LinearCombo,
     TruncGaussian,
     Uniform,
+    _expm1_over,
+    _expm1_over_deriv,
     _hazard_excess,
     _patch,
     format_combo,
@@ -68,17 +70,6 @@ def test_uniform_mgf_at_zero_and_near_zero():
         assert u.mgf(t) == pytest.approx(exact, rel=1e-13)
 
 
-def test_uniform_mgf_alone_is_bitwise_the_pairs_first_value():
-    # M is formed without M': the same bits as mgf_and_deriv(t)[0], on
-    # scalars, at t = 0, across the series' band |s| < 2e-2, and on a vector
-    u = Uniform(0.25, 60.25)
-    for t in (-3.0, -0.5, 0.0, -0.0, 1e-4, -3e-4, 2e-1, np.float64(-7.5)):
-        assert u.mgf(t).hex() == u.mgf_and_deriv(t)[0].hex()
-    ts = np.concatenate([np.linspace(-40.0, 1.0, 9_999), np.linspace(-1e-3, 1e-3, 10_001)])
-    assert (np.abs(ts * 60.0) < 2e-2).sum() > 3_000 and (ts == 0.0).sum() == 1
-    assert _bits(u.mgf(ts)).tolist() == _bits(u.mgf_and_deriv(ts)[0]).tolist()
-
-
 def test_trunc_gaussian_mgf_against_quadrature():
     d = TruncGaussian(1.0, 2.0, 2.0, 9.0)
     a, b = (2.0 - 1.0) / 2.0, (9.0 - 1.0) / 2.0
@@ -121,7 +112,8 @@ def test_trunc_gaussian_log_mgf_matches_mpmath_in_both_tails_and_between():
             alpha = mpmath.mpf(law.lo) - m
             beta = mpmath.mpf(law.hi) - m if math.isfinite(law.hi) else mpmath.inf
             want = m * s + s * s / 2 + log_mass(alpha - s, beta - s) - log_mass(alpha, beta)
-            assert law.log_mgf(t) == pytest.approx(float(want), rel=1e-14, abs=1e-15), (a, b)
+            got = law.log_mgf_and_mean(t)[0]
+            assert got == pytest.approx(float(want), rel=1e-14, abs=1e-15), (a, b)
 
 
 def test_uniform_mgf_deriv_matches_mpmath_near_zero():
@@ -476,20 +468,6 @@ def _bits(x):
     return np.asarray(x, float).view(np.int64)
 
 
-@pytest.mark.parametrize("dist", _PAIR_LAWS, ids=lambda d: d.family)
-def test_mgf_and_deriv_is_bitwise_mgf_and_mgf_deriv(dist):
-    ts = _PAIR_ARGS[_PAIR_ARGS < dist.mgf_domain_sup()]
-    with np.errstate(all="ignore"):
-        m, d = dist.mgf_and_deriv(ts)
-        assert np.array_equal(_bits(m), _bits(dist.mgf(ts)))
-        assert np.array_equal(_bits(d), _bits(dist.mgf_deriv(ts)))
-        for t in ts[::11]:
-            pair = dist.mgf_and_deriv(float(t))
-            assert type(pair[0]) is float and type(pair[1]) is float
-            assert _bits(pair).tolist() == _bits([dist.mgf(float(t)),
-                                                   dist.mgf_deriv(float(t))]).tolist()
-
-
 def _quadrature_log_mass_and_mean(dist, t, mpmath):
     """ln of the mass of a TruncGaussian's density tilted by e^{tx}, and its
     mean, by quadrature at the working precision.  The tilted density is
@@ -534,7 +512,7 @@ def test_trunc_gaussian_mgf_pair_matches_quadrature(dist):
     with mpmath.workdps(40):
         log_norm, _ = _quadrature_log_mass_and_mean(dist, 0.0, mpmath)
         for t in [0.0, *(-np.geomspace(1e-3, 300.0, 11))]:
-            m, d = dist.mgf_and_deriv(float(t))
+            m, d = dist.mgf(float(t)), dist.mgf_deriv(float(t))
             if d < np.finfo(float).tiny:
                 continue
             log_mass, mean = _quadrature_log_mass_and_mean(dist, float(t), mpmath)
@@ -548,14 +526,17 @@ def test_trunc_gaussian_mgf_pair_matches_quadrature(dist):
     assert checked >= 5
 
 
-@pytest.mark.parametrize("combo", [
+_PRODUCT_RULE_COMBOS = [
     singleton(TruncGaussian(0.0, 0.1, 1.0)),
     LinearCombo(((0.0, Gamma(2.0, 1.0)), (3.5, Uniform(0.25, 60.0)))),
     LinearCombo(((0.5, Gamma(2.0, 1.0)), (1.5, Bernoulli(0.3, 0.5, 2.0)))),
     committed_compound_laws()["compound_ensemble"],
     LinearCombo(((0.2, TruncGaussian(0.5, 1.0, 0.0)), (0.6, Degenerate(0.3)),
                  (0.4, Uniform(0.0, 2.0)))),
-])
+]
+
+
+@pytest.mark.parametrize("combo", _PRODUCT_RULE_COMBOS)
 def test_combo_deriv_matches_product_rule(combo):
     ts = -np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 301)])
     got = combo.mgf_deriv(ts)
@@ -565,6 +546,149 @@ def test_combo_deriv_matches_product_rule(combo):
     assert np.max(np.abs(got - want)[normal] / want[normal]) <= 1e-14
     assert combo.mgf_deriv(-0.7) == pytest.approx(float(product_rule_deriv(combo, -0.7)),
                                                   rel=1e-14, abs=0.0)
+
+
+def _hex(x):
+    return [v.hex() for v in np.ravel(np.asarray(x, float)).tolist()]
+
+
+# --- the (M, M') pair that mgf and mgf_deriv replace -------------------------
+#
+# Uniform's and TruncGaussian's mgf_and_deriv, and LinearCombo.mgf_deriv's
+# product rule over one such pair per term, as they stood before each
+# family formed M and M' in its own two methods.  mgf, mgf_deriv and the
+# product rule must equal them bit for bit.
+
+
+def _pair(dist, t):
+    """(M(t), M'(t)) of one law, as the pair formed them; floats for a scalar t."""
+    x = np.asarray(t, float)
+    if isinstance(dist, Uniform):
+        w = dist.hi - dist.lo
+        s = x * w
+        em1 = np.expm1(s)
+        shift = np.exp(x * dist.lo)
+        ratio = _expm1_over(s, em1)
+        out = shift * ratio, shift * (dist.lo * ratio + w * _expm1_over_deriv(s, em1))
+    elif isinstance(dist, TruncGaussian):
+        log_m, mean = dist._tilt(x, with_mean=True)
+        m = np.exp(log_m)
+        out = m, m * mean
+    else:  # the default pair
+        return dist.mgf(t), dist.mgf_deriv(t)
+    return tuple(map(float, out)) if np.isscalar(t) else out
+
+
+def _pair_product_rule(combo, t):
+    """M'(t) of a combination by the product rule over one pair per term."""
+    x = np.asarray(t, float)
+    if len(combo.terms) == 1:
+        (a, d), = combo.terms
+        out = a * d.mgf_deriv(a * x)
+    else:
+        pairs = [_pair(d, a * x) for a, d in combo.terms]
+        out = np.zeros_like(x)
+        for j, (a, _) in enumerate(combo.terms):
+            part = a * pairs[j][1]
+            for i, (v, _) in enumerate(pairs):
+                if i != j:
+                    part *= v
+            out += part
+    return float(out) if np.isscalar(t) else out
+
+
+_PAIRED_LAWS = [d for d in _PAIR_LAWS if isinstance(d, (Uniform, TruncGaussian))] + [
+    d for law in committed_compound_laws().values() for _, d in law.terms
+    if isinstance(d, (Uniform, TruncGaussian))]
+
+
+@pytest.mark.parametrize("dist", _PAIRED_LAWS, ids=lambda d: d.family)
+def test_mgf_and_mgf_deriv_are_bitwise_the_pairs_values(dist):
+    with np.errstate(all="ignore"):
+        m, d = _pair(dist, _PAIR_ARGS)
+        assert _hex(dist.mgf(_PAIR_ARGS)) == _hex(m)
+        assert _hex(dist.mgf_deriv(_PAIR_ARGS)) == _hex(d)
+        for t in _PAIR_ARGS.tolist():
+            m, d = _pair(dist, t)
+            assert dist.mgf(t).hex() == m.hex(), t
+            assert dist.mgf_deriv(t).hex() == d.hex(), t
+
+
+@pytest.mark.parametrize("combo", [c for c in _PRODUCT_RULE_COMBOS if len(c.terms) > 1],
+                         ids=lambda c: "-".join(d.family for _, d in c.terms))
+def test_combo_deriv_is_bitwise_the_pair_product_rule(combo):
+    ts = -np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 301)])
+    with np.errstate(all="ignore"):
+        assert _hex(combo.mgf_deriv(ts)) == _hex(_pair_product_rule(combo, ts))
+        for t in ts.tolist():
+            assert combo.mgf_deriv(t).hex() == _pair_product_rule(combo, t).hex(), t
+
+
+def _mp_log_mgf(law, t, mp):
+    """ln M(t) at the working precision, ``t`` an mpf; every parameter is
+    read as the exact value of its float."""
+    if isinstance(law, LinearCombo):
+        return sum(_mp_log_mgf(d, mp.mpf(a) * t, mp) for a, d in law.terms)
+    params = {k: mp.mpf(v) for k, v in law.params().items()}
+    if isinstance(law, Degenerate):
+        return t * params["value"]
+    if isinstance(law, Bernoulli):
+        p, x0, x1 = params["p"], params["x0"], params["x1"]
+        return mp.log(p * mp.exp(t * x0) + (1 - p) * mp.exp(t * x1))
+    if isinstance(law, Gamma):
+        return -params["shape"] * mp.log(1 - params["scale"] * t)
+    if isinstance(law, Uniform):
+        lo, hi = params["lo"], params["hi"]
+        return mp.log((mp.exp(t * hi) - mp.exp(t * lo)) / (t * (hi - lo)))
+    # ln M(t) = mu t + sigma^2 t^2 / 2 + ln P(alpha - sigma t, beta - sigma t)
+    # - ln P(alpha, beta), P the standard normal mass of a window
+    mu, sigma = params["mu"], params["sigma"]
+    alpha, beta = (params["lo"] - mu) / sigma, (params["hi"] - mu) / sigma
+
+    def log_mass(x, y):
+        return mp.log(mp.ncdf(-x) - mp.ncdf(-y) if x > 0 else mp.ncdf(y) - mp.ncdf(x))
+
+    st = sigma * t
+    return mu * t + st * st / 2 + log_mass(alpha - st, beta - st) - log_mass(alpha, beta)
+
+
+def _log_mgf_bound(law):
+    """The bound on |error| / max(1, |ln M|): 4e-16, but a Gamma's
+    ln M = -k ln(1 - theta t) reads the base as rounded (see ``Gamma``),
+    and so carries k times its half-ulp, 2^-54 at t > 0 (5.9e-16 on
+    compound_gamma's term at t = 0.01).  Two extreme windows of
+    ``_PAIR_LAWS`` form a small ln M from ln-masses near -18 that keep
+    their own ulps: 1.6e-15 at t = 1e-6 where lo = 1e4, and 6.6e-16 at
+    t = 0.01 on the lower tail."""
+    extreme = {TruncGaussian(1e-4, 1e-4, 1e4): 2e-15, TruncGaussian(100.0, 1.0, 0.0, 50.0): 1e-15}
+    if law in extreme:
+        return extreme[law]
+    return 4e-16 + (law.shape * 2.0 ** -54 if isinstance(law, Gamma) else 0.0)
+
+
+# laws of every family, the committed laws' terms among them, and a
+# 3-term combination
+_LOG_MGF_LAWS = [
+    *_PAIR_LAWS,
+    *(d for law in committed_compound_laws().values() for _, d in law.terms),
+    LinearCombo(((0.5, Bernoulli(0.3, 0.5, 2.0)), (1.5, Uniform(0.25, 3.0)),
+                 (0.2, TruncGaussian(0.5, 1.0, 0.0)))),
+]
+
+
+@pytest.mark.parametrize("law", _LOG_MGF_LAWS, ids=lambda law: _contract_id(law))
+def test_log_mgf_and_mean_reads_ln_m_to_mpmath_at_positive_t(law):
+    # the t > 0 side, where M overflows first, and which only the
+    # scale-releasing Renyi bound reads; Gamma below its pole
+    mpmath = pytest.importorskip("mpmath")
+    bound = 4e-16 if isinstance(law, LinearCombo) else _log_mgf_bound(law)
+    with mpmath.workdps(50):
+        for t in (1e-6, 0.01, 0.5, 1.0, 3.0, 15.0, 63.0):
+            if t >= law.mgf_domain_sup():
+                continue
+            want = _mp_log_mgf(law, mpmath.mpf(t), mpmath)
+            got = law.log_mgf_and_mean(t)[0]
+            assert abs(got - want) <= bound * max(1.0, abs(float(want))), (t, got, float(want))
 
 
 _ZERO_TERM_COMBO = LinearCombo(((0.5, Gamma(2.0, 1.0)), (0.0, TruncGaussian(0.5, 1.0, 0.0)),
@@ -581,8 +705,7 @@ def _contract_id(law):
         law, LinearCombo) else law.family
 
 
-@pytest.mark.parametrize("method", ["mgf", "mgf_deriv", "mgf_and_deriv", "log_mgf_deriv",
-                                    "log_mgf_and_mean"])
+@pytest.mark.parametrize("method", ["mgf", "mgf_deriv", "log_mgf_deriv", "log_mgf_and_mean"])
 @pytest.mark.parametrize("law", _CONTRACT_LAWS, ids=_contract_id)
 def test_mgf_methods_take_scalars_and_arrays_of_any_shape(law, method):
     # A float or numpy scalar gives a float (a tuple of floats for the
@@ -592,7 +715,7 @@ def test_mgf_methods_take_scalars_and_arrays_of_any_shape(law, method):
     # scalar one, as Gamma(2, 1)'s M' at t = 0.2 does: 0x1.f3ffffffffffep+1
     # in an array of six, 0x1.f3fffffffffffp+1 alone.
     call = getattr(law, method)
-    pair = method in ("mgf_and_deriv", "log_mgf_and_mean")
+    pair = method == "log_mgf_and_mean"
     ts = np.array([[-3.0, -0.5, 0.0], [-1e-3, 0.02, -40.0]])
     for t in (0.02, np.float64(-0.5), -3):
         out = call(t)

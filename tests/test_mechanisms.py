@@ -61,6 +61,34 @@ def test_mechanism_validation():
             CompoundLaplace(combo)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Laplace(math.inf),
+    lambda: Laplace(1e308),  # released -inf on 1 of 3 draws
+    lambda: Laplace(math.nan),
+    lambda: Gaussian(math.nan),
+    lambda: Gaussian(math.inf),
+    lambda: Gaussian(1e308),
+    lambda: Staircase(math.inf),
+    lambda: Staircase(1500.0),  # its default width 1/(1 + e^750) overflows
+    lambda: Staircase(math.nan),
+    lambda: Staircase(1e-17),  # 1 - e^-eps rounds to 0
+    lambda: Staircase(1.0, math.inf),
+    lambda: Staircase(1.0, math.nan),
+], ids=["laplace-inf", "laplace-1e308", "laplace-nan", "gaussian-nan", "gaussian-inf",
+        "gaussian-1e308", "staircase-eps-inf", "staircase-eps-1500", "staircase-eps-nan",
+        "staircase-eps-1e-17", "staircase-sensitivity-inf", "staircase-sensitivity-nan"])
+def test_mechanisms_refuse_parameters_that_release_non_finite_noise(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_mechanisms_at_the_largest_scale_release_finite_noise():
+    rng = np.random.default_rng(5)
+    for mech in (Laplace(1e300), Gaussian(1e300), Staircase(1500.0, 1.0, gamma_s=0.5)):
+        assert np.isfinite(sample_noise(mech, rng, 10_000)).all()
+        assert all(math.isfinite(mech.draw(rng)) for _ in range(100))
+
+
 def test_staircase_default_width():
     assert staircase_default_width(1.0) == pytest.approx(1.0 / (1.0 + math.exp(0.5)))
 

@@ -301,6 +301,14 @@ def test_rdp_alpha_validation():
         rdp_of(Laplace(1.0), 0.5)
 
 
+@pytest.mark.parametrize("mech", [Laplace(1.0), Gaussian(1.0), RandomizedResponse(0.75),
+                                  singleton(Bernoulli(0.3, 0.5, 2.0))],
+                         ids=["laplace", "gaussian", "randomized_response", "compound"])
+def test_rdp_of_refuses_a_nan_order(mech):
+    with pytest.raises(ValueError, match="alpha must be >= 1"):
+        rdp_of(mech, math.nan)
+
+
 def test_grid_epsilon_matches_closed_form():
     assert verify_epsilon_empirically(Degenerate(1.0), 1.0) == pytest.approx(1.0, abs=1e-3)
     assert verify_epsilon_empirically(Gamma(1.0, 1.0), 1.0) == pytest.approx(
